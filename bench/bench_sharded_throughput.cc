@@ -1,6 +1,6 @@
 // Sharded query serving throughput: the single-store batched tile scan
-// (ScanQueryEngine, 1 thread — the seed engine) vs ShardedQueryEngine
-// scattering the same batch over S pinned shard workers, plus one
+// (ScanQueryEngine, 1 thread) vs the same engine scattering the batch
+// over a first-touch sharded store's S pinned shard workers, plus one
 // QueryService run pushing the same load through the async
 // micro-batching front-end. The headline number is the sharded-vs-
 // single-store qps speedup at 4+ shards (acceptance: >= 3x on a
@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,6 @@
 #include "core/sharded_store.h"
 #include "knn/query.h"
 #include "knn/query_service.h"
-#include "knn/sharded_query.h"
 #include "obs/metrics.h"
 #include "util/bench_env.h"
 #include "util/bench_report.h"
@@ -78,6 +78,20 @@ bool Identical(const std::vector<std::vector<gf::Neighbor>>& a,
     }
   }
   return true;
+}
+
+// S shards placed by first touch: the engine then pins one worker per
+// shard to the shard's NUMA cpu set.
+std::shared_ptr<const gf::ShardedFingerprintStore> FirstTouchShards(
+    const gf::FingerprintStore& store, std::size_t shards,
+    const gf::obs::PipelineContext* obs) {
+  gf::ShardedFingerprintStore::Options options;
+  options.num_shards = shards;
+  options.placement = gf::ShardedFingerprintStore::Placement::kFirstTouch;
+  auto sharded = gf::ShardedFingerprintStore::Partition(store, options, obs);
+  if (!sharded.ok()) std::abort();
+  return std::make_shared<const gf::ShardedFingerprintStore>(
+      std::move(sharded).value());
 }
 
 }  // namespace
@@ -137,16 +151,8 @@ int main() {
   for (std::size_t shards = 1; shards <= max_shards; shards *= 2) {
     gf::obs::MetricRegistry registry;
     gf::obs::PipelineContext obs{.metrics = &registry};
-    gf::ShardedFingerprintStore::Options store_options;
-    store_options.num_shards = shards;
-    store_options.placement =
-        gf::ShardedFingerprintStore::Placement::kFirstTouch;
-    auto sharded =
-        gf::ShardedFingerprintStore::Partition(store, store_options, &obs);
-    if (!sharded.ok()) std::abort();
-    gf::ShardedQueryEngine::Options options;
-    options.pin_shard_workers = true;
-    gf::ShardedQueryEngine engine(*sharded, nullptr, &obs, options);
+    const gf::ScanQueryEngine engine(FirstTouchShards(store, shards, &obs),
+                                     nullptr, &obs);
 
     // Warm-up pass (thread creation, page faults), then the timed pass.
     if (!engine.QueryBatch(queries, k).ok()) std::abort();
@@ -170,16 +176,9 @@ int main() {
   {  // the async front-end pushing the same load, one request at a time
     gf::obs::MetricRegistry registry;
     gf::obs::PipelineContext obs{.metrics = &registry};
-    gf::ShardedFingerprintStore::Options store_options;
-    store_options.num_shards = std::min<std::size_t>(max_shards, 4);
-    store_options.placement =
-        gf::ShardedFingerprintStore::Placement::kFirstTouch;
-    auto sharded =
-        gf::ShardedFingerprintStore::Partition(store, store_options, &obs);
-    if (!sharded.ok()) std::abort();
-    gf::ShardedQueryEngine::Options engine_options;
-    engine_options.pin_shard_workers = true;
-    gf::ShardedQueryEngine engine(*sharded, nullptr, &obs, engine_options);
+    const gf::ScanQueryEngine engine(
+        FirstTouchShards(store, std::min<std::size_t>(max_shards, 4), &obs),
+        nullptr, &obs);
 
     gf::QueryService::Options service_options;
     service_options.max_queue = batch;

@@ -146,37 +146,11 @@ class MappedFingerprintStore {
   std::size_t num_bits() const { return store_.num_bits(); }
   const FingerprintConfig& config() const { return store_.config(); }
 
-  // The FingerprintStore read surface, forwarded.
+  // The FingerprintStore row accessors, forwarded.
   std::span<const uint64_t> WordsOf(UserId u) const {
     return store_.WordsOf(u);
   }
   uint32_t CardinalityOf(UserId u) const { return store_.CardinalityOf(u); }
-  double EstimateJaccard(UserId a, UserId b) const {
-    return store_.EstimateJaccard(a, b);
-  }
-  void EstimateJaccardBatch(UserId u, std::span<const UserId> candidates,
-                            std::span<double> out) const {
-    store_.EstimateJaccardBatch(u, candidates, out);
-  }
-  void EstimateJaccardTile(UserId u, UserId first, std::size_t count,
-                           std::span<double> out) const {
-    store_.EstimateJaccardTile(u, first, count, out);
-  }
-  void EstimateJaccardBatchExternal(std::span<const uint64_t> query_words,
-                                    uint32_t query_cardinality,
-                                    std::span<const UserId> candidates,
-                                    std::span<double> out) const {
-    store_.EstimateJaccardBatchExternal(query_words, query_cardinality,
-                                        candidates, out);
-  }
-  void EstimateJaccardTileMultiExternal(
-      std::span<const uint64_t> queries_words,
-      std::span<const uint32_t> query_cardinalities, UserId first,
-      std::size_t count, std::span<double> out) const {
-    store_.EstimateJaccardTileMultiExternal(queries_words,
-                                            query_cardinalities, first,
-                                            count, out);
-  }
 
   /// The persisted shard boundaries (always at least {0}).
   std::span<const UserId> shard_begins() const { return shard_begins_; }

@@ -114,89 +114,48 @@ CandidateQueryEngine::CandidateQueryEngine(
     : store_(store),
       sources_(std::move(sources)),
       options_(options),
-      pool_(pool) {
-  source_counters_.resize(sources_.size(), nullptr);
+      source_counters_(sources_.size(), nullptr),
+      rescorer_(pool, obs, "query.candidate_engine") {
   if (obs != nullptr && obs->HasMetrics()) {
     for (std::size_t i = 0; i < sources_.size(); ++i) {
       source_counters_[i] = obs->metrics->GetCounter(
           "candidates." + std::string(sources_[i]->name()));
     }
-    queries_ = obs->metrics->GetCounter("query.candidate_engine.queries");
-    candidates_ = obs->metrics->GetCounter("query.candidates");
-    candidate_sizes_ =
-        obs->metrics->GetHistogram("query.candidate_engine.candidate_set_size",
-                                   obs::kSizeBucketBoundaries);
-    latency_ = obs->metrics->GetHistogram(
-        "query.latency", obs::kLatencyBucketBoundariesMicros);
   }
-  if (obs != nullptr) clock_ = obs->EffectiveClock();
 }
 
-std::vector<Neighbor> CandidateQueryEngine::QueryOne(const Shf& query,
-                                                     std::size_t k) const {
-  const uint64_t t0 = latency_ != nullptr ? clock_->NowMicros() : 0;
-  std::vector<UserId> candidates;
+void CandidateQueryEngine::Gather(const Shf& query, std::size_t k,
+                                  std::vector<UserId>* candidates) const {
   for (std::size_t i = 0; i < sources_.size(); ++i) {
-    const std::size_t before = candidates.size();
-    sources_[i]->Collect(query, k, &candidates);
+    const std::size_t before = candidates->size();
+    sources_[i]->Collect(query, k, candidates);
     if (source_counters_[i] != nullptr) {
-      source_counters_[i]->Add(candidates.size() - before);
+      source_counters_[i]->Add(candidates->size() - before);
     }
     // Dedup after every source: the early-stop check must count
     // DISTINCT candidates or a source repeating the same ids would
     // starve the fallbacks.
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    if (candidates.size() >= options_.min_candidates) break;
+    std::sort(candidates->begin(), candidates->end());
+    candidates->erase(std::unique(candidates->begin(), candidates->end()),
+                      candidates->end());
+    if (candidates->size() >= options_.min_candidates) break;
   }
-
-  std::vector<double> sims(candidates.size());
-  store_->EstimateJaccardBatchExternal(query.words(), query.cardinality(),
-                                       candidates, sims);
-  TopKSelector top(k);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    top.Offer(candidates[i], sims[i]);
-  }
-  if (queries_ != nullptr) {
-    queries_->Add(1);
-    candidates_->Add(candidates.size());
-    candidate_sizes_->Observe(static_cast<double>(candidates.size()));
-  }
-  if (latency_ != nullptr) {
-    latency_->Observe(static_cast<double>(clock_->NowMicros() - t0));
-  }
-  return top.Take();
 }
 
 Result<std::vector<Neighbor>> CandidateQueryEngine::Query(
     const Shf& query, std::size_t k) const {
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (query.num_bits() != store_->num_bits()) {
-    return Status::InvalidArgument(
-        "query fingerprint has " + std::to_string(query.num_bits()) +
-        " bits, store uses " + std::to_string(store_->num_bits()));
-  }
-  return QueryOne(query, k);
+  auto batch = QueryBatch({&query, 1}, k);
+  if (!batch.ok()) return batch.status();
+  return std::move(batch->front());
 }
 
 Result<std::vector<std::vector<Neighbor>>> CandidateQueryEngine::QueryBatch(
     std::span<const Shf> queries, std::size_t k) const {
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  for (const Shf& query : queries) {
-    if (query.num_bits() != store_->num_bits()) {
-      return Status::InvalidArgument(
-          "batch query fingerprint has " + std::to_string(query.num_bits()) +
-          " bits, store uses " + std::to_string(store_->num_bits()));
-    }
-  }
-  std::vector<std::vector<Neighbor>> results(queries.size());
-  ParallelFor(pool_, queries.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t q = begin; q < end; ++q) {
-      results[q] = QueryOne(queries[q], k);
-    }
-  });
-  return results;
+  return rescorer_.QueryBatch(
+      *store_, queries, k,
+      [this](const Shf& query, std::size_t kk, std::vector<UserId>* out) {
+        Gather(query, kk, out);
+      });
 }
 
 }  // namespace gf

@@ -193,18 +193,15 @@ class CandidateQueryEngine {
       std::span<const Shf> queries, std::size_t k) const;
 
  private:
-  std::vector<Neighbor> QueryOne(const Shf& query, std::size_t k) const;
+  // The gather phase: the sources in order, deduplicated.
+  void Gather(const Shf& query, std::size_t k,
+              std::vector<UserId>* candidates) const;
 
   const FingerprintStore* store_;
   std::vector<const CandidateSource*> sources_;
   Options options_;
-  ThreadPool* pool_;
   std::vector<obs::Counter*> source_counters_;  // parallel to sources_
-  obs::Counter* queries_ = nullptr;
-  obs::Counter* candidates_ = nullptr;
-  obs::Histogram* candidate_sizes_ = nullptr;
-  obs::Histogram* latency_ = nullptr;
-  Clock* clock_ = nullptr;
+  CandidateRescorer rescorer_;
 };
 
 inline GraphNeighborsSource::GraphNeighborsSource(

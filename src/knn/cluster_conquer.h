@@ -224,7 +224,8 @@ void BuildAndMergeCluster(const Provider& provider,
                          std::memory_order_relaxed);
   const uint64_t t1 = clock != nullptr ? clock->NowMicros() : 0;
 
-  TopKSelector selector(k);
+  // A row offers its current survivors plus the cluster's: <= 2k.
+  TopKSelector selector(k, 2 * k);
   std::vector<NeighborLists::Entry> gathered, row;
   for (std::size_t i = 0; i < members.size(); ++i) {
     const auto local_row = local.NeighborsOf(static_cast<UserId>(i));

@@ -1,7 +1,9 @@
 #include "knn/query.h"
 
 #include <mutex>
+#include <string>
 
+#include "common/bit_util.h"
 #include "core/similarity.h"
 #include "hash/murmur3.h"
 #include "io/container.h"
@@ -10,10 +12,11 @@ namespace gf {
 
 namespace {
 
-obs::Histogram* LatencyHistogram(const obs::PipelineContext* obs) {
+obs::Histogram* HistogramOrNull(const obs::PipelineContext* obs,
+                                std::string_view name,
+                                std::span<const double> boundaries) {
   return obs != nullptr && obs->HasMetrics()
-             ? obs->metrics->GetHistogram("query.latency",
-                                          obs::kLatencyBucketBoundariesMicros)
+             ? obs->metrics->GetHistogram(name, boundaries)
              : nullptr;
 }
 
@@ -27,57 +30,115 @@ Clock* ClockOrNull(const obs::PipelineContext* obs) {
   return obs != nullptr ? obs->EffectiveClock() : nullptr;
 }
 
-}  // namespace
-
-ScanQueryEngine::ScanQueryEngine(const FingerprintStore& store,
-                                 ThreadPool* pool,
-                                 const obs::PipelineContext* obs)
-    : ScanQueryEngine(store, pool, obs, Options{}) {}
-
-ScanQueryEngine::ScanQueryEngine(const FingerprintStore& store,
-                                 ThreadPool* pool,
-                                 const obs::PipelineContext* obs,
-                                 Options options)
-    : store_(&store),
-      pool_(pool),
-      obs_(obs),
-      options_(options),
-      latency_(LatencyHistogram(obs)),
-      candidates_(CounterOrNull(obs, "query.candidates")),
-      batches_(CounterOrNull(obs, "query.batches")),
-      queries_(CounterOrNull(obs, "query.scan.queries")) {
-  if (options_.tile_rows == 0) options_.tile_rows = 256;
+// A plain store or snapshot as a one-shard view: zero-copy, and the
+// view co-owns the snapshot.
+std::shared_ptr<const ShardedFingerprintStore> WholeStore(
+    SnapshotPtr snapshot) {
+  const UserId begin = 0;
+  return std::make_shared<const ShardedFingerprintStore>(
+      ShardedFingerprintStore::ViewOf(std::move(snapshot), {&begin, 1})
+          .value());
 }
 
-ScanQueryEngine::ScanQueryEngine(SnapshotPtr snapshot, ThreadPool* pool,
+// The argument check every engine shares: k >= 1, and a query of
+// `query_bits` bits against a store of `num_bits`.
+Status CheckQuery(std::size_t num_bits, std::size_t query_bits,
+                  std::size_t k) {
+  if (k == 0) return Status::InvalidArgument("k must be >= 1");
+  if (query_bits != num_bits) {
+    return Status::InvalidArgument(
+        "query fingerprint has " + std::to_string(query_bits) +
+        " bits, store uses " + std::to_string(num_bits));
+  }
+  return Status::OK();
+}
+
+Status CheckQueries(std::size_t num_bits, std::span<const Shf> queries,
+                    std::size_t k) {
+  GF_RETURN_IF_ERROR(CheckQuery(num_bits, num_bits, k));  // empty batches too
+  for (const Shf& query : queries) {
+    GF_RETURN_IF_ERROR(CheckQuery(num_bits, query.num_bits(), k));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+ScoredLists MergeTopK(std::span<const ScoredLists> partials,
+                      std::size_t num_queries, std::size_t k) {
+  ScoredLists merged(num_queries);
+  for (std::size_t q = 0; q < num_queries; ++q) {
+    std::size_t offers = 0;
+    for (const ScoredLists& part : partials) offers += part[q].size();
+    TopKSelector top(k, offers);
+    for (const ScoredLists& part : partials) {
+      for (const ScoredNeighbor& n : part[q]) top.Offer(n.id, n.similarity);
+    }
+    merged[q] = top.TakeScored();
+  }
+  return merged;
+}
+
+std::vector<std::vector<Neighbor>> ToNeighbors(const ScoredLists& scored) {
+  std::vector<std::vector<Neighbor>> out(scored.size());
+  for (std::size_t q = 0; q < scored.size(); ++q) {
+    out[q].reserve(scored[q].size());
+    for (const ScoredNeighbor& n : scored[q]) {
+      out[q].push_back({n.id, static_cast<float>(n.similarity)});
+    }
+  }
+  return out;
+}
+
+ScanQueryEngine::ScanQueryEngine(const FingerprintStore& store,
+                                 ThreadPool* pool,
                                  const obs::PipelineContext* obs)
-    : ScanQueryEngine(std::move(snapshot), pool, obs, Options{}) {}
+    : ScanQueryEngine(StoreSnapshot::Borrow(store), pool, obs) {}
 
 ScanQueryEngine::ScanQueryEngine(SnapshotPtr snapshot, ThreadPool* pool,
-                                 const obs::PipelineContext* obs,
-                                 Options options)
-    : ScanQueryEngine(snapshot->store(), pool, obs, options) {
-  pinned_ = std::move(snapshot);
-  store_ = &pinned_->store();
+                                 const obs::PipelineContext* obs)
+    : ScanQueryEngine(WholeStore(std::move(snapshot)), pool, obs) {
+  split_rows_ = true;
+}
+
+ScanQueryEngine::ScanQueryEngine(
+    std::shared_ptr<const ShardedFingerprintStore> store, ThreadPool* pool,
+    const obs::PipelineContext* obs)
+    : store_(std::move(store)),
+      pool_(pool),
+      latency_(HistogramOrNull(obs, "query.latency",
+                               obs::kLatencyBucketBoundariesMicros)),
+      partition_scan_(HistogramOrNull(obs, "query.shard.scan_micros",
+                                      obs::kLatencyBucketBoundariesMicros)),
+      candidates_(CounterOrNull(obs, "query.candidates")),
+      batches_(CounterOrNull(obs, "query.batches")),
+      queries_(CounterOrNull(obs, "query.sharded.queries")),
+      clock_(ClockOrNull(obs)) {
+  if (store_->placement() != ShardedFingerprintStore::Placement::kFirstTouch) {
+    return;
+  }
+  shard_pools_.reserve(store_->num_shards());
+  for (std::size_t s = 0; s < store_->num_shards(); ++s) {
+    const auto cpus = store_->ShardCpus(s);
+    shard_pools_.push_back(std::make_unique<ThreadPool>(
+        1, std::vector<int>(cpus.begin(), cpus.end())));
+  }
 }
 
 Result<std::vector<Neighbor>> ScanQueryEngine::Query(const Shf& query,
                                                      std::size_t k) const {
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (query.num_bits() != store_->num_bits()) {
-    return Status::InvalidArgument(
-        "query fingerprint has " + std::to_string(query.num_bits()) +
-        " bits, store uses " + std::to_string(store_->num_bits()));
-  }
-  Clock* clock = ClockOrNull(obs_);
-  const uint64_t t0 = latency_ != nullptr ? clock->NowMicros() : 0;
-  TopKSelector top(k);
-  const std::size_t words = store_->words_per_shf();
-  for (UserId u = 0; u < store_->num_users(); ++u) {
-    const uint32_t inter = bits::AndPopCount(
-        query.words().data(), store_->WordsOf(u).data(), words);
-    top.Offer(u, JaccardFromCounts(query.cardinality(),
-                                   store_->CardinalityOf(u), inter));
+  GF_RETURN_IF_ERROR(CheckQueries(store_->num_bits(), {&query, 1}, k));
+  const uint64_t t0 = latency_ != nullptr ? clock_->NowMicros() : 0;
+  TopKSelector top(k, store_->num_users());
+  for (std::size_t s = 0; s < store_->num_shards(); ++s) {
+    const FingerprintStore& shard = store_->shard(s);
+    const UserId base = store_->ShardBegin(s);
+    for (UserId r = 0; r < shard.num_users(); ++r) {
+      const uint32_t inter = bits::AndPopCount(
+          query.words().data(), shard.WordsOf(r).data(), shard.words_per_shf());
+      top.Offer(base + r, JaccardFromCounts(query.cardinality(),
+                                            shard.CardinalityOf(r), inter));
+    }
   }
   auto result = top.Take();
   if (queries_ != nullptr) {
@@ -85,63 +146,41 @@ Result<std::vector<Neighbor>> ScanQueryEngine::Query(const Shf& query,
     candidates_->Add(store_->num_users());
   }
   if (latency_ != nullptr) {
-    latency_->Observe(static_cast<double>(clock->NowMicros() - t0));
+    latency_->Observe(static_cast<double>(clock_->NowMicros() - t0));
   }
   return result;
 }
 
 Result<std::vector<std::vector<Neighbor>>> ScanQueryEngine::QueryBatch(
     std::span<const Shf> queries, std::size_t k) const {
-  std::vector<std::vector<ScoredNeighbor>> scored;
-  GF_ASSIGN_OR_RETURN(scored, QueryBatchScored(queries, k));
-  // The same double-to-float rounding TopKSelector::Take applies.
-  std::vector<std::vector<Neighbor>> results(scored.size());
-  for (std::size_t q = 0; q < scored.size(); ++q) {
-    results[q].reserve(scored[q].size());
-    for (const ScoredNeighbor& sn : scored[q]) {
-      results[q].push_back({sn.id, static_cast<float>(sn.similarity)});
-    }
-  }
-  return results;
-}
-
-Result<std::vector<std::vector<ScoredNeighbor>>>
-ScanQueryEngine::QueryBatchScored(std::span<const Shf> queries,
-                                  std::size_t k) const {
-  for (const Shf& query : queries) {
-    if (query.num_bits() != store_->num_bits()) {
-      return Status::InvalidArgument(
-          "batch query fingerprint has " + std::to_string(query.num_bits()) +
-          " bits, store uses " + std::to_string(store_->num_bits()));
-    }
-  }
+  GF_RETURN_IF_ERROR(CheckQueries(store_->num_bits(), queries, k));
   // Pack the batch contiguously — the multi-query kernel's layout.
-  const std::size_t nb = queries.size();
-  const std::size_t words = store_->words_per_shf();
-  std::vector<uint64_t> query_words(nb * words);
-  std::vector<uint32_t> query_cards(nb);
-  for (std::size_t q = 0; q < nb; ++q) {
+  const std::size_t words = bits::WordsForBits(store_->num_bits());
+  std::vector<uint64_t> query_words(queries.size() * words);
+  std::vector<uint32_t> query_cards(queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
     const auto w = queries[q].words();
     std::copy(w.begin(), w.end(), query_words.begin() + q * words);
     query_cards[q] = queries[q].cardinality();
   }
-  return QueryBatchPackedScored(query_words, query_cards, k);
+  ScoredLists scored;
+  GF_ASSIGN_OR_RETURN(scored, QueryBatchPacked(store_->num_bits(), query_words,
+                                               query_cards, k));
+  return ToNeighbors(scored);
 }
 
-Result<std::vector<std::vector<ScoredNeighbor>>>
-ScanQueryEngine::QueryBatchPackedScored(std::span<const uint64_t> query_words,
-                                        std::span<const uint32_t> query_cards,
-                                        std::size_t k) const {
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
+Result<ScoredLists> ScanQueryEngine::QueryBatchPacked(
+    std::size_t num_bits, std::span<const uint64_t> query_words,
+    std::span<const uint32_t> query_cards, std::size_t k) const {
+  GF_RETURN_IF_ERROR(CheckQuery(store_->num_bits(), num_bits, k));
   const std::size_t nb = query_cards.size();
-  const std::size_t words = store_->words_per_shf();
+  const std::size_t words = bits::WordsForBits(num_bits);
   if (query_words.size() != nb * words) {
     return Status::InvalidArgument(
         "packed batch holds " + std::to_string(query_words.size()) +
         " words for " + std::to_string(nb) + " queries of " +
         std::to_string(words) + " words each");
   }
-  const uint32_t num_bits = static_cast<uint32_t>(store_->num_bits());
   for (const uint32_t card : query_cards) {
     // A cardinality above the bit length cannot come from a real SHF
     // and would wrap Eq. 4's unsigned union estimate.
@@ -151,57 +190,134 @@ ScanQueryEngine::QueryBatchPackedScored(std::span<const uint64_t> query_words,
           " exceeds the store's " + std::to_string(num_bits) + " bits");
     }
   }
-  std::vector<std::vector<ScoredNeighbor>> results(nb);
-  if (nb == 0) return results;
+  if (nb == 0) return ScoredLists{};
+  const uint64_t t0 = latency_ != nullptr ? clock_->NowMicros() : 0;
 
-  Clock* clock = ClockOrNull(obs_);
-  const uint64_t t0 = latency_ != nullptr ? clock->NowMicros() : 0;
-
-  const std::size_t n = store_->num_users();
-  std::vector<TopKSelector> global(nb, TopKSelector(k));
-  std::mutex merge_mu;
-  ParallelFor(pool_, n, [&](std::size_t begin, std::size_t end) {
-    const std::size_t tile_rows = options_.tile_rows;
-    std::vector<double> scores(nb * std::min(tile_rows, end - begin));
-    std::vector<TopKSelector> local(nb, TopKSelector(k));
-    for (std::size_t first = begin; first < end; first += tile_rows) {
-      const std::size_t m = std::min(tile_rows, end - first);
-      store_->EstimateJaccardTileMultiExternal(
-          query_words, query_cards, static_cast<UserId>(first), m,
-          {scores.data(), nb * m});
-      for (std::size_t q = 0; q < nb; ++q) {
-        const double* sims = scores.data() + q * m;
-        TopKSelector& sel = local[q];
-        for (std::size_t i = 0; i < m; ++i) {
-          sel.Offer(static_cast<UserId>(first + i), sims[i]);
-        }
-      }
+  // One partial answer per scanned partition; MergeTopK does not care
+  // in which order they land.
+  std::vector<ScoredLists> partials;
+  std::mutex partials_mu;
+  const auto scan = [&](std::size_t s, std::size_t begin, std::size_t end) {
+    if (begin == end) return;
+    std::vector<TopKSelector> selectors(nb, TopKSelector(k, end - begin));
+    ScanRows(s, begin, end, query_words, query_cards, selectors);
+    ScoredLists part(nb);
+    for (std::size_t q = 0; q < nb; ++q) part[q] = selectors[q].TakeScored();
+    const std::lock_guard<std::mutex> lock(partials_mu);
+    partials.push_back(std::move(part));
+  };
+  const auto scan_shard = [&](std::size_t s) {
+    scan(s, 0, store_->shard(s).num_users());
+  };
+  if (!shard_pools_.empty()) {
+    for (std::size_t s = 0; s < shard_pools_.size(); ++s) {
+      shard_pools_[s]->Submit([&scan_shard, s] { scan_shard(s); });
     }
-    // Total-order selection makes the merged result independent of both
-    // the partitioning and the merge order.
-    const std::lock_guard<std::mutex> lock(merge_mu);
-    for (std::size_t q = 0; q < nb; ++q) global[q].MergeFrom(local[q]);
-  });
-  for (std::size_t q = 0; q < nb; ++q) results[q] = global[q].TakeScored();
+    for (const auto& shard_pool : shard_pools_) shard_pool->Wait();
+  } else if (split_rows_) {
+    ParallelFor(pool_, store_->num_users(),
+                [&](std::size_t begin, std::size_t end) {
+                  scan(0, begin, end);
+                });
+  } else {
+    ParallelFor(pool_, store_->num_shards(),
+                [&](std::size_t begin, std::size_t end) {
+                  for (std::size_t s = begin; s < end; ++s) scan_shard(s);
+                });
+  }
+  ScoredLists results = MergeTopK(partials, nb, k);
 
   if (batches_ != nullptr) {
     batches_->Add(1);
     queries_->Add(nb);
-    candidates_->Add(nb * n);
+    candidates_->Add(nb * store_->num_users());
   }
   if (latency_ != nullptr) {
     // Every query in the batch experienced the batch's wall time.
-    const auto elapsed = static_cast<double>(clock->NowMicros() - t0);
+    const auto elapsed = static_cast<double>(clock_->NowMicros() - t0);
     for (std::size_t q = 0; q < nb; ++q) latency_->Observe(elapsed);
   }
   return results;
 }
 
-Result<std::vector<Neighbor>> ScanQueryEngine::QueryProfile(
-    std::span<const ItemId> profile, std::size_t k) const {
-  auto fp = Fingerprinter::Create(store_->config());
-  if (!fp.ok()) return fp.status();
-  return Query(fp->Fingerprint(profile), k);
+void ScanQueryEngine::ScanRows(std::size_t s, std::size_t begin,
+                               std::size_t end,
+                               std::span<const uint64_t> query_words,
+                               std::span<const uint32_t> query_cards,
+                               std::span<TopKSelector> selectors) const {
+  // Partition timing reads the system clock, not the context clock:
+  // partitions run on worker threads and an injected FakeClock is
+  // single-threaded by contract.
+  const uint64_t t0 =
+      partition_scan_ != nullptr ? Clock::System()->NowMicros() : 0;
+  const FingerprintStore& rows = store_->shard(s);
+  const UserId base = store_->ShardBegin(s);
+  const std::size_t nb = query_cards.size();
+  std::vector<double> scores(nb * std::min(kTileRows, end - begin));
+  for (std::size_t first = begin; first < end; first += kTileRows) {
+    const std::size_t m = std::min(kTileRows, end - first);
+    rows.EstimateJaccardTileMultiExternal(query_words, query_cards,
+                                          static_cast<UserId>(first), m,
+                                          {scores.data(), nb * m});
+    for (std::size_t q = 0; q < nb; ++q) {
+      const double* sims = scores.data() + q * m;
+      TopKSelector& sel = selectors[q];
+      for (std::size_t i = 0; i < m; ++i) {
+        sel.Offer(base + static_cast<UserId>(first + i), sims[i]);
+      }
+    }
+  }
+  if (partition_scan_ != nullptr) {
+    partition_scan_->Observe(
+        static_cast<double>(Clock::System()->NowMicros() - t0));
+  }
+}
+
+CandidateRescorer::CandidateRescorer(ThreadPool* pool,
+                                     const obs::PipelineContext* obs,
+                                     std::string_view prefix)
+    : pool_(pool),
+      queries_(CounterOrNull(obs, std::string(prefix) + ".queries")),
+      candidates_(CounterOrNull(obs, "query.candidates")),
+      candidate_sizes_(HistogramOrNull(
+          obs, std::string(prefix) + ".candidate_set_size",
+          obs::kSizeBucketBoundaries)),
+      latency_(HistogramOrNull(obs, "query.latency",
+                               obs::kLatencyBucketBoundariesMicros)),
+      clock_(ClockOrNull(obs)) {}
+
+Result<std::vector<std::vector<Neighbor>>> CandidateRescorer::QueryBatch(
+    const FingerprintStore& store, std::span<const Shf> queries,
+    std::size_t k, const Gather& gather) const {
+  GF_RETURN_IF_ERROR(CheckQueries(store.num_bits(), queries, k));
+  std::vector<std::vector<Neighbor>> results(queries.size());
+  ParallelFor(pool_, queries.size(), [&](std::size_t begin, std::size_t end) {
+    std::vector<UserId> candidates;
+    std::vector<double> sims;
+    for (std::size_t q = begin; q < end; ++q) {
+      const uint64_t t0 = latency_ != nullptr ? clock_->NowMicros() : 0;
+      const Shf& query = queries[q];
+      candidates.clear();
+      gather(query, k, &candidates);
+      sims.resize(candidates.size());
+      store.EstimateJaccardBatchExternal(query.words(), query.cardinality(),
+                                         candidates, sims);
+      TopKSelector top(k, candidates.size());
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        top.Offer(candidates[i], sims[i]);
+      }
+      results[q] = top.Take();
+      if (queries_ != nullptr) {
+        queries_->Add(1);
+        candidates_->Add(candidates.size());
+        candidate_sizes_->Observe(static_cast<double>(candidates.size()));
+      }
+      if (latency_ != nullptr) {
+        latency_->Observe(static_cast<double>(clock_->NowMicros() - t0));
+      }
+    }
+  });
+  return results;
 }
 
 BandedShfQueryEngine::BandedShfQueryEngine(const FingerprintStore& store,
@@ -209,21 +325,11 @@ BandedShfQueryEngine::BandedShfQueryEngine(const FingerprintStore& store,
                                            ThreadPool* pool,
                                            const obs::PipelineContext* obs)
     : store_(&store),
-      pool_(pool),
       band_bits_(options.band_bits),
       bands_(store.num_bits() / options.band_bits),
       seed_(options.seed),
       tables_(bands_),
-      latency_(LatencyHistogram(obs)),
-      candidate_sizes_(obs != nullptr && obs->HasMetrics()
-                           ? obs->metrics->GetHistogram(
-                                 "query.banded.candidate_set_size",
-                                 obs::kSizeBucketBoundaries)
-                           : nullptr),
-      candidates_(CounterOrNull(obs, "query.candidates")),
-      queries_(CounterOrNull(obs, "query.banded.queries")) {
-  if (obs != nullptr) clock_ = obs->EffectiveClock();
-}
+      rescorer_(pool, obs, "query.banded") {}
 
 uint64_t BandedShfQueryEngine::BandKey(std::size_t band,
                                        uint64_t chunk) const {
@@ -307,66 +413,20 @@ void BandedShfQueryEngine::CollectBandCandidates(
   out->erase(std::unique(out->begin() + first, out->end()), out->end());
 }
 
-std::vector<Neighbor> BandedShfQueryEngine::QueryOne(const Shf& query,
-                                                     std::size_t k) const {
-  const uint64_t t0 =
-      latency_ != nullptr ? clock_->NowMicros() : 0;
-  std::vector<UserId> candidates;
-  CollectBandCandidates(query, &candidates);
-
-  std::vector<double> sims(candidates.size());
-  store_->EstimateJaccardBatchExternal(query.words(), query.cardinality(),
-                                       candidates, sims);
-  TopKSelector top(k);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    top.Offer(candidates[i], sims[i]);
-  }
-  if (queries_ != nullptr) {
-    queries_->Add(1);
-    candidates_->Add(candidates.size());
-    candidate_sizes_->Observe(static_cast<double>(candidates.size()));
-  }
-  if (latency_ != nullptr) {
-    latency_->Observe(static_cast<double>(clock_->NowMicros() - t0));
-  }
-  return top.Take();
-}
-
 Result<std::vector<Neighbor>> BandedShfQueryEngine::Query(
     const Shf& query, std::size_t k) const {
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (query.num_bits() != store_->num_bits()) {
-    return Status::InvalidArgument(
-        "query fingerprint has " + std::to_string(query.num_bits()) +
-        " bits, store uses " + std::to_string(store_->num_bits()));
-  }
-  return QueryOne(query, k);
+  auto batch = QueryBatch({&query, 1}, k);
+  if (!batch.ok()) return batch.status();
+  return std::move(batch->front());
 }
 
 Result<std::vector<std::vector<Neighbor>>> BandedShfQueryEngine::QueryBatch(
     std::span<const Shf> queries, std::size_t k) const {
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  for (const Shf& query : queries) {
-    if (query.num_bits() != store_->num_bits()) {
-      return Status::InvalidArgument(
-          "batch query fingerprint has " + std::to_string(query.num_bits()) +
-          " bits, store uses " + std::to_string(store_->num_bits()));
-    }
-  }
-  std::vector<std::vector<Neighbor>> results(queries.size());
-  ParallelFor(pool_, queries.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t q = begin; q < end; ++q) {
-      results[q] = QueryOne(queries[q], k);
-    }
-  });
-  return results;
-}
-
-Result<std::vector<Neighbor>> BandedShfQueryEngine::QueryProfile(
-    std::span<const ItemId> profile, std::size_t k) const {
-  auto fp = Fingerprinter::Create(store_->config());
-  if (!fp.ok()) return fp.status();
-  return Query(fp->Fingerprint(profile), k);
+  return rescorer_.QueryBatch(
+      *store_, queries, k,
+      [this](const Shf& query, std::size_t, std::vector<UserId>* out) {
+        CollectBandCandidates(query, out);
+      });
 }
 
 std::string BandedShfQueryEngine::SerializeIndexPayload() const {
@@ -473,103 +533,6 @@ Result<BandedShfQueryEngine> BandedShfQueryEngine::FromSerialized(
 }
 
 std::size_t BandedShfQueryEngine::IndexedEntries() const {
-  std::size_t total = 0;
-  for (const auto& table : tables_) {
-    for (const auto& [key, bucket] : table) {
-      (void)key;
-      total += bucket.size();
-    }
-  }
-  return total;
-}
-
-LshQueryEngine::LshQueryEngine(const Dataset* dataset,
-                               std::vector<MinwiseFunction> fns,
-                               const obs::PipelineContext* obs)
-    : dataset_(dataset),
-      functions_(std::move(fns)),
-      tables_(functions_.size()),
-      latency_(LatencyHistogram(obs)),
-      candidates_(CounterOrNull(obs, "query.candidates")),
-      duplicates_(CounterOrNull(obs, "query.lsh.duplicates")),
-      queries_(CounterOrNull(obs, "query.lsh.queries")) {
-  if (obs != nullptr) clock_ = obs->EffectiveClock();
-}
-
-Result<LshQueryEngine> LshQueryEngine::Build(const Dataset& dataset,
-                                             const Options& options,
-                                             const obs::PipelineContext* obs) {
-  if (options.num_functions == 0) {
-    return Status::InvalidArgument("need >= 1 min-wise function");
-  }
-  if (dataset.NumItems() == 0) {
-    return Status::InvalidArgument("empty item universe");
-  }
-  Rng rng(options.seed);
-  std::vector<MinwiseFunction> fns;
-  fns.reserve(options.num_functions);
-  for (std::size_t f = 0; f < options.num_functions; ++f) {
-    fns.push_back(options.kind == MinwiseKind::kExplicitPermutation
-                      ? MinwiseFunction::Permutation(dataset.NumItems(), rng)
-                      : MinwiseFunction::Universal(dataset.NumItems(), rng));
-  }
-  LshQueryEngine engine(&dataset, std::move(fns), obs);
-  for (std::size_t f = 0; f < engine.functions_.size(); ++f) {
-    auto& table = engine.tables_[f];
-    for (UserId u = 0; u < dataset.NumUsers(); ++u) {
-      if (dataset.ProfileSize(u) == 0) continue;
-      table[engine.functions_[f].MinRank(dataset.Profile(u))].push_back(u);
-    }
-  }
-  return engine;
-}
-
-Result<std::vector<Neighbor>> LshQueryEngine::QueryProfile(
-    std::span<const ItemId> profile, std::size_t k) const {
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (profile.empty()) {
-    return Status::InvalidArgument("query profile is empty");
-  }
-  // Items outside the indexed universe cannot hash consistently.
-  for (ItemId it : profile) {
-    if (it >= dataset_->NumItems()) {
-      return Status::OutOfRange("query item " + std::to_string(it) +
-                                " outside the indexed universe");
-    }
-  }
-  const uint64_t t0 = latency_ != nullptr ? clock_->NowMicros() : 0;
-
-  std::vector<UserId> candidates;
-  for (std::size_t f = 0; f < functions_.size(); ++f) {
-    const auto it = tables_[f].find(functions_[f].MinRank(profile));
-    if (it == tables_[f].end()) continue;
-    candidates.insert(candidates.end(), it->second.begin(),
-                      it->second.end());
-  }
-  // A candidate colliding in several tables must be scored once, not
-  // once per collision — exact Jaccard over raw profiles is the
-  // expensive step of this engine.
-  const std::size_t gathered = candidates.size();
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-
-  TopKSelector top(k);
-  for (UserId u : candidates) {
-    top.Offer(u, ExactJaccard(profile, dataset_->Profile(u)));
-  }
-  if (queries_ != nullptr) {
-    queries_->Add(1);
-    candidates_->Add(candidates.size());
-    duplicates_->Add(gathered - candidates.size());
-  }
-  if (latency_ != nullptr) {
-    latency_->Observe(static_cast<double>(clock_->NowMicros() - t0));
-  }
-  return top.Take();
-}
-
-std::size_t LshQueryEngine::IndexedEntries() const {
   std::size_t total = 0;
   for (const auto& table : tables_) {
     for (const auto& [key, bucket] : table) {

@@ -1,51 +1,65 @@
-// KNN query serving engines for external fingerprints and profiles.
+// KNN query serving for external fingerprints.
 //
 // The paper computes complete KNN graphs and notes (footnote 1) that
 // this "is related but different from answering a sequence of KNN
 // queries". Downstream users need both: once a service holds a
 // fingerprint store, a fresh client can ship its own SHF and ask for
-// its k nearest users without joining the graph. Three engines:
+// its k nearest users without joining the graph. Every answer is the
+// Eq. 4 SHF estimate over some set of rows followed by a total-order
+// top-k, and this header holds that computation once:
 //
-//  * ScanQueryEngine — the exhaustive path. Query() is the sequential
-//    per-pair reference scan (Eq. 4 pair kernel + bounded top-k);
-//    QueryBatch() is the serving path: a batch of B query SHFs is
-//    scored against the store tile by tile through the multi-query
-//    SIMD kernel (each tile streams through cache once per batch, not
-//    once per query), thread-parallel across store partitions, and
-//    bit-exact with B sequential Query() calls.
+//  * ScanQueryEngine — the one exhaustive engine, over a plain store,
+//    an epoch snapshot or a sharded store. QueryBatch scores a batch of
+//    B query SHFs tile by tile through the multi-query SIMD kernel
+//    (each 256-row tile streams through cache once per batch), one task
+//    per partition — row chunks of a plain store, shards of a sharded
+//    one, pinned per-shard workers for a first-touch store — and joins
+//    the partitions' top-k lists with MergeTopK. Query() is the
+//    sequential per-pair reference scan the exactness tests compare
+//    against.
+//  * MergeTopK — the one merge of partial top-k lists. The scan's
+//    partitions, the sharded store's shards and the distributed tier's
+//    replicas (net/coordinator.h) all meet here.
 //  * BandedShfQueryEngine — a banded LSH index built from the SHFs
 //    themselves (the bands x rows construction of knn/banded_lsh.h,
 //    applied to fingerprint bit-chunks instead of MinHash values):
-//    sublinear candidate generation from band collisions, candidates
-//    scored with the batched Eq. 4 kernel. Fingerprint-mode serving
-//    needs only the query SHF — no raw profile crosses the wire.
-//  * LshQueryEngine — the legacy min-wise bucket index over RAW
-//    profiles (§3.2.5): still the right tool when the caller has a
-//    profile and wants exact-Jaccard scoring, but obsolete for
-//    fingerprint-mode serving (use BandedShfQueryEngine).
+//    sublinear candidate generation from band collisions. It and
+//    CandidateQueryEngine (knn/candidate_source.h) share
+//    CandidateRescorer, the gather -> batched Eq. 4 rescore -> top-k
+//    path.
+//
+// Bit-exactness: the kernels sum integer popcounts, so a (query, user)
+// pair's double score does not depend on which partition, shard or
+// replica holds the row; and total-order selection makes the merged
+// top-k independent of how the rows were cut and of the merge order.
+// Hence QueryBatch is bit-identical to per-pair Query over every input
+// type, partitioning and pool.
 //
 // Observability: engines accept an obs::PipelineContext and export a
-// shared `query.latency` histogram (microseconds, p50/p99 derivable
-// from the buckets) plus `query.candidates` / `query.batches`
-// counters, alongside per-engine counters (`query.scan.queries`,
-// `query.banded.queries`, `query.lsh.queries`, ...). The context must
-// outlive the engine (instrument pointers are cached at construction).
+// shared `query.latency` histogram (microseconds) plus
+// `query.candidates` counters, alongside per-engine instruments (the
+// scan's `query.batches`, `query.sharded.queries` and per-partition
+// `query.shard.scan_micros`; `query.banded.queries`, ...). The context
+// must outlive the engine (instrument pointers are cached at
+// construction).
 
 #ifndef GF_KNN_QUERY_H_
 #define GF_KNN_QUERY_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/fingerprint_store.h"
+#include "core/sharded_store.h"
 #include "core/store_snapshot.h"
-#include "dataset/dataset.h"
 #include "knn/graph.h"
-#include "minhash/permutation.h"
 #include "obs/pipeline_context.h"
 
 namespace gf {
@@ -53,14 +67,19 @@ namespace gf {
 /// Bounded top-k selection under the serving engines' total order:
 /// higher similarity first, ties broken toward the smaller id. The
 /// selected set is the first k candidates in that order REGARDLESS of
-/// offer order — which is what makes the thread-partitioned batch scan
-/// bit-exact with a sequential scan. Offer is O(1) for candidates that
-/// cannot enter (the common case once the heap warms up) and O(log k)
-/// otherwise; Take sorts only the k survivors — nothing ever sorts all
-/// n candidates.
+/// offer order — which is what makes the partitioned batch scan and
+/// every merge bit-exact with a sequential scan. Offer is O(1) for
+/// candidates that cannot enter (the common case once the heap warms
+/// up) and O(log k) otherwise; Take sorts only the k survivors —
+/// nothing ever sorts all n candidates.
 class TopKSelector {
  public:
-  explicit TopKSelector(std::size_t k) : k_(k) { heap_.reserve(k); }
+  /// `max_offers` bounds how many candidates will be offered (the rows
+  /// or candidates in play). The heap reserves min(k, max_offers) once:
+  /// only that many can survive, so any k — SIZE_MAX included — is safe.
+  TopKSelector(std::size_t k, std::size_t max_offers) : k_(k) {
+    heap_.reserve(std::min(k, max_offers));
+  }
 
   void Offer(UserId id, double similarity) {
     if (heap_.size() < k_) {
@@ -73,13 +92,6 @@ class TopKSelector {
     std::pop_heap(heap_.begin(), heap_.end(), Better);
     heap_.back() = {id, similarity};
     std::push_heap(heap_.begin(), heap_.end(), Better);
-  }
-
-  /// Folds another selector's survivors in (the parallel scan merges
-  /// per-partition selectors; total-order selection makes the result
-  /// independent of merge order).
-  void MergeFrom(const TopKSelector& other) {
-    for (const Entry& e : other.heap_) Offer(e.id, e.similarity);
   }
 
   /// The survivors, best first. Leaves the selector empty.
@@ -95,11 +107,11 @@ class TopKSelector {
   }
 
   /// The survivors with their full-precision double scores, best first.
-  /// Leaves the selector empty. This is the form a replica ships its
-  /// local top-k in (net/wire.h): re-offering these doubles into
-  /// another selector and Take()-ing is bit-identical to having offered
-  /// the underlying candidates directly, which is what keeps the
-  /// distributed scatter/merge exact.
+  /// Leaves the selector empty. This is the form partial answers take
+  /// (a scan partition's, a replica's on the wire, net/wire.h):
+  /// re-offering these doubles into another selector and Take()-ing is
+  /// bit-identical to having offered the underlying candidates
+  /// directly, which is what keeps every merge exact.
   std::vector<ScoredNeighbor> TakeScored() {
     std::sort(heap_.begin(), heap_.end(), Better);
     std::vector<ScoredNeighbor> out;
@@ -125,89 +137,134 @@ class TopKSelector {
   std::vector<Entry> heap_;
 };
 
-/// Answers queries by scanning every fingerprint in the store.
+/// Per-query top-k lists of one batch with double scores: list q
+/// answers query q, best first.
+using ScoredLists = std::vector<std::vector<ScoredNeighbor>>;
+
+/// The one merge of partial top-k lists. Each element of `partials`
+/// holds one disjoint row set's answer to the same `num_queries`
+/// queries (a scan partition, a shard, a replica); the result is the
+/// top-k of their union per query. Total-order selection makes it
+/// independent of how the rows were cut and of the order of
+/// `partials`.
+ScoredLists MergeTopK(std::span<const ScoredLists> partials,
+                      std::size_t num_queries, std::size_t k);
+
+/// Rounds scored lists to Neighbor's float — the same conversion
+/// TopKSelector::Take applies.
+std::vector<std::vector<Neighbor>> ToNeighbors(const ScoredLists& scored);
+
+/// The exhaustive engine: answers queries by scoring every stored
+/// fingerprint. The input type picks how a batch is split:
+///   * plain store or snapshot — ParallelFor row chunks on `pool`;
+///   * sharded store — one task per shard on `pool`;
+///   * sharded store partitioned with Placement::kFirstTouch — one
+///     pinned worker per shard, on the CPU set the shard's arena was
+///     first-touched from (ShardedFingerprintStore::ShardCpus), so
+///     every scan stays on the local NUMA node; `pool` is unused.
+/// `pool == nullptr` scans sequentially. Every split is bit-exact with
+/// every other and with per-pair Query.
 class ScanQueryEngine {
  public:
-  struct Options {
-    /// Store rows per cache tile of the batched scan. 256 rows at
-    /// b = 1024 is 32 KiB — the tile stays L1/L2-hot across the batch.
-    std::size_t tile_rows = 256;
-  };
+  /// Store rows per cache tile: 256 rows at b = 1024 is 32 KiB, so the
+  /// tile stays L1/L2-hot across the batch.
+  static constexpr std::size_t kTileRows = 256;
 
-  /// The store (and the pool / context, when given) must outlive the
-  /// engine. `pool == nullptr` scans sequentially; metrics are only
-  /// recorded when `obs` carries a registry. The three-arg overload
-  /// uses default Options (defined out of line — a nested struct with
-  /// member initializers cannot be a `{}` default argument here).
+  /// Borrows `store`, which (like `pool` and `obs`, when given) must
+  /// outlive the engine.
   explicit ScanQueryEngine(const FingerprintStore& store,
                            ThreadPool* pool = nullptr,
                            const obs::PipelineContext* obs = nullptr);
-  ScanQueryEngine(const FingerprintStore& store, ThreadPool* pool,
-                  const obs::PipelineContext* obs, Options options);
 
   /// Epoch-pinned construction (DESIGN.md §15): the engine co-owns
   /// `snapshot`, so the epoch's arena cannot be retired while any
-  /// query runs, even once the publisher has moved on. Every answer
-  /// reflects exactly the pinned epoch's ratings.
+  /// query runs, even once the publisher has moved on.
   explicit ScanQueryEngine(SnapshotPtr snapshot, ThreadPool* pool = nullptr,
                            const obs::PipelineContext* obs = nullptr);
-  ScanQueryEngine(SnapshotPtr snapshot, ThreadPool* pool,
-                  const obs::PipelineContext* obs, Options options);
 
-  /// The snapshot this engine is pinned to; nullptr when constructed
-  /// over a raw store reference (legacy batch call sites).
-  const SnapshotPtr& pinned_snapshot() const { return pinned_; }
+  /// Scatter/merge over contiguous shards (DESIGN.md §12). The engine
+  /// co-owns `store` — typically a ShardedFingerprintStore::ViewOf(
+  /// SnapshotPtr, ...) whose shards borrow one epoch's arena — so
+  /// engine, view and epoch retire together.
+  explicit ScanQueryEngine(std::shared_ptr<const ShardedFingerprintStore> store,
+                           ThreadPool* pool = nullptr,
+                           const obs::PipelineContext* obs = nullptr);
 
   /// The k users most similar to `query` under the SHF Jaccard
-  /// estimate. `query` must have the store's bit length (checked).
-  /// This is the sequential per-pair reference path; QueryBatch is the
-  /// fast serving path and returns bit-identical results.
-  Result<std::vector<Neighbor>> Query(const Shf& query,
-                                      std::size_t k) const;
+  /// estimate: the sequential per-pair reference scan (Eq. 4 pair
+  /// kernel + bounded top-k) that QueryBatch is tested against.
+  Result<std::vector<Neighbor>> Query(const Shf& query, std::size_t k) const;
 
-  /// Answers a batch of queries in one pass over the store: tiles of
-  /// `Options::tile_rows` fingerprints are scored against every query
-  /// through the multi-query SIMD kernel, in parallel across store
-  /// partitions when the engine holds a pool. result[i] answers
+  /// Answers a batch in one pass over the store. result[i] answers
   /// queries[i] and is bit-exact (same ids, same similarities, same
   /// tie-breaks) with Query(queries[i], k).
   Result<std::vector<std::vector<Neighbor>>> QueryBatch(
       std::span<const Shf> queries, std::size_t k) const;
 
-  /// QueryBatch keeping the selectors' full-precision double scores
-  /// (QueryBatch is this plus a float conversion). Replica servers
-  /// answer from this path so the coordinator's cross-shard merge can
-  /// run on doubles and stay bit-exact (net/wire.h).
-  Result<std::vector<std::vector<ScoredNeighbor>>> QueryBatchScored(
-      std::span<const Shf> queries, std::size_t k) const;
-
-  /// The batch core on the kernel's packed layout: query q's words at
-  /// query_words[q * words_per_shf, ...), cardinality query_cards[q] —
-  /// exactly how a wire request arrives (net/wire.h), so the serving
-  /// path never repacks. Sizes are validated; cardinalities must not
-  /// exceed the bit length (a hostile value could wrap Eq. 4's
-  /// unsigned union estimate).
-  Result<std::vector<std::vector<ScoredNeighbor>>> QueryBatchPackedScored(
-      std::span<const uint64_t> query_words,
-      std::span<const uint32_t> query_cards, std::size_t k) const;
-
-  /// Convenience: fingerprints `profile` with the store's own config
-  /// and queries.
-  Result<std::vector<Neighbor>> QueryProfile(
-      std::span<const ItemId> profile, std::size_t k) const;
+  /// The batch core, on the kernel's packed layout: query q's words at
+  /// query_words[q * words, ...) with words = bits::WordsForBits(
+  /// num_bits), cardinality query_cards[q] — exactly how a wire request
+  /// arrives (net/wire.h), so a replica never repacks. Sizes are
+  /// validated; cardinalities must not exceed the bit length (a hostile
+  /// value could wrap Eq. 4's unsigned union estimate). Scores stay
+  /// doubles so a cross-shard merge stays bit-exact.
+  Result<ScoredLists> QueryBatchPacked(std::size_t num_bits,
+                                       std::span<const uint64_t> query_words,
+                                       std::span<const uint32_t> query_cards,
+                                       std::size_t k) const;
 
  private:
-  SnapshotPtr pinned_;  // set first so store_ may point into it
-  const FingerprintStore* store_;
+  // The one tile loop: scores rows [begin, end) of shard `s` against
+  // the packed batch, offering query q's scores to selectors[q].
+  void ScanRows(std::size_t s, std::size_t begin, std::size_t end,
+                std::span<const uint64_t> query_words,
+                std::span<const uint32_t> query_cards,
+                std::span<TopKSelector> selectors) const;
+
+  std::shared_ptr<const ShardedFingerprintStore> store_;
   ThreadPool* pool_;
-  const obs::PipelineContext* obs_;
-  Options options_;
+  // Plain stores and snapshots (a one-shard view): split by rows.
+  bool split_rows_ = false;
+  // One pinned single-thread pool per shard for first-touch stores.
+  std::vector<std::unique_ptr<ThreadPool>> shard_pools_;
   // Cached instruments (registration locks a mutex; lookups here keep
   // the per-query path lock-free). Null without a metrics sink.
   obs::Histogram* latency_ = nullptr;
+  obs::Histogram* partition_scan_ = nullptr;
   obs::Counter* candidates_ = nullptr;
   obs::Counter* batches_ = nullptr;
   obs::Counter* queries_ = nullptr;
+  Clock* clock_ = nullptr;
+};
+
+/// The candidate engines' shared query path (BandedShfQueryEngine,
+/// CandidateQueryEngine): check the batch, gather each query's
+/// candidate ids, rescore them with the batched Eq. 4 kernel and keep
+/// the total-order top k — in parallel across queries on the pool.
+/// Exports `<prefix>.queries` and `<prefix>.candidate_set_size` next to
+/// the shared `query.candidates` / `query.latency`.
+class CandidateRescorer {
+ public:
+  /// Appends `query`'s candidate ids to `out`, deduplicated (the
+  /// rescore scores each entry once).
+  using Gather = std::function<void(const Shf& query, std::size_t k,
+                                    std::vector<UserId>* out)>;
+
+  CandidateRescorer(ThreadPool* pool, const obs::PipelineContext* obs,
+                    std::string_view prefix);
+
+  /// result[i] answers queries[i] from `store`'s rows.
+  Result<std::vector<std::vector<Neighbor>>> QueryBatch(
+      const FingerprintStore& store, std::span<const Shf> queries,
+      std::size_t k, const Gather& gather) const;
+
+ private:
+  ThreadPool* pool_;
+  obs::Counter* queries_ = nullptr;
+  obs::Counter* candidates_ = nullptr;
+  obs::Histogram* candidate_sizes_ = nullptr;
+  obs::Histogram* latency_ = nullptr;
+  Clock* clock_ = nullptr;
 };
 
 /// Answers queries from a banded LSH index over the stored SHFs
@@ -259,11 +316,6 @@ class BandedShfQueryEngine {
   Result<std::vector<std::vector<Neighbor>>> QueryBatch(
       std::span<const Shf> queries, std::size_t k) const;
 
-  /// Convenience: fingerprints `profile` with the store's own config
-  /// and queries.
-  Result<std::vector<Neighbor>> QueryProfile(
-      std::span<const ItemId> profile, std::size_t k) const;
-
   /// Deterministic wire form of the index: band geometry followed by
   /// every bucket, bucket keys sorted within each band, bucket members
   /// in ascending user id — byte-identical across runs for the same
@@ -298,69 +350,15 @@ class BandedShfQueryEngine {
 
   uint64_t BandKey(std::size_t band, uint64_t chunk) const;
   uint64_t ChunkOf(std::span<const uint64_t> words, std::size_t band) const;
-  std::vector<Neighbor> QueryOne(const Shf& query, std::size_t k) const;
 
   SnapshotPtr pinned_;
   const FingerprintStore* store_;
-  ThreadPool* pool_;
   std::size_t band_bits_;
   std::size_t bands_;
   uint64_t seed_;
   std::vector<std::unordered_map<uint64_t, std::vector<UserId>>> tables_;
-  obs::Histogram* latency_ = nullptr;
-  obs::Histogram* candidate_sizes_ = nullptr;
-  obs::Counter* candidates_ = nullptr;
-  obs::Counter* queries_ = nullptr;
-  Clock* clock_ = nullptr;
+  CandidateRescorer rescorer_;
 };
-
-/// Answers queries from min-wise buckets over the indexed dataset's
-/// raw profiles. Fingerprint-mode serving should prefer
-/// BandedShfQueryEngine; this engine remains for callers that hold
-/// clear-text profiles and want exact-Jaccard scoring.
-class LshQueryEngine {
- public:
-  struct Options {
-    std::size_t num_functions = 10;
-    MinwiseKind kind = MinwiseKind::kUniversalHash;
-    uint64_t seed = 0x10E;
-  };
-
-  /// Indexes `dataset` (which must outlive the engine, as must `obs`).
-  /// The one-arg overload (below the class) uses default Options.
-  static Result<LshQueryEngine> Build(
-      const Dataset& dataset, const Options& options,
-      const obs::PipelineContext* obs = nullptr);
-  static Result<LshQueryEngine> Build(const Dataset& dataset);
-
-  /// The k most similar users to an external profile, scored with the
-  /// exact Jaccard between the query profile and candidate profiles.
-  /// Candidates colliding in several tables are deduplicated before
-  /// scoring — each candidate is scored exactly once. May return fewer
-  /// than k when few candidates share a bucket.
-  Result<std::vector<Neighbor>> QueryProfile(
-      std::span<const ItemId> profile, std::size_t k) const;
-
-  /// Total bucket entries (diagnostics).
-  std::size_t IndexedEntries() const;
-
- private:
-  LshQueryEngine(const Dataset* dataset, std::vector<MinwiseFunction> fns,
-                 const obs::PipelineContext* obs);
-
-  const Dataset* dataset_;
-  std::vector<MinwiseFunction> functions_;
-  std::vector<std::unordered_map<uint64_t, std::vector<UserId>>> tables_;
-  obs::Histogram* latency_ = nullptr;
-  obs::Counter* candidates_ = nullptr;
-  obs::Counter* duplicates_ = nullptr;
-  obs::Counter* queries_ = nullptr;
-  Clock* clock_ = nullptr;
-};
-
-inline Result<LshQueryEngine> LshQueryEngine::Build(const Dataset& dataset) {
-  return Build(dataset, Options{});
-}
 
 inline Result<BandedShfQueryEngine> BandedShfQueryEngine::Build(
     const FingerprintStore& store) {

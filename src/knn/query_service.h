@@ -79,8 +79,8 @@ class QueryService {
   };
 
   /// One coalesced engine call: answers queries[i] with its top-k.
-  /// Typically wraps ShardedQueryEngine::QueryBatch or
-  /// ScanQueryEngine::QueryBatch. Called from the dispatcher thread
+  /// Typically wraps ScanQueryEngine::QueryBatch or
+  /// SnapshotQueryEngine::QueryBatch. Called from the dispatcher thread
   /// (or the DrainOnce caller); must be safe to call repeatedly.
   using BatchFn = std::function<Result<std::vector<std::vector<Neighbor>>>(
       std::span<const Shf>, std::size_t)>;

@@ -17,7 +17,6 @@ SnapshotQueryEngine::SnapshotQueryEngine(const SnapshotSource* source,
   if (options_.cache_capacity > 0) {
     ServingCache::Options cache_options;
     cache_options.capacity = options_.cache_capacity;
-    cache_options.shards = options_.cache_shards;
     cache_ = std::make_unique<ServingCache>(std::move(cache_options), obs);
   }
   if (options_.use_candidate_sources) {
@@ -47,10 +46,9 @@ SnapshotQueryEngine::AcquirePinned() const {
   if (!view.ok()) return view.status();
   auto pinned = std::make_shared<Pinned>();
   pinned->snapshot = snap;
-  pinned->view = std::make_shared<const ShardedFingerprintStore>(
-      std::move(view).value());
-  pinned->engine = std::make_unique<ShardedQueryEngine>(
-      pinned->view, pool_, obs_, options_.sharded);
+  pinned->engine = std::make_unique<ScanQueryEngine>(
+      std::make_shared<const ShardedFingerprintStore>(std::move(view).value()),
+      pool_, obs_);
   if (options_.use_candidate_sources) {
     auto banded =
         BandedShfQueryEngine::Build(snap, options_.banded, pool_, obs_);

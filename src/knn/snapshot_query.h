@@ -1,7 +1,7 @@
 // SnapshotQueryEngine: the serving-side consumer of the epoch seam
 // (DESIGN.md §15). It bridges a SnapshotSource (a VersionedStore under
 // live ingestion, or a FixedSnapshotSource over a batch/mmap store) to
-// the sharded scatter/merge scan:
+// the exhaustive scan over a sharded view of each epoch:
 //
 //   * Per batch it acquires the source's current snapshot ONCE and runs
 //     the whole batch against that epoch — one atomic load per batch,
@@ -49,7 +49,6 @@
 #include "knn/graph.h"
 #include "knn/query_service.h"
 #include "knn/serving_cache.h"
-#include "knn/sharded_query.h"
 #include "obs/pipeline_context.h"
 
 namespace gf {
@@ -58,19 +57,16 @@ namespace gf {
 class SnapshotQueryEngine {
  public:
   struct Options {
-    /// Contiguous user shards per epoch view (>= 1).
+    /// Contiguous user shards per epoch view (>= 1); the scan runs
+    /// one task per shard on the pool.
     std::size_t num_shards = 1;
-    /// Per-shard scan options (tile size, pinned workers).
-    ShardedQueryEngine::Options sharded;
     /// L1 exact-result cache entries (0 = no cache). Entries are keyed
     /// to the pinned epoch, so a snapshot publish invalidates every
     /// cached answer at once; hits bypass the engine entirely.
     std::size_t cache_capacity = 0;
-    /// Lock stripes of the L1 cache.
-    std::size_t cache_shards = 8;
     /// Serve cache misses from the candidate-source stack (banded LSH
     /// + graph locality + popularity fallback) instead of the
-    /// exhaustive sharded scan. Approximate — recall may dip below 1 —
+    /// exhaustive scan. Approximate — recall may dip below 1 —
     /// so it is opt-in; the cache itself stays exact either way (it
     /// only replays what the active engine answered).
     bool use_candidate_sources = false;
@@ -102,7 +98,7 @@ class SnapshotQueryEngine {
 
   /// Acquires the current epoch, answers the whole batch against it,
   /// and returns both. Bit-exact with ScanQueryEngine::QueryBatch over
-  /// `snapshot->store()` (the sharded scatter/merge guarantee) unless
+  /// `snapshot->store()` (the scatter/merge guarantee) unless
   /// use_candidate_sources trades recall for speed. Cache hits are
   /// replayed answers of the same engine at the same epoch, so they
   /// never change a result, only its cost.
@@ -141,8 +137,7 @@ class SnapshotQueryEngine {
   // frees an engine mid-scan.
   struct Pinned {
     SnapshotPtr snapshot;
-    std::shared_ptr<const ShardedFingerprintStore> view;
-    std::unique_ptr<ShardedQueryEngine> engine;
+    std::unique_ptr<ScanQueryEngine> engine;  // co-owns the epoch's view
     // Candidate-mode stack (null in exhaustive mode). The banded index
     // and sources are rebuilt per epoch — candidates must come from
     // the pinned bytes — while the recent-answers seed table persists
@@ -154,7 +149,7 @@ class SnapshotQueryEngine {
 
   Result<std::shared_ptr<const Pinned>> AcquirePinned() const;
   // The active engine for `pending` at this epoch: candidate stack
-  // when enabled, exhaustive sharded scan otherwise.
+  // when enabled, exhaustive scan otherwise.
   Result<std::vector<std::vector<Neighbor>>> RunEngine(
       const Pinned& pinned, std::span<const Shf> pending,
       std::size_t k) const;

@@ -37,7 +37,7 @@ struct ClusterCoordinator::ScatterState {
     std::vector<uint64_t> live_attempts;
     uint64_t hedge_at = kNever;  // absolute; kNever = no hedge pending
     Status last_error = Status::Unavailable("shard never attempted");
-    std::vector<std::vector<ScoredNeighbor>> rows;
+    ScoredLists rows;
   };
 
   std::mutex mu;
@@ -91,7 +91,6 @@ struct ClusterCoordinator::Core
     if (options.cache_capacity > 0) {
       ServingCache::Options cache_options;
       cache_options.capacity = options.cache_capacity;
-      cache_options.shards = options.cache_shards;
       cache_options.metric_prefix = "net.cache";
       cache = std::make_unique<ServingCache>(std::move(cache_options), obs);
     }
@@ -408,20 +407,14 @@ Result<ClusterCoordinator::ClusterAnswer> ClusterCoordinator::ScatterBatch(
     core_->partial_responses->Add(1);
   }
 
-  // Total-order merge of the answering shards' scored lists — the same
-  // selector the single-box scan uses, doubles in, floats out, so the
-  // full-quorum answer is bit-identical to ScanQueryEngine::QueryBatch.
-  answer.results.resize(state->num_queries);
-  for (std::size_t q = 0; q < state->num_queries; ++q) {
-    TopKSelector selector(k);
-    for (const ScatterState::Shard& sh : state->shards) {
-      if (!sh.done) continue;
-      for (const ScoredNeighbor& neighbor : sh.rows[q]) {
-        selector.Offer(neighbor.id, neighbor.similarity);
-      }
-    }
-    answer.results[q] = selector.Take();
+  // The answering shards' scored lists through the single-box scan's
+  // own merge, doubles in, floats out, so the full-quorum answer is
+  // bit-identical to ScanQueryEngine::QueryBatch.
+  std::vector<ScoredLists> answered;
+  for (ScatterState::Shard& sh : state->shards) {
+    if (sh.done) answered.push_back(std::move(sh.rows));
   }
+  answer.results = ToNeighbors(MergeTopK(answered, state->num_queries, k));
   if (core_->batches != nullptr) core_->batches->Add(1);
   return answer;
 }

@@ -3,11 +3,11 @@
 //
 // One QueryBatch call fans the encoded batch out to one replica per
 // shard, waits on Transport::Drive, and merges the per-shard scored
-// top-k lists through the same total-order TopKSelector the single-box
-// batch scan uses — so when every shard answers, the merged answer is
-// BIT-IDENTICAL to ScanQueryEngine::QueryBatch over the whole store
-// (doubles cross the wire; floats appear only in the final Take, see
-// net/wire.h).
+// top-k lists through MergeTopK — the same merge the single-box scan
+// joins its partitions with — so when every shard answers, the merged
+// answer is BIT-IDENTICAL to ScanQueryEngine::QueryBatch over the
+// whole store (doubles cross the wire; floats appear only after the
+// merge, see net/wire.h).
 //
 // Tail-latency machinery, all on the injectable clock:
 //
@@ -73,8 +73,6 @@ class ClusterCoordinator {
     /// bumps the epoch explicitly via SetCacheEpoch when the replicas
     /// publish a new store epoch.
     std::size_t cache_capacity = 0;
-    /// Lock stripes of the coordinator cache.
-    std::size_t cache_shards = 8;
   };
 
   /// One batch's outcome. `results[q]` answers query q from the union

@@ -186,30 +186,38 @@ Result<std::string> BlockingCall(const std::string& address,
   return RecvFrame(fd.get(), deadline_micros, nullptr);
 }
 
+void ThreadReaper::MarkFinished(std::thread::id id) {
+  const bool held =
+      std::any_of(threads_.begin(), threads_.end(),
+                  [id](const std::thread& t) { return t.get_id() == id; });
+  if (held) finished_.push_back(id);
+}
+
+void ThreadReaper::ReapFinished() {
+  // A finished thread is at most a few instructions from its exit, so
+  // these joins do not block.
+  for (const std::thread::id id : finished_) {
+    const auto it =
+        std::find_if(threads_.begin(), threads_.end(),
+                     [id](const std::thread& t) { return t.get_id() == id; });
+    it->join();
+    threads_.erase(it);
+  }
+  finished_.clear();
+}
+
+std::vector<std::thread> ThreadReaper::TakeAll() {
+  finished_.clear();
+  return std::exchange(threads_, {});
+}
+
 PosixTransport::~PosixTransport() {
   std::vector<std::thread> threads;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    threads.swap(threads_);
+    threads = threads_.TakeAll();
   }
   for (std::thread& t : threads) t.join();
-}
-
-void PosixTransport::ReapFinished() {
-  // Called under mu_. Joining a finished thread is instantaneous, so
-  // this keeps the thread vector bounded by the in-flight call count.
-  for (auto fit = finished_.begin(); fit != finished_.end();) {
-    auto tit = std::find_if(
-        threads_.begin(), threads_.end(),
-        [&](const std::thread& t) { return t.get_id() == *fit; });
-    if (tit != threads_.end()) {
-      tit->join();
-      threads_.erase(tit);
-      fit = finished_.erase(fit);
-    } else {
-      ++fit;
-    }
-  }
 }
 
 void PosixTransport::CallAsync(const std::string& address,
@@ -217,16 +225,17 @@ void PosixTransport::CallAsync(const std::string& address,
                                uint64_t deadline_micros,
                                TransportCallback callback) {
   const std::lock_guard<std::mutex> lock(mu_);
-  ReapFinished();
-  threads_.emplace_back([this, address, frame = std::move(request_frame),
-                         deadline_micros, callback = std::move(callback)]() {
+  threads_.ReapFinished();
+  threads_.Add(std::thread([this, address, frame = std::move(request_frame),
+                            deadline_micros,
+                            callback = std::move(callback)]() {
     Result<std::string> result = BlockingCall(address, frame, deadline_micros);
     callback(std::move(result));
     const std::lock_guard<std::mutex> inner(mu_);
     ++completions_;
-    finished_.push_back(std::this_thread::get_id());
+    threads_.MarkFinished(std::this_thread::get_id());
     cv_.notify_all();
-  });
+  }));
 }
 
 std::size_t PosixTransport::Drive(uint64_t until_micros) {
@@ -279,8 +288,9 @@ void PosixServer::AcceptLoop() {
       ::close(conn);
       return;
     }
+    conn_threads_.ReapFinished();
     conn_fds_.push_back(conn);
-    conn_threads_.emplace_back([this, conn] { ServeConnection(conn); });
+    conn_threads_.Add(std::thread([this, conn] { ServeConnection(conn); }));
   }
 }
 
@@ -312,6 +322,7 @@ void PosixServer::ServeConnection(int fd) {
     const std::lock_guard<std::mutex> lock(conns_mu_);
     conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
                     conn_fds_.end());
+    conn_threads_.MarkFinished(std::this_thread::get_id());
   }
   ::shutdown(fd, SHUT_RDWR);
   ::close(fd);
@@ -329,7 +340,7 @@ void PosixServer::Stop() {
     const std::lock_guard<std::mutex> lock(conns_mu_);
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
     conn_fds_.clear();
-    threads.swap(conn_threads_);
+    threads = conn_threads_.TakeAll();
   }
   for (std::thread& t : threads) t.join();
 }

@@ -16,9 +16,11 @@
 //
 // PosixServer is the replica-side accept loop: one thread per
 // connection, frames served in order through a Handler (in production
-// ReplicaServer::Handle). Stop() shuts every socket down and joins
-// every thread — destruction is deterministic, which is what lets the
-// two-process ctest smoke kill and restart replicas freely.
+// ReplicaServer::Handle). A connection's thread is joined soon after it
+// ends (BlockingCall opens one connection per call, so a long-lived
+// replica sees an unbounded number of them); Stop() shuts every socket
+// down and joins the rest — destruction is deterministic, which is what
+// lets the two-process ctest smoke kill and restart replicas freely.
 //
 // Addresses are "host:port" with a numeric IPv4 host (e.g.
 // "127.0.0.1:7001"); port 0 binds an ephemeral port, readable from
@@ -40,6 +42,27 @@
 #include "net/transport.h"
 
 namespace gf::net {
+
+/// Threads that report their own end and are joined lazily: the owner
+/// reaps before it adds another, so the set stays bounded by the threads
+/// still running (an unjoined thread keeps its whole stack mapped). Not
+/// synchronized — every call happens under the owner's mutex; TakeAll's
+/// threads are joined outside it.
+class ThreadReaper {
+ public:
+  void Add(std::thread thread) { threads_.push_back(std::move(thread)); }
+  /// Called by a thread of this set as it ends.
+  void MarkFinished(std::thread::id id);
+  /// Joins every thread that marked itself finished.
+  void ReapFinished();
+  /// Hands over every thread still held; later MarkFinished calls from
+  /// them are ignored.
+  std::vector<std::thread> TakeAll();
+
+ private:
+  std::vector<std::thread> threads_;
+  std::vector<std::thread::id> finished_;  // each one is in threads_
+};
 
 /// One blocking request/response exchange with `address`, bounded by
 /// the absolute `deadline_micros` (on Clock::System()). Exposed for
@@ -66,13 +89,10 @@ class PosixTransport : public Transport {
   Clock* clock() override { return Clock::System(); }
 
  private:
-  void ReapFinished();  // joins threads that signalled completion
-
   std::mutex mu_;
   std::condition_variable cv_;
   uint64_t completions_ = 0;
-  std::vector<std::thread> threads_;
-  std::vector<std::thread::id> finished_;
+  ThreadReaper threads_;  // guarded by mu_
 };
 
 /// Accept-loop frame server for a replica process.
@@ -106,7 +126,7 @@ class PosixServer {
   std::thread accept_thread_;
   std::mutex conns_mu_;
   std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  ThreadReaper conn_threads_;  // guarded by conns_mu_
 };
 
 }  // namespace gf::net

@@ -26,8 +26,7 @@ std::string ErrorResponse(uint64_t request_id, Status status) {
 ReplicaServer::ReplicaServer(const FingerprintStore& store, UserId user_base,
                              ThreadPool* pool,
                              const obs::PipelineContext* obs)
-    : store_(&store),
-      user_base_(user_base),
+    : user_base_(user_base),
       engine_(store, pool, obs),
       requests_(CounterOrNull(obs, "net.server.requests")),
       bad_frames_(CounterOrNull(obs, "net.server.bad_frames")) {}
@@ -42,17 +41,9 @@ std::string ReplicaServer::Handle(std::string_view request_frame) const {
     // either way.
     return ErrorResponse(0, request.status());
   }
-  if (request->num_bits != store_->num_bits()) {
-    return ErrorResponse(
-        request->request_id,
-        Status::InvalidArgument(
-            "request carries " + std::to_string(request->num_bits) +
-            "-bit fingerprints, this replica serves " +
-            std::to_string(store_->num_bits()) + "-bit rows"));
-  }
-  auto scored = engine_.QueryBatchPackedScored(request->query_words,
-                                               request->query_cards,
-                                               request->k);
+  auto scored =
+      engine_.QueryBatchPacked(request->num_bits, request->query_words,
+                               request->query_cards, request->k);
   if (!scored.ok()) {
     return ErrorResponse(request->request_id, scored.status());
   }

@@ -1,5 +1,5 @@
 // Replica-side request handling (DESIGN.md §14): one shard's rows
-// served through the packed scored batch path of ScanQueryEngine.
+// served through ScanQueryEngine's packed batch core.
 //
 // A ReplicaServer owns no socket — Handle() maps one request frame to
 // one response frame and is plugged into whatever carries frames:
@@ -10,8 +10,8 @@
 //
 // Every failure mode stays inside the protocol: an undecodable request
 // is answered with a kCorruption-status response (request id 0 — the
-// real one is unknowable), a mismatched bit length or engine error
-// with the corresponding status and the request's id. The counters:
+// real one is unknowable), an engine error (a mismatched bit length
+// among them) with its status and the request's id. The counters:
 //
 //   net.server.requests    frames handled (good or bad)
 //   net.server.bad_frames  frames rejected by DecodeQueryRequest
@@ -45,7 +45,6 @@ class ReplicaServer {
   UserId user_base() const { return user_base_; }
 
  private:
-  const FingerprintStore* store_;
   UserId user_base_;
   ScanQueryEngine engine_;
   obs::Counter* requests_ = nullptr;

@@ -3,14 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/bit_util.h"
 #include "common/clock.h"
 #include "common/random.h"
+#include "core/sharded_store.h"
 #include "knn/query.h"
-#include "knn/sharded_query.h"
 #include "obs/metrics.h"
 
 namespace gf {
@@ -187,18 +189,13 @@ TEST(QueryServiceTest, ThreadedEndToEndMatchesScan) {
   const ScanQueryEngine scan(store);
   ShardedFingerprintStore::Options store_options;
   store_options.num_shards = 3;
-  const auto sharded =
-      ShardedFingerprintStore::Partition(store, store_options).value();
-  ShardedQueryEngine engine(sharded);
+  const ScanQueryEngine engine(std::make_shared<const ShardedFingerprintStore>(
+      ShardedFingerprintStore::Partition(store, store_options).value()));
 
   QueryService::Options options;
   options.max_batch = 8;
   options.max_wait_micros = 100;
-  QueryService service(
-      [&engine](std::span<const Shf> batch, std::size_t k) {
-        return engine.QueryBatch(batch, k);
-      },
-      options);
+  QueryService service(EngineFn(engine), options);
 
   std::vector<Shf> queries;
   std::vector<std::future<Result<std::vector<Neighbor>>>> futures;
@@ -214,6 +211,28 @@ TEST(QueryServiceTest, ThreadedEndToEndMatchesScan) {
       EXPECT_EQ(got[i].id, want[i].id);
       EXPECT_EQ(got[i].similarity, want[i].similarity);
     }
+  }
+  service.Shutdown();
+}
+
+// Regression: a k above the row count used to size the engine's top-k
+// buffers by k, so k = SIZE_MAX threw std::length_error on the
+// dispatcher thread and aborted the process. It must answer exactly
+// what k = n does.
+TEST(QueryServiceTest, KAtSizeMaxMatchesKEqualsN) {
+  Rng rng(9);
+  const std::size_t users = 40;
+  const auto store = RandomStore(users, 128, rng);
+  const ScanQueryEngine engine(store);
+  QueryService service(EngineFn(engine), QueryService::Options{});
+  const Shf query = store.Extract(3);
+  const auto got = service.Submit(query, SIZE_MAX).get().value();
+  const auto want = engine.Query(query, users).value();
+  ASSERT_EQ(got.size(), users);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id);
+    EXPECT_EQ(got[i].similarity, want[i].similarity);
   }
   service.Shutdown();
 }

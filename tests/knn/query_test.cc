@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+
 #include "common/bit_util.h"
 #include "common/random.h"
 #include "core/similarity.h"
@@ -35,6 +38,26 @@ FingerprintStore RandomStore(std::size_t users, std::size_t bits, Rng& rng) {
       .value();
 }
 
+// The profile's fingerprint under the store's own config.
+Shf Fingerprint(const FingerprintStore& store,
+                std::span<const ItemId> profile) {
+  return Fingerprinter::Create(store.config()).value().Fingerprint(profile);
+}
+
+// Bit-exact: same ids, same float similarities, same order.
+void ExpectIdentical(const std::vector<std::vector<Neighbor>>& got,
+                     const std::vector<std::vector<Neighbor>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t q = 0; q < want.size(); ++q) {
+    ASSERT_EQ(got[q].size(), want[q].size()) << "query " << q;
+    for (std::size_t i = 0; i < want[q].size(); ++i) {
+      EXPECT_EQ(got[q][i].id, want[q][i].id) << "query " << q << " pos " << i;
+      EXPECT_EQ(got[q][i].similarity, want[q][i].similarity)
+          << "query " << q << " pos " << i;
+    }
+  }
+}
+
 TEST(ScanQueryTest, ValidatesArguments) {
   const Dataset d = testing::TinyDataset();
   const auto store = BuildStore(d, 128);
@@ -48,7 +71,7 @@ TEST(ScanQueryTest, FindsIdenticalUser) {
   const auto store = BuildStore(d, 256);
   ScanQueryEngine engine(store);
   // Query with exactly u0's profile.
-  auto result = engine.QueryProfile(d.Profile(0), 2);
+  auto result = engine.Query(Fingerprint(store, d.Profile(0)), 2);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 2u);
   // Both u0 and u2 match with estimate 1.
@@ -63,7 +86,7 @@ TEST(ScanQueryTest, MatchesBruteForceOrdering) {
   const auto store = BuildStore(d);
   ScanQueryEngine engine(store);
   // Query with user 7's own profile: the top hit must be user 7.
-  auto result = engine.QueryProfile(d.Profile(7), 5);
+  auto result = engine.Query(Fingerprint(store, d.Profile(7)), 5);
   ASSERT_TRUE(result.ok());
   ASSERT_GE(result->size(), 1u);
   EXPECT_EQ((*result)[0].id, 7u);
@@ -81,7 +104,7 @@ TEST(ScanQueryTest, ExternalProfileGetsPlausibleNeighbors) {
   const auto base = d.Profile(3);
   std::vector<ItemId> visitor(base.begin(),
                               base.begin() + static_cast<long>(base.size() / 2));
-  auto result = engine.QueryProfile(visitor, 10);
+  auto result = engine.Query(Fingerprint(store, visitor), 10);
   ASSERT_TRUE(result.ok());
   // User 3 must rank highly.
   bool found = false;
@@ -93,30 +116,32 @@ TEST(ScanQueryTest, KLargerThanStore) {
   const Dataset d = testing::TinyDataset();
   const auto store = BuildStore(d, 128);
   ScanQueryEngine engine(store);
-  auto result = engine.QueryProfile(d.Profile(0), 50);
+  auto result = engine.Query(Fingerprint(store, d.Profile(0)), 50);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 4u);  // everything in the store
 }
 
-// The tentpole contract: QueryBatch is bit-exact with sequential
-// Query — same ids, same float similarities, same tie-breaks — across
-// bit lengths, batch sizes, k (including k > n), thread counts, and a
-// tile size that forces several tile boundaries per partition.
+// The core contract: QueryBatch is bit-exact with sequential Query —
+// same ids, same float similarities, same tie-breaks — across bit
+// lengths, batch sizes, k (including k > n) and thread counts, on a
+// store large enough that every row-chunk partition of the 4-thread
+// pool spans several 256-row tiles (7001 / 12 chunks = 584 rows: two
+// full tiles and a partial one).
 TEST(ScanQueryTest, QueryBatchBitExactWithSequentialQuery) {
   Rng rng(77);
   ThreadPool pool(4);
+  const std::size_t users = 7001;
   for (const std::size_t bits : {64ul, 256ul, 1024ul}) {
-    const FingerprintStore store = RandomStore(113, bits, rng);
+    const FingerprintStore store = RandomStore(users, bits, rng);
     std::vector<Shf> queries;
     for (std::size_t q = 0; q < 17; ++q) {
-      queries.push_back(store.Extract(static_cast<UserId>(rng.Below(113))));
+      queries.push_back(
+          store.Extract(static_cast<UserId>(rng.Below(users))));
     }
     for (const std::size_t batch : {1ul, 3ul, 17ul}) {
-      for (const std::size_t k : {1ul, 5ul, 1000ul}) {
+      for (const std::size_t k : {1ul, 5ul, 10'000ul}) {  // 10'000 > n
         for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-          ScanQueryEngine::Options options;
-          options.tile_rows = 16;  // several tiles per thread partition
-          const ScanQueryEngine engine(store, p, nullptr, options);
+          const ScanQueryEngine engine(store, p);
           const std::span<const Shf> q_span(queries.data(), batch);
           auto got = engine.QueryBatch(q_span, k);
           ASSERT_TRUE(got.ok());
@@ -156,19 +181,38 @@ TEST(ScanQueryTest, PinnedSnapshotEngineMatchesRawReference) {
   auto want = raw.QueryBatch(queries, 5);
   ASSERT_TRUE(want.ok());
 
-  SnapshotPtr snapshot = StoreSnapshot::Borrow(store, 7);
+  SnapshotPtr snapshot = StoreSnapshot::Own(FingerprintStore(store), 7);
+  const std::weak_ptr<const StoreSnapshot> epoch = snapshot;
   const ScanQueryEngine pinned(std::move(snapshot));
-  EXPECT_EQ(pinned.pinned_snapshot()->epoch(), 7u);
+  EXPECT_FALSE(epoch.expired());  // the engine alone keeps it alive
   auto got = pinned.QueryBatch(queries, 5);
   ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->size(), want->size());
-  for (std::size_t q = 0; q < want->size(); ++q) {
-    ASSERT_EQ((*got)[q].size(), (*want)[q].size());
-    for (std::size_t i = 0; i < (*want)[q].size(); ++i) {
-      EXPECT_EQ((*got)[q][i].id, (*want)[q][i].id);
-      EXPECT_EQ((*got)[q][i].similarity, (*want)[q][i].similarity);
-    }
+  ExpectIdentical(*got, *want);
+}
+
+// k above the row count selects every row: k = SIZE_MAX must answer
+// exactly what k = n does (and never size a buffer by k).
+TEST(ScanQueryTest, KAtSizeMaxMatchesKEqualsN) {
+  Rng rng(0x5A11);
+  const std::size_t users = 300;
+  const FingerprintStore store = RandomStore(users, 256, rng);
+  std::vector<Shf> queries;
+  for (std::size_t q = 0; q < 5; ++q) {
+    queries.push_back(store.Extract(static_cast<UserId>(rng.Below(users))));
   }
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const ScanQueryEngine engine(store, p);
+    const auto want = engine.QueryBatch(queries, users).value();
+    ExpectIdentical(engine.QueryBatch(queries, SIZE_MAX).value(), want);
+    const auto single = engine.Query(queries[0], SIZE_MAX).value();
+    ExpectIdentical({single}, {want[0]});
+    EXPECT_EQ(single.size(), users);
+  }
+  auto banded = BandedShfQueryEngine::Build(store);
+  ASSERT_TRUE(banded.ok());
+  ExpectIdentical(banded->QueryBatch(queries, SIZE_MAX).value(),
+                  banded->QueryBatch(queries, users).value());
 }
 
 TEST(BandedQueryTest, PinnedSnapshotBuildMatchesRawReference) {
@@ -388,7 +432,7 @@ TEST(QueryMetricsTest, EnginesExportLatencyAndCandidateMetrics) {
 
   // Counters: 1 sequential + 2 batched scan queries, 1 banded query;
   // the scan visits all 60 users per query.
-  EXPECT_EQ(registry.GetCounter("query.scan.queries")->value(), 3u);
+  EXPECT_EQ(registry.GetCounter("query.sharded.queries")->value(), 3u);
   EXPECT_EQ(registry.GetCounter("query.banded.queries")->value(), 1u);
   EXPECT_EQ(registry.GetCounter("query.batches")->value(), 1u);
   EXPECT_GE(registry.GetCounter("query.candidates")->value(), 3u * 60u);
@@ -402,6 +446,11 @@ TEST(QueryMetricsTest, EnginesExportLatencyAndCandidateMetrics) {
       registry.FindHistogram("query.banded.candidate_set_size");
   ASSERT_NE(sizes, nullptr);
   EXPECT_EQ(sizes->count(), 1u);
+  // The batch's partition scans (one: the engine has no pool).
+  const obs::Histogram* scans =
+      registry.FindHistogram("query.shard.scan_micros");
+  ASSERT_NE(scans, nullptr);
+  EXPECT_EQ(scans->count(), 1u);
 
   // The exported JSON carries the histogram buckets and counters the
   // acceptance criteria name.
@@ -409,102 +458,6 @@ TEST(QueryMetricsTest, EnginesExportLatencyAndCandidateMetrics) {
   EXPECT_NE(json.find("query.latency"), std::string::npos);
   EXPECT_NE(json.find("query.candidates"), std::string::npos);
   EXPECT_NE(json.find("boundaries"), std::string::npos);
-}
-
-TEST(LshQueryTest, CountsDeduplicatedCandidatesAcrossTables) {
-  // TinyDataset has u0 == u2: a query with u0's profile collides with
-  // both users in EVERY table, so the gathered list holds each of them
-  // num_functions times — the dedup must collapse that to one scoring
-  // per candidate, and the duplicates counter records what it removed.
-  const Dataset d = testing::TinyDataset();
-  obs::MetricRegistry registry;
-  obs::PipelineContext ctx;
-  ctx.metrics = &registry;
-  LshQueryEngine::Options options;
-  options.num_functions = 6;
-  auto engine = LshQueryEngine::Build(d, options, &ctx);
-  ASSERT_TRUE(engine.ok());
-
-  auto result = engine->QueryProfile(d.Profile(0), 4);
-  ASSERT_TRUE(result.ok());
-  const uint64_t scored = registry.GetCounter("query.candidates")->value();
-  const uint64_t duplicates =
-      registry.GetCounter("query.lsh.duplicates")->value();
-  EXPECT_EQ(registry.GetCounter("query.lsh.queries")->value(), 1u);
-  // u0 and u2 both gathered 6 times -> at least 10 duplicates removed.
-  EXPECT_GE(duplicates, 10u);
-  // Every scored candidate is unique, so at most NumUsers of them.
-  EXPECT_LE(scored, d.NumUsers());
-  EXPECT_GE(scored, 2u);
-  // The result itself holds no duplicate ids.
-  for (std::size_t i = 0; i < result->size(); ++i) {
-    for (std::size_t j = i + 1; j < result->size(); ++j) {
-      EXPECT_NE((*result)[i].id, (*result)[j].id);
-    }
-  }
-}
-
-TEST(LshQueryTest, BuildValidates) {
-  const Dataset d = testing::TinyDataset();
-  LshQueryEngine::Options options;
-  options.num_functions = 0;
-  EXPECT_FALSE(LshQueryEngine::Build(d, options).ok());
-  EXPECT_TRUE(LshQueryEngine::Build(d).ok());
-}
-
-TEST(LshQueryTest, QueryValidates) {
-  const Dataset d = testing::TinyDataset();
-  auto engine = LshQueryEngine::Build(d);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_FALSE(engine->QueryProfile({}, 3).ok());  // empty profile
-  const std::vector<ItemId> out_of_range = {99};
-  EXPECT_FALSE(engine->QueryProfile(out_of_range, 3).ok());
-  const std::vector<ItemId> query = {0, 1};
-  EXPECT_FALSE(engine->QueryProfile(query, 0).ok());
-}
-
-TEST(LshQueryTest, FindsIdenticalUserThroughBuckets) {
-  const Dataset d = testing::TinyDataset();
-  auto engine = LshQueryEngine::Build(d);
-  ASSERT_TRUE(engine.ok());
-  auto result = engine->QueryProfile(d.Profile(0), 2);
-  ASSERT_TRUE(result.ok());
-  ASSERT_GE(result->size(), 1u);
-  // Identical profiles share every bucket; exact scoring puts them on
-  // top with similarity 1.
-  EXPECT_FLOAT_EQ((*result)[0].similarity, 1.0f);
-  EXPECT_TRUE((*result)[0].id == 0 || (*result)[0].id == 2);
-}
-
-TEST(LshQueryTest, AgreesWithScanOnTopHit) {
-  const Dataset d = testing::SmallSynthetic(200, 13);
-  const auto store = BuildStore(d, 4096);  // long SHF: near-exact scan
-  ScanQueryEngine scan(store);
-  auto lsh = LshQueryEngine::Build(d);
-  ASSERT_TRUE(lsh.ok());
-
-  int agreements = 0, trials = 0;
-  for (UserId u = 0; u < 30; ++u) {
-    auto s = scan.QueryProfile(d.Profile(u), 1);
-    auto l = lsh->QueryProfile(d.Profile(u), 1);
-    ASSERT_TRUE(s.ok() && l.ok());
-    if (s->empty() || l->empty()) continue;
-    ++trials;
-    agreements += ((*s)[0].id == (*l)[0].id);
-  }
-  ASSERT_GT(trials, 20);
-  // Both should put the user itself first almost always.
-  EXPECT_GT(agreements, trials * 8 / 10);
-}
-
-TEST(LshQueryTest, IndexedEntriesCountsBucketMembership) {
-  const Dataset d = testing::SmallSynthetic(50);
-  LshQueryEngine::Options options;
-  options.num_functions = 4;
-  auto engine = LshQueryEngine::Build(d, options);
-  ASSERT_TRUE(engine.ok());
-  // Every non-empty user lands in exactly one bucket per function.
-  EXPECT_EQ(engine->IndexedEntries(), 4u * d.NumUsers());
 }
 
 }  // namespace

@@ -1,17 +1,25 @@
-#include "knn/sharded_query.h"
+// ScanQueryEngine over sharded stores (DESIGN.md §12): the scatter over
+// shards — sequential, one task per shard on a shared pool, or pinned
+// per-shard workers over a first-touch store — merges to the answer of
+// the unsharded scan, bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/bit_util.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "core/sharded_store.h"
 #include "knn/query.h"
 
 namespace gf {
 namespace {
+
+using Placement = ShardedFingerprintStore::Placement;
 
 FingerprintStore RandomStore(std::size_t users, std::size_t bits, Rng& rng) {
   const std::size_t words_per_shf = bits::WordsForBits(bits);
@@ -29,12 +37,31 @@ FingerprintStore RandomStore(std::size_t users, std::size_t bits, Rng& rng) {
       .value();
 }
 
-ShardedFingerprintStore Shard(const FingerprintStore& store,
-                              std::size_t shards) {
+std::shared_ptr<const ShardedFingerprintStore> Shard(
+    const FingerprintStore& store, std::size_t shards,
+    Placement placement = Placement::kNone) {
   ShardedFingerprintStore::Options options;
   options.num_shards = shards;
-  return ShardedFingerprintStore::Partition(store, options).value();
+  options.placement = placement;
+  return std::make_shared<const ShardedFingerprintStore>(
+      ShardedFingerprintStore::Partition(store, options).value());
 }
+
+// The engine over `store` cut into `shards`, in each scatter mode:
+// sequential, one task per shard on a shared pool, and one pinned
+// worker per shard over a first-touch partition.
+struct ScatterModes {
+  ThreadPool pool{3};
+  std::vector<std::unique_ptr<ScanQueryEngine>> engines;
+
+  ScatterModes(const FingerprintStore& store, std::size_t shards) {
+    const auto plain = Shard(store, shards);
+    engines.push_back(std::make_unique<ScanQueryEngine>(plain));
+    engines.push_back(std::make_unique<ScanQueryEngine>(plain, &pool));
+    engines.push_back(std::make_unique<ScanQueryEngine>(
+        Shard(store, shards, Placement::kFirstTouch)));
+  }
+};
 
 // Bit-exact: same ids, same float similarities, same order.
 void ExpectIdentical(const std::vector<std::vector<Neighbor>>& got,
@@ -72,7 +99,7 @@ TEST(ShardedQueryTest, SharedOwnershipViewOverSnapshotOutlivesItsHandles) {
   ASSERT_TRUE(view.ok());
   auto shared =
       std::make_shared<const ShardedFingerprintStore>(std::move(view).value());
-  ShardedQueryEngine engine(shared);
+  const ScanQueryEngine engine(shared);
   snapshot.reset();
   shared.reset();
 
@@ -84,16 +111,18 @@ TEST(ShardedQueryTest, SharedOwnershipViewOverSnapshotOutlivesItsHandles) {
 TEST(ShardedQueryTest, ValidatesArguments) {
   Rng rng(1);
   const auto store = RandomStore(30, 128, rng);
-  const auto sharded = Shard(store, 3);
-  ShardedQueryEngine engine(sharded);
+  const ScanQueryEngine engine(Shard(store, 3));
   EXPECT_FALSE(engine.Query(*Shf::Create(64), 3).ok());   // wrong length
   EXPECT_FALSE(engine.Query(*Shf::Create(128), 0).ok());  // k == 0
+  const Shf wrong = *Shf::Create(64);
+  EXPECT_FALSE(engine.QueryBatch({&wrong, 1}, 3).ok());
+  EXPECT_FALSE(engine.QueryBatch({}, 0).ok());
 }
 
-// The tentpole property: across shard counts x k — including one user
+// The scatter property: across shard counts x k — including one user
 // per shard, shards exceeding the user count (empty shards), and
-// k > n — the scatter/merge result is bit-identical to the single-store
-// exhaustive scan.
+// k > n up to SIZE_MAX — and in every scatter mode, the merged result is
+// bit-identical to the single-store exhaustive scan.
 TEST(ShardedQueryTest, BitExactWithScanAcrossShardCountsAndK) {
   Rng rng(2);
   const std::size_t users = 67;  // prime: every split is uneven
@@ -104,15 +133,18 @@ TEST(ShardedQueryTest, BitExactWithScanAcrossShardCountsAndK) {
   }
   const ScanQueryEngine scan(store);
 
-  for (const std::size_t k : {1u, 5u, 1000u}) {  // k = 1000 > n
-    const auto want = scan.QueryBatch(queries, k).value();
-    for (const std::size_t shards : {1u, 2u, 3u, 5u, 8u, 67u, 80u}) {
-      const auto sharded = Shard(store, shards);
-      ShardedQueryEngine engine(sharded);
-      const auto got = engine.QueryBatch(queries, k).value();
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " k=" + std::to_string(k));
-      ExpectIdentical(got, want);
+  for (const std::size_t shards : {1u, 2u, 3u, 5u, 8u, 67u, 80u}) {
+    const ScatterModes modes(store, shards);
+    // Any k above n (1000, SIZE_MAX) answers exactly what k = n does.
+    for (const std::size_t k : {1ul, 5ul, 1000ul, SIZE_MAX}) {
+      const auto want = scan.QueryBatch(queries, std::min(k, users)).value();
+      for (std::size_t m = 0; m < modes.engines.size(); ++m) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     " k=" + std::to_string(k) +
+                     " mode=" + std::to_string(m));
+        ExpectIdentical(modes.engines[m]->QueryBatch(queries, k).value(),
+                        want);
+      }
     }
   }
 }
@@ -127,18 +159,22 @@ TEST(ShardedQueryTest, BitExactOnSharedPoolAndPinnedWorkers) {
   }
   const ScanQueryEngine scan(store);
   const auto want = scan.QueryBatch(queries, 10).value();
-  const auto sharded = Shard(store, 4);
 
   {  // shared pool scatter
     ThreadPool pool(3);
-    ShardedQueryEngine engine(sharded, &pool);
+    const ScanQueryEngine engine(Shard(store, 4), &pool);
     ExpectIdentical(engine.QueryBatch(queries, 10).value(), want);
   }
-  {  // owned pinned per-shard workers
-    ShardedQueryEngine::Options options;
-    options.pin_shard_workers = true;
-    ShardedQueryEngine engine(sharded, nullptr, nullptr, options);
+  {  // a first-touch store: the engine owns pinned per-shard workers
+    const ScanQueryEngine engine(Shard(store, 4, Placement::kFirstTouch));
     ExpectIdentical(engine.QueryBatch(queries, 10).value(), want);
+    // Concurrent batches share the pinned workers safely.
+    ThreadPool callers(3);
+    ParallelFor(&callers, 6, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        ExpectIdentical(engine.QueryBatch(queries, 10).value(), want);
+      }
+    });
   }
 }
 
@@ -173,18 +209,19 @@ TEST(ShardedQueryTest, ZeroCardinalityQueriesAndRowsMatchScan) {
   const ScanQueryEngine scan(store);
   const auto want = scan.QueryBatch(queries, 7).value();
   for (const std::size_t shards : {2u, 5u, 30u}) {
-    const auto sharded = Shard(store, shards);
-    ShardedQueryEngine engine(sharded);
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    ExpectIdentical(engine.QueryBatch(queries, 7).value(), want);
+    const ScatterModes modes(store, shards);
+    for (std::size_t m = 0; m < modes.engines.size(); ++m) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " mode=" + std::to_string(m));
+      ExpectIdentical(modes.engines[m]->QueryBatch(queries, 7).value(), want);
+    }
   }
 }
 
 TEST(ShardedQueryTest, SingleQueryMatchesBatch) {
   Rng rng(5);
   const auto store = RandomStore(40, 256, rng);
-  const auto sharded = Shard(store, 3);
-  ShardedQueryEngine engine(sharded);
+  const ScanQueryEngine engine(Shard(store, 3));
   const Shf query = store.Extract(7);
   const auto single = engine.Query(query, 5).value();
   const auto batch = engine.QueryBatch({&query, 1}, 5).value();
@@ -200,8 +237,7 @@ TEST(ShardedQueryTest, SingleQueryMatchesBatch) {
 TEST(ShardedQueryTest, EmptyBatchIsAnEmptyResult) {
   Rng rng(6);
   const auto store = RandomStore(10, 128, rng);
-  const auto sharded = Shard(store, 2);
-  ShardedQueryEngine engine(sharded);
+  const ScanQueryEngine engine(Shard(store, 2));
   EXPECT_TRUE(engine.QueryBatch({}, 3).value().empty());
 }
 

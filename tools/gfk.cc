@@ -20,10 +20,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -46,13 +46,8 @@
 #include "io/serialization.h"
 #include "core/sharded_store.h"
 #include "core/store_snapshot.h"
-#include "core/versioned_store.h"
 #include "knn/builder.h"
-#include "knn/ingest.h"
-#include "knn/quality.h"
 #include "knn/query_service.h"
-#include "knn/sharded_query.h"
-#include "knn/snapshot_query.h"
 #include "net/coordinator.h"
 #include "net/posix_transport.h"
 #include "net/replica_server.h"
@@ -108,18 +103,6 @@ int Usage() {
       "            [--users 2000] [--bits 512] [--seed N] [--queries 8]\n"
       "            [--k 10] [--deadline-ms 2000] [--hedge-us 0]\n"
       "            [--max-attempts 3] [--no-verify]\n"
-      "  query-bench [--users 20000] [--bits 1024] [--batch 256]\n"
-      "            [--threads N] [--k 10] [--seed N]\n"
-      "            [--metrics-out metrics.json]\n"
-      "  serve-bench [--users 20000] [--bits 1024] [--shards 4]\n"
-      "            [--requests 1024] [--clients 4] [--k 10]\n"
-      "            [--max-queue 1024] [--max-batch 64] [--max-wait-us 200]\n"
-      "            [--seed N] [--metrics-out metrics.json]\n"
-      "  ingest-bench [--users 20000] [--bits 1024] [--shards 4]\n"
-      "            [--events 100000] [--publish-every 1024]\n"
-      "            [--requests 1024] [--clients 4] [--k 10]\n"
-      "            [--max-queue 1024] [--max-batch 64] [--max-wait-us 200]\n"
-      "            [--seed N] [--metrics-out metrics.json]\n"
       "  version   (git sha, SIMD backend, wire/report schema versions)\n");
   return 0;
 }
@@ -426,22 +409,6 @@ int CmdCalibrate(const Flags& flags) {
   return 0;
 }
 
-// Balanced contiguous shard boundaries, same split rule as
-// ShardedFingerprintStore::Partition.
-std::vector<UserId> BalancedShardBegins(std::size_t num_users,
-                                        std::size_t num_shards) {
-  std::vector<UserId> begins;
-  begins.reserve(num_shards);
-  const std::size_t base = num_users / num_shards;
-  const std::size_t extra = num_users % num_shards;
-  UserId begin = 0;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    begins.push_back(begin);
-    begin += static_cast<UserId>(base + (s < extra ? 1 : 0));
-  }
-  return begins;
-}
-
 int CmdIndexWrite(const Flags& flags) {
   const std::string out = flags.GetString("out");
   if (out.empty()) return Fail(Status::InvalidArgument("--out required"));
@@ -470,7 +437,8 @@ int CmdIndexWrite(const Flags& flags) {
   const auto shards =
       std::max<std::size_t>(1, static_cast<std::size_t>(
                                    flags.GetInt("shards", 1)));
-  options.shard_begins = BalancedShardBegins(store->num_users(), shards);
+  options.shard_begins =
+      ShardedFingerprintStore::BalancedBegins(store->num_users(), shards);
 
   // --band-bits 0 skips the Bands section (serving then rebuilds or
   // scans); any other value persists the banded-LSH buckets.
@@ -546,9 +514,9 @@ int CmdServe(const Flags& flags) {
   if (flags.GetBool("replica")) return CmdServeReplica(flags);
   // Serving from a persistent index: map the GFIX file (no rebuild, no
   // arena copy), hydrate the persisted shard layout into a zero-copy
-  // sharded engine, and drive it through the QueryService front-end
-  // exactly like serve-bench — replies are verified bit-identical to
-  // the exhaustive scan over the same mapped store.
+  // sharded scan, and drive it through the QueryService front-end from
+  // concurrent clients — replies are verified bit-identical to the
+  // per-pair scan over the same mapped store.
   const std::string index_path = flags.GetString("index");
   if (index_path.empty()) {
     return Fail(Status::InvalidArgument("--index required"));
@@ -571,15 +539,18 @@ int CmdServe(const Flags& flags) {
   if (!mapped.ok()) return Fail(mapped.status());
   auto sharded = mapped->Shards(&ctx);
   if (!sharded.ok()) return Fail(sharded.status());
-  ShardedQueryEngine engine(*sharded, nullptr, &ctx);
+  const ScanQueryEngine engine(
+      std::make_shared<const ShardedFingerprintStore>(
+          std::move(sharded).value()),
+      nullptr, &ctx);
   const double open_ms = open_timer.ElapsedSeconds() * 1e3;
 
   const std::size_t users = mapped->num_users();
   if (users == 0) return Fail(Status::InvalidArgument("empty index"));
   std::printf(
       "%s: %zu users x %zu bits in %zu shard(s), serving after %.2f ms\n",
-      index_path.c_str(), users, mapped->num_bits(), sharded->num_shards(),
-      open_ms);
+      index_path.c_str(), users, mapped->num_bits(),
+      mapped->shard_begins().size(), open_ms);
 
   const std::size_t pool_size = std::min<std::size_t>(256, requests);
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 42)) ^ 0x5EED);
@@ -656,445 +627,6 @@ int CmdServe(const Flags& flags) {
   return 0;
 }
 
-int CmdQueryBench(const Flags& flags) {
-  // Self-contained serving benchmark: synthesize a dataset, fingerprint
-  // it, then compare per-pair sequential Query() against the batched
-  // multi-query tile scan (1 thread and --threads threads) and the
-  // banded SHF index. All scan rows return bit-identical neighbors;
-  // banded trades exhaustiveness for sublinear candidate sets.
-  const auto users = static_cast<std::size_t>(flags.GetInt("users", 20000));
-  const auto batch = static_cast<std::size_t>(flags.GetInt("batch", 256));
-  const auto k = static_cast<std::size_t>(flags.GetInt("k", 10));
-  const int threads = flags.GetInt("threads", 0);
-  if (users == 0 || batch == 0 || k == 0) {
-    return Fail(Status::InvalidArgument(
-        "--users, --batch and --k must be >= 1"));
-  }
-
-  obs::MetricRegistry registry;
-  obs::PipelineContext ctx;
-  ctx.metrics = &registry;
-  std::optional<ThreadPool> pool;
-  if (threads > 0) {
-    pool.emplace(static_cast<std::size_t>(threads));
-    ctx.pool = &*pool;
-  }
-
-  SyntheticSpec spec;
-  spec.num_users = users;
-  spec.num_items = std::max<std::size_t>(2000, users / 10);
-  spec.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  auto dataset = GenerateZipfDataset(spec);
-  if (!dataset.ok()) return Fail(dataset.status());
-
-  FingerprintConfig config;
-  config.num_bits = static_cast<std::size_t>(flags.GetInt("bits", 1024));
-  auto store = FingerprintStore::Build(*dataset, config, ctx.pool, &ctx);
-  if (!store.ok()) return Fail(store.status());
-
-  Rng rng(spec.seed ^ 0x5EED);
-  std::vector<Shf> queries;
-  queries.reserve(batch);
-  for (std::size_t q = 0; q < batch; ++q) {
-    queries.push_back(store->Extract(static_cast<UserId>(rng.Below(users))));
-  }
-
-  std::printf("store: %zu users x %zu bits, batch %zu, k %zu, threads %d\n\n",
-              users, config.num_bits, batch, k, threads);
-  std::printf("%-14s %12s %12s %10s\n", "mode", "wall ms", "queries/s",
-              "speedup");
-
-  const ScanQueryEngine scan_seq(*store, nullptr, &ctx);
-  const std::size_t baseline_n = std::min<std::size_t>(32, batch);
-  WallTimer baseline_timer;
-  for (std::size_t q = 0; q < baseline_n; ++q) {
-    if (auto r = scan_seq.Query(queries[q], k); !r.ok()) {
-      return Fail(r.status());
-    }
-  }
-  const double baseline_qps =
-      static_cast<double>(baseline_n) / baseline_timer.ElapsedSeconds();
-  std::printf("%-14s %12.1f %12.0f %9s\n", "perpair_1t",
-              baseline_timer.ElapsedSeconds() * 1e3, baseline_qps, "1.0x");
-
-  const auto run_batch = [&](const char* label, const auto& engine) {
-    WallTimer timer;
-    auto r = engine.QueryBatch(queries, k);
-    if (!r.ok()) return -1.0;
-    const double qps = static_cast<double>(batch) / timer.ElapsedSeconds();
-    std::printf("%-14s %12.1f %12.0f %9.1fx\n", label,
-                timer.ElapsedSeconds() * 1e3, qps, qps / baseline_qps);
-    return qps;
-  };
-
-  const double tile_1t = run_batch("tile_1t", scan_seq);
-  if (tile_1t < 0) return Fail(Status::Internal("batched scan failed"));
-  if (ctx.pool != nullptr) {
-    const ScanQueryEngine scan_mt(*store, ctx.pool, &ctx);
-    const std::string label = "tile_" + std::to_string(threads) + "t";
-    if (run_batch(label.c_str(), scan_mt) < 0) {
-      return Fail(Status::Internal("threaded batched scan failed"));
-    }
-  }
-  auto banded = BandedShfQueryEngine::Build(
-      *store, BandedShfQueryEngine::Options{}, ctx.pool, &ctx);
-  if (!banded.ok()) return Fail(banded.status());
-  if (run_batch("banded_1t", *banded) < 0) {
-    return Fail(Status::Internal("banded query failed"));
-  }
-
-  const std::string metrics_out = flags.GetString("metrics-out");
-  if (!metrics_out.empty()) {
-    const std::string json = obs::ExportJson(registry, nullptr);
-    if (const Status status =
-            io::Env::Default()->WriteFileAtomic(metrics_out, json);
-        !status.ok()) {
-      return Fail(status);
-    }
-    std::printf("wrote metrics %s\n", metrics_out.c_str());
-  }
-  return 0;
-}
-
-int CmdServeBench(const Flags& flags) {
-  // End-to-end serving benchmark: synthesize a dataset, fingerprint it,
-  // cut the store into --shards NUMA-placed shards, and push --requests
-  // one-at-a-time requests from --clients concurrent client threads
-  // through the QueryService front-end (bounded queue + micro-batching
-  // coalescer) into the sharded scatter/merge engine. Every successful
-  // reply is verified bit-identical to the exhaustive single-store scan.
-  const auto users = static_cast<std::size_t>(flags.GetInt("users", 20000));
-  const auto shards = static_cast<std::size_t>(flags.GetInt("shards", 4));
-  const auto requests =
-      static_cast<std::size_t>(flags.GetInt("requests", 1024));
-  const auto clients = static_cast<std::size_t>(flags.GetInt("clients", 4));
-  const auto k = static_cast<std::size_t>(flags.GetInt("k", 10));
-  if (users == 0 || shards == 0 || requests == 0 || clients == 0 || k == 0) {
-    return Fail(Status::InvalidArgument(
-        "--users, --shards, --requests, --clients and --k must be >= 1"));
-  }
-
-  obs::MetricRegistry registry;
-  obs::PipelineContext ctx;
-  ctx.metrics = &registry;
-
-  SyntheticSpec spec;
-  spec.num_users = users;
-  spec.num_items = std::max<std::size_t>(2000, users / 10);
-  spec.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  auto dataset = GenerateZipfDataset(spec);
-  if (!dataset.ok()) return Fail(dataset.status());
-
-  FingerprintConfig config;
-  config.num_bits = static_cast<std::size_t>(flags.GetInt("bits", 1024));
-  // Seed a versioned store and serve its epoch-0 snapshot: the NUMA
-  // partition copies out of a pinned epoch, not out of a raw store, so
-  // the benchmark exercises the same seam the live stack reads through.
-  auto write_side = MutableFingerprintStore::FromDataset(*dataset, config);
-  if (!write_side.ok()) return Fail(write_side.status());
-  VersionedStore versioned(std::move(write_side).value());
-  const SnapshotPtr snapshot = versioned.Acquire();
-
-  ShardedFingerprintStore::Options store_options;
-  store_options.num_shards = shards;
-  store_options.placement = ShardedFingerprintStore::Placement::kFirstTouch;
-  auto sharded = ShardedFingerprintStore::Partition(snapshot->store(),
-                                                    store_options, &ctx);
-  if (!sharded.ok()) return Fail(sharded.status());
-  ShardedQueryEngine::Options engine_options;
-  engine_options.pin_shard_workers = true;
-  ShardedQueryEngine engine(*sharded, nullptr, &ctx, engine_options);
-
-  // A fixed query pool, reused round-robin, with scan ground truth to
-  // verify replies against.
-  const std::size_t pool_size = std::min<std::size_t>(256, requests);
-  Rng rng(spec.seed ^ 0x5EED);
-  std::vector<Shf> queries;
-  queries.reserve(pool_size);
-  for (std::size_t q = 0; q < pool_size; ++q) {
-    queries.push_back(
-        snapshot->store().Extract(static_cast<UserId>(rng.Below(users))));
-  }
-  const ScanQueryEngine scan(snapshot);
-  auto truth = scan.QueryBatch(queries, k);
-  if (!truth.ok()) return Fail(truth.status());
-
-  QueryService::Options service_options;
-  service_options.max_queue =
-      static_cast<std::size_t>(flags.GetInt("max-queue", 1024));
-  service_options.max_batch =
-      static_cast<std::size_t>(flags.GetInt("max-batch", 64));
-  service_options.max_wait_micros =
-      static_cast<uint64_t>(flags.GetInt("max-wait-us", 200));
-  service_options.expected_bits = config.num_bits;
-  QueryService service(
-      [&engine](std::span<const Shf> batch, std::size_t kk) {
-        return engine.QueryBatch(batch, kk);
-      },
-      service_options, &ctx);
-
-  std::printf(
-      "store: %zu users x %zu bits in %zu shard(s); %zu requests from "
-      "%zu client(s), k %zu\n\n",
-      users, config.num_bits, sharded->num_shards(), requests, clients, k);
-
-  std::atomic<std::size_t> served{0};
-  std::atomic<std::size_t> rejected{0};
-  std::atomic<std::size_t> mismatched{0};
-  WallTimer timer;
-  std::vector<std::thread> client_threads;
-  client_threads.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c) {
-    client_threads.emplace_back([&, c] {
-      std::vector<std::pair<std::size_t,
-                            std::future<Result<std::vector<Neighbor>>>>>
-          pending;
-      for (std::size_t r = c; r < requests; r += clients) {
-        const std::size_t q = r % pool_size;
-        pending.emplace_back(q, service.Submit(queries[q], k));
-      }
-      for (auto& [q, future] : pending) {
-        auto result = future.get();
-        if (!result.ok()) {
-          rejected.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        served.fetch_add(1, std::memory_order_relaxed);
-        const std::vector<Neighbor>& expected = (*truth)[q];
-        bool exact = result->size() == expected.size();
-        for (std::size_t i = 0; exact && i < expected.size(); ++i) {
-          exact = (*result)[i].id == expected[i].id &&
-                  (*result)[i].similarity == expected[i].similarity;
-        }
-        if (!exact) mismatched.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& t : client_threads) t.join();
-  const double secs = timer.ElapsedSeconds();
-  service.Shutdown();
-
-  const double qps = static_cast<double>(served.load()) / secs;
-  std::printf("served %zu, rejected %zu, mismatched %zu in %.1f ms "
-              "(%.0f queries/s)\n",
-              served.load(), rejected.load(), mismatched.load(), secs * 1e3,
-              qps);
-
-  const std::string metrics_out = flags.GetString("metrics-out");
-  if (!metrics_out.empty()) {
-    const std::string json = obs::ExportJson(registry, nullptr);
-    if (const Status status =
-            io::Env::Default()->WriteFileAtomic(metrics_out, json);
-        !status.ok()) {
-      return Fail(status);
-    }
-    std::printf("wrote metrics %s\n", metrics_out.c_str());
-  }
-  if (mismatched.load() != 0) {
-    return Fail(Status::Internal("served replies diverged from the scan"));
-  }
-  return 0;
-}
-
-int CmdIngestBench(const Flags& flags) {
-  // Live ingestion over the full serving stack (DESIGN.md §15): client
-  // threads push queries through QueryService + SnapshotQueryEngine
-  // while an IngestService worker drains a producer's rating events and
-  // publishes epochs under the readers. Queries never block on the
-  // writer; each batch pins whatever epoch is current. When the dust
-  // settles the final epoch is verified bit-identical to a from-scratch
-  // rebuild of the write side's ratings, and a pinned batch is verified
-  // against the exhaustive scan over that same snapshot.
-  const auto users = static_cast<std::size_t>(flags.GetInt("users", 20000));
-  const auto shards = static_cast<std::size_t>(flags.GetInt("shards", 4));
-  const auto requests =
-      static_cast<std::size_t>(flags.GetInt("requests", 1024));
-  const auto clients = static_cast<std::size_t>(flags.GetInt("clients", 4));
-  const auto k = static_cast<std::size_t>(flags.GetInt("k", 10));
-  const auto events =
-      static_cast<std::size_t>(flags.GetInt("events", 100000));
-  const auto publish_every =
-      static_cast<std::size_t>(flags.GetInt("publish-every", 1024));
-  if (users == 0 || shards == 0 || requests == 0 || clients == 0 ||
-      k == 0 || publish_every == 0) {
-    return Fail(Status::InvalidArgument(
-        "--users, --shards, --requests, --clients, --k and "
-        "--publish-every must be >= 1"));
-  }
-
-  obs::MetricRegistry registry;
-  obs::PipelineContext ctx;
-  ctx.metrics = &registry;
-
-  SyntheticSpec spec;
-  spec.num_users = users;
-  spec.num_items = std::max<std::size_t>(2000, users / 10);
-  spec.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  auto dataset = GenerateZipfDataset(spec);
-  if (!dataset.ok()) return Fail(dataset.status());
-
-  FingerprintConfig config;
-  config.num_bits = static_cast<std::size_t>(flags.GetInt("bits", 1024));
-  auto write_side = MutableFingerprintStore::FromDataset(*dataset, config);
-  if (!write_side.ok()) return Fail(write_side.status());
-  VersionedStore versioned(std::move(write_side).value());
-
-  SnapshotQueryEngine::Options engine_options;
-  engine_options.num_shards = shards;
-  SnapshotQueryEngine engine(&versioned, engine_options, nullptr, &ctx);
-
-  IngestService::Options ingest_options;
-  ingest_options.publish_every = publish_every;
-  IngestService ingest(&versioned, ingest_options, &ctx);
-
-  const std::size_t pool_size = std::min<std::size_t>(256, requests);
-  Rng rng(spec.seed ^ 0x16E57);
-  std::vector<Shf> queries;
-  queries.reserve(pool_size);
-  for (std::size_t q = 0; q < pool_size; ++q) {
-    queries.push_back(versioned.Acquire()->store().Extract(
-        static_cast<UserId>(rng.Below(users))));
-  }
-
-  QueryService::Options service_options;
-  service_options.max_queue =
-      static_cast<std::size_t>(flags.GetInt("max-queue", 1024));
-  service_options.max_batch =
-      static_cast<std::size_t>(flags.GetInt("max-batch", 64));
-  service_options.max_wait_micros =
-      static_cast<uint64_t>(flags.GetInt("max-wait-us", 200));
-  service_options.expected_bits = config.num_bits;
-  QueryService service(engine.AsBatchFn(), service_options, &ctx);
-
-  std::printf(
-      "store: %zu users x %zu bits in %zu shard(s); %zu requests from "
-      "%zu client(s), k %zu; %zu events, epoch every %zu\n\n",
-      users, config.num_bits, shards, requests, clients, k, events,
-      publish_every);
-
-  std::atomic<bool> stop{false};
-  std::thread producer([&] {
-    Rng producer_rng(spec.seed ^ 0xFEED5);
-    std::size_t sent = 0;
-    while (sent < events && !stop.load(std::memory_order_relaxed)) {
-      const auto user = static_cast<UserId>(producer_rng.Below(users));
-      const auto item =
-          static_cast<ItemId>(producer_rng.Below(spec.num_items));
-      RatingEvent event = producer_rng.Below(10) < 7
-                              ? RatingEvent::Add(user, item)
-                              : RatingEvent::Remove(user, item);
-      if (ingest.Submit(event).ok()) {
-        ++sent;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-
-  std::atomic<std::size_t> served{0};
-  std::atomic<std::size_t> rejected{0};
-  WallTimer timer;
-  std::vector<std::thread> client_threads;
-  client_threads.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c) {
-    client_threads.emplace_back([&, c] {
-      std::vector<std::future<Result<std::vector<Neighbor>>>> pending;
-      for (std::size_t r = c; r < requests; r += clients) {
-        pending.push_back(service.Submit(queries[r % pool_size], k));
-      }
-      for (auto& future : pending) {
-        if (future.get().ok()) {
-          served.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          rejected.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& t : client_threads) t.join();
-  const double secs = timer.ElapsedSeconds();
-  stop.store(true, std::memory_order_relaxed);
-  producer.join();
-  service.Shutdown();
-  ingest.Shutdown();  // drains + publishes the tail epoch
-
-  std::printf("served %zu, rejected %zu in %.1f ms (%.0f queries/s) while "
-              "applying %llu events across %llu epochs (final epoch %llu)\n",
-              served.load(), rejected.load(), secs * 1e3,
-              static_cast<double>(served.load()) / secs,
-              static_cast<unsigned long long>(ingest.EventsApplied()),
-              static_cast<unsigned long long>(ingest.EpochsPublished()),
-              static_cast<unsigned long long>(versioned.epoch()));
-  if (const obs::Histogram* lag =
-          registry.FindHistogram("ingest.freshness_lag_micros");
-      lag != nullptr && lag->count() > 0) {
-    std::printf("freshness lag: %.0f us mean over %llu events\n",
-                lag->sum() / static_cast<double>(lag->count()),
-                static_cast<unsigned long long>(lag->count()));
-  }
-
-  // The bit-exactness gate: final epoch vs from-scratch rebuild.
-  const MutableFingerprintStore& write = versioned.write_side();
-  std::vector<std::vector<ItemId>> profiles(write.num_users());
-  for (UserId u = 0; u < write.num_users(); ++u) {
-    const auto profile = write.ProfileOf(u);
-    profiles[u].assign(profile.begin(), profile.end());
-  }
-  auto rebuilt_dataset = Dataset::FromProfiles(
-      std::move(profiles), spec.num_items, "ingest-rebuild");
-  if (!rebuilt_dataset.ok()) return Fail(rebuilt_dataset.status());
-  auto rebuilt = FingerprintStore::Build(*rebuilt_dataset, config);
-  if (!rebuilt.ok()) return Fail(rebuilt.status());
-  const SnapshotPtr final_snapshot = versioned.Acquire();
-  const auto live_words = final_snapshot->store().WordsArena();
-  const auto rebuilt_words = rebuilt->WordsArena();
-  bool exact = live_words.size() == rebuilt_words.size();
-  for (std::size_t i = 0; exact && i < live_words.size(); ++i) {
-    exact = live_words[i] == rebuilt_words[i];
-  }
-  const auto live_cards = final_snapshot->store().Cardinalities();
-  const auto rebuilt_cards = rebuilt->Cardinalities();
-  for (std::size_t u = 0; exact && u < live_cards.size(); ++u) {
-    exact = live_cards[u] == rebuilt_cards[u];
-  }
-  if (!exact) {
-    return Fail(Status::Internal(
-        "final epoch diverged from the from-scratch rebuild"));
-  }
-  auto pinned = engine.QueryBatchPinned(queries, k);
-  if (!pinned.ok()) return Fail(pinned.status());
-  const ScanQueryEngine final_scan(pinned->snapshot);
-  auto expected = final_scan.QueryBatch(queries, k);
-  if (!expected.ok()) return Fail(expected.status());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto& got = pinned->results[q];
-    const auto& want = (*expected)[q];
-    bool same = got.size() == want.size();
-    for (std::size_t j = 0; same && j < got.size(); ++j) {
-      same = got[j].id == want[j].id &&
-             got[j].similarity == want[j].similarity;
-    }
-    if (!same) {
-      return Fail(Status::Internal(
-          "pinned batch diverged from the scan on the final epoch"));
-    }
-  }
-  std::printf("verified: final epoch bit-identical to rebuild; pinned "
-              "batch bit-identical to the scan\n");
-
-  const std::string metrics_out = flags.GetString("metrics-out");
-  if (!metrics_out.empty()) {
-    const std::string json = obs::ExportJson(registry, nullptr);
-    if (const Status status =
-            io::Env::Default()->WriteFileAtomic(metrics_out, json);
-        !status.ok()) {
-      return Fail(status);
-    }
-    std::printf("wrote metrics %s\n", metrics_out.c_str());
-  }
-  return 0;
-}
-
 // ---- Distributed serving (DESIGN.md §14) -------------------------------
 //
 // Both sides of the wire rebuild the SAME deterministic synthetic store
@@ -1116,28 +648,6 @@ Result<FingerprintStore> BuildSyntheticStore(std::size_t users,
   return FingerprintStore::Build(*dataset, config);
 }
 
-/// The balanced contiguous carve used by both `serve --replica` and
-/// `cluster-query` (sizes differ by at most one user).
-UserId BalancedBegin(std::size_t users, std::size_t shards, std::size_t s) {
-  return static_cast<UserId>(s * users / shards);
-}
-
-Result<FingerprintStore> SliceStoreRows(const FingerprintStore& store,
-                                        UserId begin, UserId end) {
-  const std::size_t words_per_shf = store.words_per_shf();
-  std::vector<uint64_t> words;
-  words.reserve(static_cast<std::size_t>(end - begin) * words_per_shf);
-  std::vector<uint32_t> cards;
-  cards.reserve(end - begin);
-  for (UserId u = begin; u < end; ++u) {
-    const auto row = store.WordsOf(u);
-    words.insert(words.end(), row.begin(), row.end());
-    cards.push_back(store.CardinalityOf(u));
-  }
-  return FingerprintStore::FromRaw(store.config(), end - begin,
-                                   std::move(words), std::move(cards));
-}
-
 int CmdServeReplica(const Flags& flags) {
   // One replica process: serve shard --shard of --shards over a real
   // socket. --port 0 binds an ephemeral port; --port-file publishes the
@@ -1154,15 +664,17 @@ int CmdServeReplica(const Flags& flags) {
   auto store = BuildSyntheticStore(
       users, bits, static_cast<uint64_t>(flags.GetInt("seed", 42)));
   if (!store.ok()) return Fail(store.status());
-  const UserId begin = BalancedBegin(users, shards, shard);
-  const UserId end = BalancedBegin(users, shards, shard + 1);
-  auto slice = SliceStoreRows(*store, begin, end);
-  if (!slice.ok()) return Fail(slice.status());
+  const auto begins = ShardedFingerprintStore::BalancedBegins(users, shards);
+  auto view = ShardedFingerprintStore::ViewOf(*store, begins);
+  if (!view.ok()) return Fail(view.status());
+  const FingerprintStore& slice = view->shard(shard);
+  const UserId begin = view->ShardBegin(shard);
+  const auto end = static_cast<UserId>(begin + slice.num_users());
 
   obs::MetricRegistry registry;
   obs::PipelineContext ctx;
   ctx.metrics = &registry;
-  const net::ReplicaServer replica(*slice, begin, nullptr, &ctx);
+  const net::ReplicaServer replica(slice, begin, nullptr, &ctx);
   net::PosixServer server(
       [&replica](std::string_view frame) { return replica.Handle(frame); });
   if (const Status status =
@@ -1233,9 +745,7 @@ int CmdClusterQuery(const Flags& flags) {
     pos = cut + 1;
   }
   const std::size_t shards = config.replicas.size();
-  for (std::size_t s = 0; s < shards; ++s) {
-    config.shard_begins.push_back(BalancedBegin(users, shards, s));
-  }
+  config.shard_begins = ShardedFingerprintStore::BalancedBegins(users, shards);
 
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   auto store = BuildSyntheticStore(users, bits, seed);
@@ -1328,9 +838,6 @@ int main(int argc, char** argv) {
   if (command == "index") return gf::tools::CmdIndex(*flags);
   if (command == "serve") return gf::tools::CmdServe(*flags);
   if (command == "calibrate") return gf::tools::CmdCalibrate(*flags);
-  if (command == "query-bench") return gf::tools::CmdQueryBench(*flags);
-  if (command == "serve-bench") return gf::tools::CmdServeBench(*flags);
-  if (command == "ingest-bench") return gf::tools::CmdIngestBench(*flags);
   if (command == "cluster-query") return gf::tools::CmdClusterQuery(*flags);
   if (command == "version") return gf::tools::CmdVersion(*flags);
   std::fprintf(stderr, "gfk: unknown subcommand '%s' (try gfk help)\n",
