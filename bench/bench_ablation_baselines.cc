@@ -36,7 +36,7 @@ void RunOn(const gf::bench::BenchDataset& bench) {
   gf::ExactJaccardProvider exact_provider(d);
   gf::KnnBuildStats stats;
   const gf::KnnGraph exact =
-      gf::BruteForceKnn(exact_provider, kK, nullptr, &stats);
+      gf::BruteForceKnn(exact_provider, kK, nullptr, &stats).value();
   const double exact_avg = gf::AverageExactSimilarity(exact, d);
   std::printf("%-26s %10.2f %10.3f %14.2f %9.1f%%\n", "BruteForce native",
               stats.seconds, 1.0, stats.similarity_computations / 1e6,
@@ -46,7 +46,7 @@ void RunOn(const gf::bench::BenchDataset& bench) {
   auto store = gf::FingerprintStore::Build(d, fp_config);
   gf::GoldFingerProvider gf_provider(*store);
   const gf::KnnGraph golfi =
-      gf::BruteForceKnn(gf_provider, kK, nullptr, &stats);
+      gf::BruteForceKnn(gf_provider, kK, nullptr, &stats).value();
   std::printf("%-26s %10.2f %10.3f %14.2f %9.1f%%\n",
               "BruteForce GoldFinger", stats.seconds,
               gf::GraphQuality(gf::AverageExactSimilarity(golfi, d),
@@ -96,7 +96,7 @@ void RunOn(const gf::bench::BenchDataset& bench) {
     if (!sampled.ok()) return;
     gf::ExactJaccardProvider sampled_provider(*sampled);
     const gf::KnnGraph g =
-        gf::BruteForceKnn(sampled_provider, kK, nullptr, &stats);
+        gf::BruteForceKnn(sampled_provider, kK, nullptr, &stats).value();
     // Quality judged on the ORIGINAL profiles, as for GoldFinger.
     char label[64];
     std::snprintf(label, sizeof(label), "sampling(least-pop,%zu)", sample);

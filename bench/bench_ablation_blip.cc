@@ -26,14 +26,14 @@ int main() {
   constexpr std::size_t kK = 30;
 
   gf::ExactJaccardProvider exact_provider(d);
-  const gf::KnnGraph exact = gf::BruteForceKnn(exact_provider, kK);
+  const gf::KnnGraph exact = gf::BruteForceKnn(exact_provider, kK).value();
   const double exact_avg = gf::AverageExactSimilarity(exact, d);
 
   gf::FingerprintConfig fp_config;  // 1024 bits
   auto store = gf::FingerprintStore::Build(d, fp_config);
   if (!store.ok()) return 1;
   gf::GoldFingerProvider plain_provider(*store);
-  const gf::KnnGraph plain = gf::BruteForceKnn(plain_provider, kK);
+  const gf::KnnGraph plain = gf::BruteForceKnn(plain_provider, kK).value();
   const double plain_q =
       gf::GraphQuality(gf::AverageExactSimilarity(plain, d), exact_avg);
   std::printf("\n# plain GoldFinger (no noise): quality %.3f\n", plain_q);
@@ -45,7 +45,7 @@ int main() {
     auto blip = gf::BlipStore::Build(*store, config);
     if (!blip.ok()) return 1;
     gf::BlipProvider provider(*blip);
-    const gf::KnnGraph g = gf::BruteForceKnn(provider, kK);
+    const gf::KnnGraph g = gf::BruteForceKnn(provider, kK).value();
     const double q =
         gf::GraphQuality(gf::AverageExactSimilarity(g, d), exact_avg);
     std::printf("%-8.1f %12.4f %12.3f\n", eps,

@@ -37,7 +37,7 @@ int main() {
   auto old_store = gf::FingerprintStore::Build(d, fp_config);
   if (!old_store.ok()) return 1;
   gf::GoldFingerProvider old_provider(*old_store);
-  const gf::KnnGraph previous = gf::BruteForceKnn(old_provider, kK);
+  const gf::KnnGraph previous = gf::BruteForceKnn(old_provider, kK).value();
 
   std::vector<std::vector<gf::ItemId>> base_profiles(d.NumUsers());
   for (gf::UserId u = 0; u < d.NumUsers(); ++u) {
@@ -74,10 +74,10 @@ int main() {
     const gf::KnnGraph refreshed = gf::RefreshKnnGraph(
         previous, new_provider, changed, {}, &refresh_stats);
     const gf::KnnGraph rebuilt =
-        gf::BruteForceKnn(new_provider, kK, nullptr, &rebuild_stats);
+        gf::BruteForceKnn(new_provider, kK, nullptr, &rebuild_stats).value();
 
     gf::ExactJaccardProvider exact_provider(*mutated);
-    const gf::KnnGraph exact = gf::BruteForceKnn(exact_provider, kK);
+    const gf::KnnGraph exact = gf::BruteForceKnn(exact_provider, kK).value();
     const double exact_avg = gf::AverageExactSimilarity(exact, *mutated);
 
     std::printf("%8.0f%% | %12.3f %12.2f %10.3f | %12.3f %12.2f %10.3f\n",

@@ -89,13 +89,13 @@ int main() {
     CountingProviderView provider(shfs);
     gf::KnnBuildStats stats;
     const gf::KnnGraph live = gf::BruteForceKnn(provider, 10, nullptr,
-                                                &stats);
+                                                &stats).value();
 
     // ...and score it against the ground truth of the mutated profiles.
     auto truth = gf::Dataset::FromProfiles(profiles, spec.num_items);
     if (!truth.ok()) return 1;
     gf::ExactJaccardProvider exact_provider(*truth);
-    const gf::KnnGraph exact = gf::BruteForceKnn(exact_provider, 10);
+    const gf::KnnGraph exact = gf::BruteForceKnn(exact_provider, 10).value();
     const double q =
         gf::GraphQuality(gf::AverageExactSimilarity(live, *truth),
                          gf::AverageExactSimilarity(exact, *truth));

@@ -146,12 +146,7 @@ KnnGraph RecursiveBisectionKnn(const Provider& provider,
                               rng, 0);
   }
   KnnGraph graph = lists.Finalize();
-  if (stats != nullptr) {
-    stats->seconds = timer.ElapsedSeconds();
-    stats->similarity_computations = computations.load();
-    stats->iterations = 1;
-    stats->updates_per_iteration.clear();
-  }
+  RecordBuildStats(stats, timer, computations.load(), 1);
   return graph;
 }
 

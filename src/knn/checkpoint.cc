@@ -245,7 +245,7 @@ Status RestoreLists(const BuildCheckpoint& checkpoint, NeighborLists* lists) {
 
 Status ValidateCheckpoint(const BuildCheckpoint& checkpoint,
                           CheckpointAlgorithm algorithm, uint64_t num_users,
-                          uint64_t k, uint64_t seed) {
+                          uint64_t k, uint64_t tag) {
   if (checkpoint.algorithm != algorithm) {
     return Status::FailedPrecondition(
         "checkpoint was written by algorithm " +
@@ -259,13 +259,47 @@ Status ValidateCheckpoint(const BuildCheckpoint& checkpoint,
         std::to_string(checkpoint.k) + ") does not match the build (" +
         std::to_string(num_users) + " x " + std::to_string(k) + ")");
   }
-  if (checkpoint.seed != seed) {
+  if (checkpoint.seed != tag) {
     return Status::FailedPrecondition(
-        "checkpoint seed " + std::to_string(checkpoint.seed) +
-        " does not match the build seed " + std::to_string(seed) +
+        "checkpoint was written under configuration tag " +
+        std::to_string(checkpoint.seed) + ", this build's is " +
+        std::to_string(tag) +
         " (resuming would diverge from the original run)");
   }
   return Status::OK();
+}
+
+Result<BuildCheckpointer> BuildCheckpointer::Open(
+    const CheckpointConfig& config, CheckpointAlgorithm algorithm,
+    uint64_t num_users, uint64_t k, uint64_t tag,
+    const obs::PipelineContext* obs) {
+  BuildCheckpointer checkpointer;
+  if (config.dir.empty()) return checkpointer;
+  checkpointer.algorithm_ = algorithm;
+  checkpointer.tag_ = tag;
+  checkpointer.every_ = std::max<std::size_t>(config.every, 1);
+  checkpointer.obs_ = obs;
+  CheckpointStore& store = checkpointer.store_.emplace(config.dir, config.env);
+  if (obs != nullptr && obs->HasMetrics()) store.AttachMetrics(obs->metrics);
+  GF_RETURN_IF_ERROR(store.Init());
+  if (config.resume) {
+    Result<BuildCheckpoint> loaded = store.LoadLatest();
+    if (loaded.ok()) {
+      GF_RETURN_IF_ERROR(
+          ValidateCheckpoint(*loaded, algorithm, num_users, k, tag));
+      checkpointer.resumed_ = std::move(loaded).value();
+      return checkpointer;
+    }
+    if (loaded.status().code() != StatusCode::kNotFound) {
+      return loaded.status();
+    }
+    // No usable checkpoint: fall through to a fresh build.
+  }
+  // A fresh build invalidates whatever a previous run left behind;
+  // keeping those files around would let a later resume silently mix
+  // builds.
+  GF_RETURN_IF_ERROR(store.Reset());
+  return checkpointer;
 }
 
 // ---- CheckpointStore ---------------------------------------------------

@@ -22,7 +22,9 @@ uint64_t ChunkOf(std::span<const uint64_t> words, std::size_t band,
   return (word >> (bit % 64)) & ((uint64_t{1} << band_bits) - 1);
 }
 
-Status ValidateClusterConfig(const ClusterConquerConfig& config) {
+}  // namespace
+
+Status ValidateClusterConquerConfig(const ClusterConquerConfig& config) {
   if (config.num_clusters == 0) {
     return Status::InvalidArgument("cluster-conquer needs >= 1 cluster");
   }
@@ -41,12 +43,10 @@ Status ValidateClusterConfig(const ClusterConquerConfig& config) {
   return Status::OK();
 }
 
-}  // namespace
-
 Result<ClusterAssignment> ComputeClusterAssignment(
     const Dataset& dataset, const ClusterConquerConfig& config,
     ThreadPool* pool, const obs::PipelineContext* obs) {
-  GF_RETURN_IF_ERROR(ValidateClusterConfig(config));
+  GF_RETURN_IF_ERROR(ValidateClusterConquerConfig(config));
 
   // The clustering sketch: a small SHF per user, independent of the
   // similarity fingerprints (its only job is routing users to buckets).
@@ -173,18 +173,6 @@ Result<ClusterAssignment> ComputeClusterAssignment(
     obs->SetGauge("cc.clusters", static_cast<double>(nonempty));
   }
   return out;
-}
-
-uint64_t ClusterConquerSeedTag(const ClusterConquerConfig& config,
-                               uint64_t greedy_seed) {
-  uint64_t tag = hash::Murmur3Hash64(config.seed, greedy_seed);
-  tag = hash::Murmur3Hash64(config.num_clusters, tag);
-  tag = hash::Murmur3Hash64(config.assignments, tag);
-  tag = hash::Murmur3Hash64(config.sketch_bits, tag);
-  tag = hash::Murmur3Hash64(config.band_bits, tag);
-  tag = hash::Murmur3Hash64(config.max_cluster_size, tag);
-  tag = hash::Murmur3Hash64(static_cast<uint64_t>(config.inner), tag);
-  return tag;
 }
 
 Status ValidateClusterCheckpoint(const BuildCheckpoint& checkpoint,

@@ -147,12 +147,7 @@ KnnGraph RefreshKnnGraph(const KnnGraph& previous, const Provider& provider,
   }
 
   KnnGraph graph = lists.Finalize();
-  if (stats != nullptr) {
-    stats->seconds = timer.ElapsedSeconds();
-    stats->similarity_computations = computations;
-    stats->iterations = 1 + config.refine_iterations;
-    stats->updates_per_iteration.clear();
-  }
+  RecordBuildStats(stats, timer, computations, 1 + config.refine_iterations);
   return graph;
 }
 

@@ -100,12 +100,7 @@ KnnGraph Run(const Dataset& dataset, const KiffConfig& config,
   });
 
   KnnGraph graph = lists.Finalize();
-  if (stats != nullptr) {
-    stats->seconds = timer.ElapsedSeconds();
-    stats->similarity_computations = computations.load();
-    stats->iterations = 1;
-    stats->updates_per_iteration.clear();
-  }
+  RecordBuildStats(stats, timer, computations.load(), 1);
   return graph;
 }
 

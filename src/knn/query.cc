@@ -40,8 +40,8 @@ std::shared_ptr<const ShardedFingerprintStore> WholeStore(
           .value());
 }
 
-// The argument check every engine shares: k >= 1, and a query of
-// `query_bits` bits against a store of `num_bits`.
+}  // namespace
+
 Status CheckQuery(std::size_t num_bits, std::size_t query_bits,
                   std::size_t k) {
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
@@ -61,8 +61,6 @@ Status CheckQueries(std::size_t num_bits, std::span<const Shf> queries,
   }
   return Status::OK();
 }
-
-}  // namespace
 
 ScoredLists MergeTopK(std::span<const ScoredLists> partials,
                       std::size_t num_queries, std::size_t k) {
@@ -320,13 +318,13 @@ Result<std::vector<std::vector<Neighbor>>> CandidateRescorer::QueryBatch(
   return results;
 }
 
-BandedShfQueryEngine::BandedShfQueryEngine(const FingerprintStore& store,
+BandedShfQueryEngine::BandedShfQueryEngine(SnapshotPtr snapshot,
                                            const Options& options,
                                            ThreadPool* pool,
                                            const obs::PipelineContext* obs)
-    : store_(&store),
+    : snapshot_(std::move(snapshot)),
       band_bits_(options.band_bits),
-      bands_(store.num_bits() / options.band_bits),
+      bands_(snapshot_->store().num_bits() / options.band_bits),
       seed_(options.seed),
       tables_(bands_),
       rescorer_(pool, obs, "query.banded") {}
@@ -347,15 +345,19 @@ uint64_t BandedShfQueryEngine::ChunkOf(std::span<const uint64_t> words,
 }
 
 Result<BandedShfQueryEngine> BandedShfQueryEngine::Build(
-    const FingerprintStore& store, const Options& options, ThreadPool* pool,
+    SnapshotPtr snapshot, const Options& options, ThreadPool* pool,
     const obs::PipelineContext* obs) {
+  if (snapshot == nullptr) {
+    return Status::InvalidArgument("snapshot must be non-null");
+  }
   if (options.band_bits == 0 || 64 % options.band_bits != 0) {
     return Status::InvalidArgument(
         "band_bits must divide 64 (got " +
         std::to_string(options.band_bits) + ")");
   }
   obs::ScopedPhase phase(obs, "query.banded.build");
-  BandedShfQueryEngine engine(store, options, pool, obs);
+  BandedShfQueryEngine engine(std::move(snapshot), options, pool, obs);
+  const FingerprintStore& store = engine.snapshot_->store();
 
   // Band chunks in parallel, table fill sequential (tables are not
   // concurrent); chunk value 0 means "empty band, unindexed" — a zero
@@ -387,16 +389,9 @@ Result<BandedShfQueryEngine> BandedShfQueryEngine::Build(
 }
 
 Result<BandedShfQueryEngine> BandedShfQueryEngine::Build(
-    SnapshotPtr snapshot, const Options& options, ThreadPool* pool,
+    const FingerprintStore& store, const Options& options, ThreadPool* pool,
     const obs::PipelineContext* obs) {
-  if (snapshot == nullptr) {
-    return Status::InvalidArgument("snapshot must be non-null");
-  }
-  auto engine = Build(snapshot->store(), options, pool, obs);
-  if (!engine.ok()) return engine.status();
-  engine->pinned_ = std::move(snapshot);
-  engine->store_ = &engine->pinned_->store();
-  return std::move(engine).value();
+  return Build(StoreSnapshot::Borrow(store), options, pool, obs);
 }
 
 void BandedShfQueryEngine::CollectBandCandidates(
@@ -423,7 +418,7 @@ Result<std::vector<Neighbor>> BandedShfQueryEngine::Query(
 Result<std::vector<std::vector<Neighbor>>> BandedShfQueryEngine::QueryBatch(
     std::span<const Shf> queries, std::size_t k) const {
   return rescorer_.QueryBatch(
-      *store_, queries, k,
+      snapshot_->store(), queries, k,
       [this](const Shf& query, std::size_t, std::vector<UserId>* out) {
         CollectBandCandidates(query, out);
       });
@@ -479,7 +474,8 @@ Result<BandedShfQueryEngine> BandedShfQueryEngine::FromSerialized(
   Options options;
   options.band_bits = static_cast<std::size_t>(band_bits);
   options.seed = seed;
-  BandedShfQueryEngine engine(store, options, pool, obs);
+  BandedShfQueryEngine engine(StoreSnapshot::Borrow(store), options, pool,
+                              obs);
 
   const std::size_t num_users = store.num_users();
   for (std::size_t band = 0; band < engine.bands_; ++band) {

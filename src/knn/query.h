@@ -154,6 +154,17 @@ ScoredLists MergeTopK(std::span<const ScoredLists> partials,
 /// TopKSelector::Take applies.
 std::vector<std::vector<Neighbor>> ToNeighbors(const ScoredLists& scored);
 
+/// The one argument check of every engine and of the serving front
+/// ends (QueryService, SnapshotQueryEngine): k >= 1, and a query of
+/// `query_bits` bits against a store of `num_bits`. InvalidArgument
+/// otherwise.
+Status CheckQuery(std::size_t num_bits, std::size_t query_bits,
+                  std::size_t k);
+
+/// CheckQuery over a batch; k is checked for empty batches too.
+Status CheckQueries(std::size_t num_bits, std::span<const Shf> queries,
+                    std::size_t k);
+
 /// The exhaustive engine: answers queries by scoring every stored
 /// fingerprint. The input type picks how a batch is split:
 ///   * plain store or snapshot — ParallelFor row chunks on `pool`;
@@ -286,24 +297,22 @@ class BandedShfQueryEngine {
     uint64_t seed = 0xB4D5;
   };
 
-  /// Indexes `store` (which must outlive the engine, as must `obs`).
-  /// Band keys are computed in parallel when `pool` is non-null; the
-  /// same pool parallelizes QueryBatch across queries. The one-arg
-  /// overload (below the class) uses default Options.
-  static Result<BandedShfQueryEngine> Build(
-      const FingerprintStore& store, const Options& options,
-      ThreadPool* pool = nullptr, const obs::PipelineContext* obs = nullptr);
-  static Result<BandedShfQueryEngine> Build(const FingerprintStore& store);
-
-  /// Epoch-pinned Build: indexes the snapshot's store and co-owns the
-  /// snapshot, so band candidates and rescoring both read the pinned
-  /// epoch (DESIGN.md §15).
+  /// Indexes the snapshot's store and co-owns the snapshot, so band
+  /// candidates and rescoring both read the pinned epoch (DESIGN.md
+  /// §15). Band keys are computed in parallel when `pool` is non-null;
+  /// the same pool parallelizes QueryBatch across queries. `obs` must
+  /// outlive the engine.
   static Result<BandedShfQueryEngine> Build(
       SnapshotPtr snapshot, const Options& options, ThreadPool* pool = nullptr,
       const obs::PipelineContext* obs = nullptr);
 
-  /// The pinned snapshot; nullptr for raw-store builds.
-  const SnapshotPtr& pinned_snapshot() const { return pinned_; }
+  /// Borrows `store`, which must outlive the engine: the Build above
+  /// over StoreSnapshot::Borrow(store). The one-arg overload (below the
+  /// class) uses default Options.
+  static Result<BandedShfQueryEngine> Build(
+      const FingerprintStore& store, const Options& options,
+      ThreadPool* pool = nullptr, const obs::PipelineContext* obs = nullptr);
+  static Result<BandedShfQueryEngine> Build(const FingerprintStore& store);
 
   /// The k most similar stored users among the band-collision
   /// candidates of `query`. May return fewer than k (even zero — a
@@ -323,12 +332,13 @@ class BandedShfQueryEngine {
   /// index file (io/gfix.h).
   std::string SerializeIndexPayload() const;
 
-  /// Rebuilds an engine over `store` from SerializeIndexPayload bytes
-  /// without re-hashing a single fingerprint (the mmap hydration path:
-  /// O(indexed entries) table fill instead of O(users x bands) chunk
-  /// computation). Mismatched geometry, out-of-range user ids and
-  /// counts that exceed the payload are rejected as Corruption before
-  /// any proportional allocation.
+  /// Rebuilds an engine over `store` (borrowed, so it must outlive the
+  /// engine) from SerializeIndexPayload bytes without re-hashing a
+  /// single fingerprint (the mmap hydration path: O(indexed entries)
+  /// table fill instead of O(users x bands) chunk computation).
+  /// Mismatched geometry, out-of-range user ids and counts that exceed
+  /// the payload are rejected as Corruption before any proportional
+  /// allocation.
   static Result<BandedShfQueryEngine> FromSerialized(
       const FingerprintStore& store, std::string_view payload,
       ThreadPool* pool = nullptr, const obs::PipelineContext* obs = nullptr);
@@ -345,14 +355,13 @@ class BandedShfQueryEngine {
   std::size_t num_bands() const { return bands_; }
 
  private:
-  BandedShfQueryEngine(const FingerprintStore& store, const Options& options,
+  BandedShfQueryEngine(SnapshotPtr snapshot, const Options& options,
                        ThreadPool* pool, const obs::PipelineContext* obs);
 
   uint64_t BandKey(std::size_t band, uint64_t chunk) const;
   uint64_t ChunkOf(std::span<const uint64_t> words, std::size_t band) const;
 
-  SnapshotPtr pinned_;
-  const FingerprintStore* store_;
+  SnapshotPtr snapshot_;
   std::size_t band_bits_;
   std::size_t bands_;
   uint64_t seed_;

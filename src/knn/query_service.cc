@@ -1,8 +1,9 @@
 #include "knn/query_service.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
+
+#include "knn/query.h"
 
 namespace gf {
 
@@ -50,12 +51,12 @@ void QueryService::UpdateDepthGauge() {
 std::future<Result<std::vector<Neighbor>>> QueryService::Submit(
     Shf query, std::size_t k, uint64_t deadline_micros) {
   if (submitted_ != nullptr) submitted_->Add(1);
-  if (k == 0) return ImmediateError(Status::InvalidArgument("k must be >= 1"));
-  if (options_.expected_bits != 0 &&
-      query.num_bits() != options_.expected_bits) {
-    return ImmediateError(Status::InvalidArgument(
-        "query fingerprint has " + std::to_string(query.num_bits()) +
-        " bits, service expects " + std::to_string(options_.expected_bits)));
+  // Without an expected bit length only k is checked here.
+  const std::size_t bits = options_.expected_bits != 0
+                               ? options_.expected_bits
+                               : query.num_bits();
+  if (Status status = CheckQuery(bits, query.num_bits(), k); !status.ok()) {
+    return ImmediateError(std::move(status));
   }
   // L1 fast path: a cached exact answer resolves here — no queue slot,
   // no linger, no scan. The probe is keyed to the source's CURRENT

@@ -105,9 +105,9 @@ void ServingCache::FillEntry(Entry& entry, uint64_t hash, const Shf& query,
 }
 
 bool ServingCache::Lookup(const Shf& query, std::size_t k, uint64_t epoch,
-                          std::vector<Neighbor>* out) {
+                          std::vector<Neighbor>* out, bool count_miss) {
   if (capacity_ == 0) {
-    Bump(misses_, obs_misses_);
+    if (count_miss) Bump(misses_, obs_misses_);
     return false;
   }
   const uint64_t t0 =
@@ -143,8 +143,34 @@ bool ServingCache::Lookup(const Shf& query, std::size_t k, uint64_t epoch,
       }
     }
   }
-  Bump(misses_, obs_misses_);
+  if (count_miss) Bump(misses_, obs_misses_);
   return false;
+}
+
+Result<std::vector<std::vector<Neighbor>>> ServingCache::Serve(
+    std::span<const Shf> queries, std::size_t k, uint64_t epoch,
+    const MissFn& compute) {
+  std::vector<std::vector<Neighbor>> results(queries.size());
+  std::vector<std::size_t> miss_at;
+  std::vector<Shf> misses;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (!Lookup(queries[i], k, epoch, &results[i])) {
+      miss_at.push_back(i);
+      misses.push_back(queries[i]);
+    }
+  }
+  if (misses.empty()) return results;
+  bool cacheable = true;
+  auto computed = compute(misses, &cacheable);
+  if (!computed.ok()) return computed.status();
+  // Misses fill the cache on batch completion: every entry is the
+  // engine's own answer at this epoch, so a later hit replays it bit
+  // for bit.
+  for (std::size_t j = 0; j < miss_at.size(); ++j) {
+    results[miss_at[j]] = std::move((*computed)[j]);
+    if (cacheable) Insert(misses[j], k, epoch, results[miss_at[j]]);
+  }
+  return results;
 }
 
 void ServingCache::Insert(const Shf& query, std::size_t k, uint64_t epoch,

@@ -44,6 +44,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/result.h"
 #include "core/shf.h"
 #include "knn/graph.h"
 #include "obs/pipeline_context.h"
@@ -81,9 +82,29 @@ class ServingCache {
   /// On hit, copies the stored result into `*out` and returns true.
   /// Hits require full SHF equality, equal k AND equal epoch; an entry
   /// whose epoch differs from `epoch` is reclaimed on the spot
-  /// (lazy stale eviction) and reported as a miss.
+  /// (lazy stale eviction) and reported as a miss. A hit is always
+  /// counted, a miss only with `count_miss`: a pre-queue probe
+  /// (SnapshotQueryEngine::TryCached) passes false, because the batch
+  /// that later serves the request probes again and counts it there.
   bool Lookup(const Shf& query, std::size_t k, uint64_t epoch,
-              std::vector<Neighbor>* out);
+              std::vector<Neighbor>* out, bool count_miss = true);
+
+  /// Computes the answers of a batch's cache misses (one per miss, in
+  /// order). Clearing `*cacheable` keeps them out of the cache — a
+  /// partial cluster merge is missing rows and must never be replayed
+  /// as exact.
+  using MissFn = std::function<Result<std::vector<std::vector<Neighbor>>>(
+      std::span<const Shf> misses, bool* cacheable)>;
+
+  /// The probe / compute-the-misses / fill loop of both serving tiers
+  /// (SnapshotQueryEngine, ClusterCoordinator): probes every query at
+  /// `epoch`, hands the misses to `compute` in one call (none when
+  /// every query hits), fills the cache from its answers and returns
+  /// all answers in query order. Each query counts once: as a hit
+  /// where the cache answers it, as a miss where `compute` does.
+  Result<std::vector<std::vector<Neighbor>>> Serve(
+      std::span<const Shf> queries, std::size_t k, uint64_t epoch,
+      const MissFn& compute);
 
   /// Stores (or refreshes) the result for (query, k, epoch). Evicts
   /// per the CLOCK policy when the shard is full. `result` is copied.

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "knn/query.h"
+
 namespace gf {
 
 SnapshotQueryEngine::SnapshotQueryEngine(const SnapshotSource* source,
@@ -88,45 +90,31 @@ Result<std::vector<std::vector<Neighbor>>> SnapshotQueryEngine::RunEngine(
 Result<SnapshotQueryEngine::PinnedResults>
 SnapshotQueryEngine::QueryBatchPinned(std::span<const Shf> queries,
                                       std::size_t k) const {
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
   std::shared_ptr<const Pinned> pinned;
   GF_ASSIGN_OR_RETURN(pinned, AcquirePinned());
+  GF_RETURN_IF_ERROR(
+      CheckQueries(pinned->snapshot->store().num_bits(), queries, k));
 
-  if (cache_ == nullptr) {
-    auto results = RunEngine(*pinned, queries, k);
-    if (!results.ok()) return results.status();
-    if (recent_ != nullptr) {
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        recent_->Record(queries[i], (*results)[i]);
+  auto compute = [&](std::span<const Shf> batch)
+      -> Result<std::vector<std::vector<Neighbor>>> {
+    auto results = RunEngine(*pinned, batch, k);
+    if (results.ok() && recent_ != nullptr) {
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        recent_->Record(batch[i], (*results)[i]);
       }
     }
-    return PinnedResults{pinned->snapshot, std::move(results).value()};
-  }
-
-  // Probe the L1 at the pinned epoch; only the misses pay the engine.
-  const uint64_t epoch = pinned->snapshot->epoch();
-  std::vector<std::vector<Neighbor>> results(queries.size());
-  std::vector<std::size_t> miss_at;
-  std::vector<Shf> misses;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (!cache_->Lookup(queries[i], k, epoch, &results[i])) {
-      miss_at.push_back(i);
-      misses.push_back(queries[i]);
-    }
-  }
-  if (!misses.empty()) {
-    auto computed = RunEngine(*pinned, misses, k);
-    if (!computed.ok()) return computed.status();
-    // Misses fill the cache on batch completion: every entry is the
-    // engine's own answer at this epoch, so a later hit replays it
-    // bit for bit.
-    for (std::size_t j = 0; j < miss_at.size(); ++j) {
-      results[miss_at[j]] = std::move((*computed)[j]);
-      cache_->Insert(misses[j], k, epoch, results[miss_at[j]]);
-      if (recent_ != nullptr) recent_->Record(misses[j], results[miss_at[j]]);
-    }
-  }
-  return PinnedResults{pinned->snapshot, std::move(results)};
+    return results;
+  };
+  // With the L1, only the misses at the pinned epoch pay the engine.
+  auto results =
+      cache_ == nullptr
+          ? compute(queries)
+          : cache_->Serve(queries, k, pinned->snapshot->epoch(),
+                          [&](std::span<const Shf> misses, bool*) {
+                            return compute(misses);
+                          });
+  if (!results.ok()) return results.status();
+  return PinnedResults{pinned->snapshot, std::move(results).value()};
 }
 
 Result<std::vector<std::vector<Neighbor>>> SnapshotQueryEngine::QueryBatch(
@@ -148,7 +136,7 @@ bool SnapshotQueryEngine::TryCached(const Shf& query, std::size_t k,
   if (cache_ == nullptr) return false;
   const SnapshotPtr snap = source_->Acquire();
   if (snap == nullptr) return false;
-  return cache_->Lookup(query, k, snap->epoch(), out);
+  return cache_->Lookup(query, k, snap->epoch(), out, /*count_miss=*/false);
 }
 
 QueryService::BatchFn SnapshotQueryEngine::AsBatchFn() const {

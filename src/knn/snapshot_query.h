@@ -113,7 +113,8 @@ class SnapshotQueryEngine {
   Result<std::vector<Neighbor>> Query(const Shf& query, std::size_t k) const;
 
   /// L1 probe at the CURRENT epoch, engine untouched. False without a
-  /// cache, on a miss, or when the source has no snapshot.
+  /// cache, on a miss, or when the source has no snapshot. A miss is
+  /// not counted: the batch that later serves the request counts it.
   bool TryCached(const Shf& query, std::size_t k,
                  std::vector<Neighbor>* out) const;
 

@@ -18,14 +18,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/timer.h"
 #include "obs/metrics.h"
 
 namespace gf {
 
-/// Filled by the construction functions in brute_force.h / hyrec.h /
-/// nndescent.h / lsh.h.
+/// Filled by every construction (brute_force.h, hyrec.h, nndescent.h,
+/// banded_lsh.h, ...) through RecordBuildStats.
 struct KnnBuildStats {
   /// Wall-clock seconds of the construction (excludes dataset /
   /// fingerprint preparation, matching the paper's §3.4 methodology).
@@ -46,6 +48,18 @@ struct KnnBuildStats {
                         : static_cast<double>(similarity_computations) / denom;
   }
 };
+
+/// The tail every construction shares: fills `*stats` (when non-null)
+/// with `timer`'s elapsed time and the build's tallies.
+inline void RecordBuildStats(KnnBuildStats* stats, const WallTimer& timer,
+                             uint64_t computations, std::size_t iterations,
+                             std::vector<uint64_t> updates = {}) {
+  if (stats == nullptr) return;
+  stats->seconds = timer.ElapsedSeconds();
+  stats->similarity_computations = computations;
+  stats->iterations = iterations;
+  stats->updates_per_iteration = std::move(updates);
+}
 
 /// Registry names of the build statistics. Per-iteration updates are
 /// zero-padded child counters ("knn.iteration_updates.007") so the

@@ -277,42 +277,29 @@ Result<ClusterCoordinator::ClusterAnswer> ClusterCoordinator::QueryBatch(
   // the scatter. A replayed row came from a COMPLETE merged answer, so
   // it covers the full user range regardless of what this batch's
   // scatter achieves.
-  const uint64_t epoch = core_->cache_epoch.load(std::memory_order_acquire);
-  std::vector<std::vector<Neighbor>> results(queries.size());
-  std::vector<std::size_t> miss_at;
-  std::vector<Shf> misses;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (!core_->cache->Lookup(queries[i], k, epoch, &results[i])) {
-      miss_at.push_back(i);
-      misses.push_back(queries[i]);
-    }
-  }
-  if (miss_at.empty()) {
-    ClusterAnswer answer;
-    answer.shards_total = core_->config.num_shards();
-    answer.shards_answered = answer.shards_total;
-    answer.shard_status.resize(answer.shards_total);
-    answer.results = std::move(results);
-    if (core_->batches != nullptr) core_->batches->Add(1);
-    return answer;
-  }
-
-  auto scattered = ScatterBatch(misses, k);
-  if (!scattered.ok()) return scattered.status();
   ClusterAnswer answer;
-  answer.shards_total = scattered->shards_total;
-  answer.shards_answered = scattered->shards_answered;
-  answer.shard_status = std::move(scattered->shard_status);
-  answer.results = std::move(results);
-  // Only complete merges are cached: a partial answer is missing rows
-  // from the failed shards and must never be replayed as exact.
-  const bool fill = scattered->complete();
-  for (std::size_t j = 0; j < miss_at.size(); ++j) {
-    answer.results[miss_at[j]] = std::move(scattered->results[j]);
-    if (fill) {
-      core_->cache->Insert(misses[j], k, epoch, answer.results[miss_at[j]]);
-    }
-  }
+  answer.shards_total = core_->config.num_shards();
+  answer.shards_answered = answer.shards_total;
+  answer.shard_status.resize(answer.shards_total);
+  bool scattered = false;
+  auto results = core_->cache->Serve(
+      queries, k, core_->cache_epoch.load(std::memory_order_acquire),
+      [&](std::span<const Shf> misses, bool* cacheable)
+          -> Result<std::vector<std::vector<Neighbor>>> {
+        auto scatter = ScatterBatch(misses, k);
+        if (!scatter.ok()) return scatter.status();
+        scattered = true;
+        answer.shards_answered = scatter->shards_answered;
+        answer.shard_status = std::move(scatter->shard_status);
+        // Only complete merges are cached: a partial answer is missing
+        // rows from the failed shards and must never be replayed as
+        // exact.
+        *cacheable = scatter->complete();
+        return std::move(scatter->results);
+      });
+  if (!results.ok()) return results.status();
+  answer.results = std::move(results).value();
+  if (!scattered && core_->batches != nullptr) core_->batches->Add(1);
   return answer;
 }
 

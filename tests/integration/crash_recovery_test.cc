@@ -1,10 +1,10 @@
-// Crash-recovery end to end: kill a checkpointed build at every scripted
-// fault point, resume it, and require the final graph to be
-// edge-for-edge identical — same neighbor ids, same similarities, same
-// tie-breaks — to an uninterrupted build. All builds run single-threaded
-// (pool = nullptr): NNDescent's cross-row InsertLocked updates make its
-// result thread-schedule-dependent, and bitwise identity is exactly what
-// this suite asserts.
+// Crash-recovery end to end: kill a build with a checkpoint directory
+// at every scripted fault point, resume it, and require the final graph
+// to be edge-for-edge identical — same neighbor ids, same similarities,
+// same tie-breaks — to an uninterrupted build without one. All builds
+// run single-threaded (pool = nullptr): NNDescent's cross-row
+// InsertLocked updates make its result thread-schedule-dependent, and
+// bitwise identity is exactly what this suite asserts.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,10 @@
 
 #include "io/env.h"
 #include "io/fault_env.h"
-#include "knn/checkpointed_build.h"
+#include "knn/brute_force.h"
+#include "knn/cluster_conquer.h"
+#include "knn/hyrec.h"
+#include "knn/nndescent.h"
 #include "knn/similarity_provider.h"
 #include "testing/test_util.h"
 
@@ -59,7 +62,7 @@ void ExpectGraphsIdentical(const KnnGraph& a, const KnnGraph& b,
   }
 }
 
-/// One checkpointed-build scenario: `run(config)` executes the build
+/// One resumable-build scenario: `run(config)` executes the build
 /// against whatever Env the config carries and returns its result.
 using BuildFn =
     std::function<Result<KnnGraph>(const CheckpointConfig& config)>;
@@ -70,8 +73,8 @@ using BuildFn =
 /// the baseline graph.
 void RunCrashMatrix(const std::string& tag, const KnnGraph& baseline,
                     const BuildFn& build) {
-  // Clean checkpointed run: must already match the plain build, and
-  // tells us how many checkpoint writes the build performs.
+  // Clean run with a checkpoint directory: must already match the build
+  // without one, and tells us how many checkpoint writes it performs.
   uint64_t writes = 0;
   {
     FaultInjectingEnv env(BaseEnv());
@@ -129,11 +132,11 @@ void RunCrashMatrix(const std::string& tag, const KnnGraph& baseline,
 TEST(CrashRecoveryTest, BruteForce) {
   const Dataset d = testing::SmallSynthetic(100);
   ExactJaccardProvider provider(d);
-  const KnnGraph baseline = BruteForceKnn(provider, 6);
+  const KnnGraph baseline = BruteForceKnn(provider, 6).value();
   RunCrashMatrix("bruteforce", baseline, [&](const CheckpointConfig& base) {
     CheckpointConfig config = base;
     config.chunk_users = 25;
-    return CheckpointedBruteForceKnn(provider, 6, config);
+    return BruteForceKnn(provider, 6, nullptr, nullptr, nullptr, config);
   });
 }
 
@@ -144,9 +147,9 @@ TEST(CrashRecoveryTest, Hyrec) {
   greedy.k = 6;
   greedy.max_iterations = 6;
   greedy.seed = 17;
-  const KnnGraph baseline = HyrecKnn(provider, greedy);
+  const KnnGraph baseline = HyrecKnn(provider, greedy).value();
   RunCrashMatrix("hyrec", baseline, [&](const CheckpointConfig& config) {
-    return CheckpointedHyrecKnn(provider, greedy, config);
+    return HyrecKnn(provider, greedy, nullptr, nullptr, nullptr, config);
   });
 }
 
@@ -157,10 +160,38 @@ TEST(CrashRecoveryTest, NNDescent) {
   greedy.k = 6;
   greedy.max_iterations = 6;
   greedy.seed = 17;
-  const KnnGraph baseline = NNDescentKnn(provider, greedy);
+  const KnnGraph baseline = NNDescentKnn(provider, greedy).value();
   RunCrashMatrix("nndescent", baseline, [&](const CheckpointConfig& config) {
-    return CheckpointedNNDescentKnn(provider, greedy, config);
+    return NNDescentKnn(provider, greedy, nullptr, nullptr, nullptr, config);
   });
+}
+
+// Cluster-and-Conquer snapshots after every wave of `every` clusters;
+// a crash at any of those writes must resume to the uninterrupted graph
+// (the conquer merge is order-independent, so replaying the tail of the
+// cluster sequence over the restored lists changes nothing).
+TEST(CrashRecoveryTest, ClusterConquer) {
+  const Dataset d = testing::SmallSynthetic(100);
+  ExactJaccardProvider provider(d);
+  GreedyConfig greedy;
+  greedy.k = 6;
+  greedy.max_iterations = 6;
+  greedy.seed = 17;
+  ClusterConquerConfig cc;
+  cc.num_clusters = 7;
+  cc.assignments = 2;
+  cc.sketch_bits = 128;
+  cc.band_bits = 8;
+  cc.inner = ClusterConquerInner::kHyrec;
+  const KnnGraph baseline =
+      ClusterConquerKnn(d, provider, cc, greedy).value();
+  RunCrashMatrix("cluster_conquer", baseline,
+                 [&](const CheckpointConfig& base) {
+                   CheckpointConfig config = base;
+                   config.every = 2;
+                   return ClusterConquerKnn(d, provider, cc, greedy, nullptr,
+                                            nullptr, nullptr, config);
+                 });
 }
 
 // A hard kill mid-build (every I/O operation failing from a scripted
@@ -169,7 +200,7 @@ TEST(CrashRecoveryTest, NNDescent) {
 TEST(CrashRecoveryTest, HardKillSwitchThenResume) {
   const Dataset d = testing::SmallSynthetic(100);
   ExactJaccardProvider provider(d);
-  const KnnGraph baseline = BruteForceKnn(provider, 6);
+  const KnnGraph baseline = BruteForceKnn(provider, 6).value();
 
   uint64_t total_ops = 0;
   {
@@ -178,7 +209,8 @@ TEST(CrashRecoveryTest, HardKillSwitchThenResume) {
     config.dir = FreshDir("kill_count");
     config.env = &env;
     config.chunk_users = 25;
-    ASSERT_TRUE(CheckpointedBruteForceKnn(provider, 6, config).ok());
+    ASSERT_TRUE(
+        BruteForceKnn(provider, 6, nullptr, nullptr, nullptr, config).ok());
     total_ops = env.op_count();
   }
   ASSERT_GT(total_ops, 2u);
@@ -198,7 +230,8 @@ TEST(CrashRecoveryTest, HardKillSwitchThenResume) {
     config.env = &env;
     config.chunk_users = 25;
     env.FailFrom(kill_at);
-    auto crashed = CheckpointedBruteForceKnn(provider, 6, config);
+    auto crashed =
+        BruteForceKnn(provider, 6, nullptr, nullptr, nullptr, config);
     if (crashed.ok()) {
       ExpectGraphsIdentical(baseline, *crashed, context + " (survived)");
       continue;
@@ -207,7 +240,8 @@ TEST(CrashRecoveryTest, HardKillSwitchThenResume) {
 
     env.ClearFaults();
     config.resume = true;
-    auto resumed = CheckpointedBruteForceKnn(provider, 6, config);
+    auto resumed =
+        BruteForceKnn(provider, 6, nullptr, nullptr, nullptr, config);
     ASSERT_TRUE(resumed.ok())
         << context << ": resume failed: " << resumed.status().ToString();
     ExpectGraphsIdentical(baseline, *resumed, context);

@@ -88,7 +88,8 @@ std::vector<Artifact> AllArtifacts() {
       {"fingerprints",
        SerializeFingerprintStore(FingerprintStore::Build(d, config).value()),
        &ParseFingerprints},
-      {"graph", SerializeKnnGraph(BruteForceKnn(provider, 4)), &ParseGraph},
+      {"graph", SerializeKnnGraph(BruteForceKnn(provider, 4).value()),
+       &ParseGraph},
       {"checkpoint", CheckpointBytes(), &ParseCheckpoint},
       {"cc_checkpoint", ClusterCheckpointBytes(), &ParseCheckpoint},
   };

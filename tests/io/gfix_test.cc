@@ -8,6 +8,7 @@
 #include "io/gfix.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <string>
@@ -119,9 +120,11 @@ void ResealSection(std::string& file, GfixSection id) {
 
 int g_file_seq = 0;
 
+// ctest runs every case in its own process, all sharing TempDir(): the
+// pid keeps one process's files from overwriting another's.
 std::string WritePath(const std::string& name) {
-  return TempDir("files") + "/" + name + "_" +
-         std::to_string(++g_file_seq) + ".gfix";
+  return TempDir("files") + "/" + name + "_" + std::to_string(::getpid()) +
+         "_" + std::to_string(++g_file_seq) + ".gfix";
 }
 
 // A written index (with shard bounds + bands) read back as raw bytes.

@@ -60,7 +60,7 @@ TEST(SerializationTest, FingerprintStoreRoundTrip) {
 TEST(SerializationTest, KnnGraphRoundTrip) {
   const Dataset d = testing::SmallSynthetic(40);
   ExactJaccardProvider provider(d);
-  const KnnGraph original = BruteForceKnn(provider, 5);
+  const KnnGraph original = BruteForceKnn(provider, 5).value();
   auto loaded = DeserializeKnnGraph(SerializeKnnGraph(original));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->NumUsers(), original.NumUsers());

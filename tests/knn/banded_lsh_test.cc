@@ -41,7 +41,7 @@ TEST(BandedLshTest, ProducesReasonableQualityGraph) {
   KnnBuildStats stats;
   const KnnGraph approx =
       BandedLshKnn(d, provider, Config(12, 2), nullptr, &stats);
-  const KnnGraph exact = BruteForceKnn(provider, 10);
+  const KnnGraph exact = BruteForceKnn(provider, 10).value();
   const double q = GraphQuality(AverageExactSimilarity(approx, d),
                                 AverageExactSimilarity(exact, d));
   EXPECT_GT(q, 0.75);

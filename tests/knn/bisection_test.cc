@@ -23,7 +23,7 @@ TEST(BisectionTest, SingleLeafIsExactBruteForce) {
   ExactJaccardProvider provider(d);
   BisectionConfig config = Config(100);  // never splits
   const KnnGraph bisect = RecursiveBisectionKnn(provider, config);
-  const KnnGraph exact = BruteForceKnn(provider, 10);
+  const KnnGraph exact = BruteForceKnn(provider, 10).value();
   for (UserId u = 0; u < d.NumUsers(); ++u) {
     const auto a = bisect.NeighborsOf(u);
     const auto b = exact.NeighborsOf(u);
@@ -40,7 +40,7 @@ TEST(BisectionTest, SplittingRetainsHighQuality) {
   KnnBuildStats stats;
   const KnnGraph bisect =
       RecursiveBisectionKnn(provider, Config(80), &stats);
-  const KnnGraph exact = BruteForceKnn(provider, 10);
+  const KnnGraph exact = BruteForceKnn(provider, 10).value();
   const double q = GraphQuality(AverageExactSimilarity(bisect, d),
                                 AverageExactSimilarity(exact, d));
   EXPECT_GT(q, 0.85);
@@ -117,7 +117,7 @@ TEST(BisectionTest, WorksWithGoldFingerProvider) {
   KnnBuildStats stats;
   const KnnGraph g = RecursiveBisectionKnn(provider, Config(60), &stats);
   ExactJaccardProvider exact_provider(d);
-  const KnnGraph exact = BruteForceKnn(exact_provider, 10);
+  const KnnGraph exact = BruteForceKnn(exact_provider, 10).value();
   const double q = GraphQuality(AverageExactSimilarity(g, d),
                                 AverageExactSimilarity(exact, d));
   EXPECT_GT(q, 0.75);

@@ -14,7 +14,7 @@ namespace {
 TEST(BruteForceTest, TinyDatasetExactNeighbors) {
   const Dataset d = testing::TinyDataset();
   ExactJaccardProvider provider(d);
-  const KnnGraph g = BruteForceKnn(provider, 1);
+  const KnnGraph g = BruteForceKnn(provider, 1).value();
   // u0's best neighbor is u2 (identical profile, J = 1).
   ASSERT_EQ(g.NeighborsOf(0).size(), 1u);
   EXPECT_EQ(g.NeighborsOf(0)[0].id, 2u);
@@ -27,7 +27,7 @@ TEST(BruteForceTest, MatchesReferenceArgTopK) {
   const Dataset d = testing::SmallSynthetic(80);
   ExactJaccardProvider provider(d);
   const std::size_t k = 5;
-  const KnnGraph g = BruteForceKnn(provider, k);
+  const KnnGraph g = BruteForceKnn(provider, k).value();
 
   for (UserId u = 0; u < d.NumUsers(); ++u) {
     // Reference: sort all similarities descending.
@@ -79,8 +79,8 @@ TEST(BruteForceTest, TiledScanProducesIdenticalGraphToPerPair) {
   GoldFingerProvider tiled(*store);
   PerPairGoldFingerProvider per_pair(*store);
   const std::size_t k = 7;
-  const KnnGraph gt = BruteForceKnn(tiled, k);
-  const KnnGraph gp = BruteForceKnn(per_pair, k);
+  const KnnGraph gt = BruteForceKnn(tiled, k).value();
+  const KnnGraph gp = BruteForceKnn(per_pair, k).value();
 
   // Identical graphs: same edges in the same order, same similarities,
   // same tie-breaks — bitwise, not approximately.
@@ -99,7 +99,7 @@ TEST(BruteForceTest, TiledScanProducesIdenticalGraphToPerPair) {
   // The parallel tiled scan agrees too (rows are thread-partitioned, so
   // the result is deterministic).
   ThreadPool pool(4);
-  const KnnGraph gt_par = BruteForceKnn(tiled, k, &pool);
+  const KnnGraph gt_par = BruteForceKnn(tiled, k, &pool).value();
   for (UserId u = 0; u < gt.NumUsers(); ++u) {
     const auto a = gt.NeighborsOf(u);
     const auto b = gt_par.NeighborsOf(u);
@@ -134,8 +134,8 @@ TEST(BruteForceTest, ParallelEqualsSequential) {
   const Dataset d = testing::SmallSynthetic(100);
   ExactJaccardProvider provider(d);
   ThreadPool pool(4);
-  const KnnGraph seq = BruteForceKnn(provider, 4, nullptr);
-  const KnnGraph par = BruteForceKnn(provider, 4, &pool);
+  const KnnGraph seq = BruteForceKnn(provider, 4, nullptr).value();
+  const KnnGraph par = BruteForceKnn(provider, 4, &pool).value();
   for (UserId u = 0; u < d.NumUsers(); ++u) {
     const auto a = seq.NeighborsOf(u);
     const auto b = par.NeighborsOf(u);
@@ -150,7 +150,7 @@ TEST(BruteForceTest, ParallelEqualsSequential) {
 TEST(BruteForceTest, KLargerThanUsers) {
   const Dataset d = testing::TinyDataset();
   ExactJaccardProvider provider(d);
-  const KnnGraph g = BruteForceKnn(provider, 10);
+  const KnnGraph g = BruteForceKnn(provider, 10).value();
   for (UserId u = 0; u < d.NumUsers(); ++u) {
     EXPECT_EQ(g.NeighborsOf(u).size(), 3u);  // everyone else
   }
@@ -161,7 +161,7 @@ TEST(BruteForceTest, SingleUserGraphIsEmpty) {
   ASSERT_TRUE(d.ok());
   ExactJaccardProvider provider(*d);
   KnnBuildStats stats;
-  const KnnGraph g = BruteForceKnn(provider, 3, nullptr, &stats);
+  const KnnGraph g = BruteForceKnn(provider, 3, nullptr, &stats).value();
   EXPECT_EQ(g.NeighborsOf(0).size(), 0u);
   EXPECT_EQ(stats.similarity_computations, 0u);
 }
@@ -175,8 +175,8 @@ TEST(BruteForceTest, GoldFingerGraphApproximatesExact) {
   GoldFingerProvider gf_provider(*store);
   ExactJaccardProvider exact_provider(d);
 
-  const KnnGraph approx = BruteForceKnn(gf_provider, 5);
-  const KnnGraph exact = BruteForceKnn(exact_provider, 5);
+  const KnnGraph approx = BruteForceKnn(gf_provider, 5).value();
+  const KnnGraph exact = BruteForceKnn(exact_provider, 5).value();
 
   // Average exact similarity of the GolFi edges close to the exact
   // graph's (the paper's quality metric; Table 4 reports >= 0.9).

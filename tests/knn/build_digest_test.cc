@@ -1,0 +1,122 @@
+// Pins the exact output of every construction the builder dispatches
+// to: a 64-bit FNV-1a digest of the serialized graph (ids and float
+// bits of every row), plus the similarity-computation and iteration
+// counts. Any change to a construction's loop, its seeding or its
+// candidate order shows up here, so a refactor that claims "same
+// behaviour" has to keep these numbers.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <string_view>
+
+#include "io/serialization.h"
+#include "knn/builder.h"
+#include "testing/test_util.h"
+
+namespace gf {
+namespace {
+
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+struct Pinned {
+  uint64_t digest;
+  uint64_t similarity_computations;
+  uint64_t iterations;
+};
+
+void ExpectPinned(const KnnPipelineConfig& config, const Pinned& want,
+                  const std::string& label) {
+  const Dataset d = testing::SmallSynthetic(240);
+  auto result = BuildKnnGraph(d, config);
+  ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+  const uint64_t digest = Fnv1a64(io::SerializeKnnGraph(result->graph));
+  EXPECT_EQ(digest, want.digest)
+      << label << " built {0x" << std::hex << digest << std::dec << ", "
+      << result->stats.similarity_computations << ", "
+      << result->stats.iterations << "}";
+  EXPECT_EQ(result->stats.similarity_computations,
+            want.similarity_computations)
+      << label;
+  EXPECT_EQ(result->stats.iterations, want.iterations) << label;
+}
+
+KnnPipelineConfig Base(KnnAlgorithm algorithm) {
+  KnnPipelineConfig config;
+  config.algorithm = algorithm;
+  config.greedy.k = 8;
+  config.greedy.max_iterations = 12;
+  config.greedy.seed = 0xD16E57;
+  config.cluster_conquer.num_clusters = 6;
+  config.cluster_conquer.assignments = 2;
+  config.cluster_conquer.sketch_bits = 128;
+  config.cluster_conquer.band_bits = 8;
+  config.fingerprint.num_bits = 512;
+  return config;
+}
+
+TEST(BuildDigestTest, BruteForce) {
+  ExpectPinned(Base(KnnAlgorithm::kBruteForce),
+               {0x1999c93935b5489fULL, 57360, 1}, "bruteforce");
+}
+
+TEST(BuildDigestTest, Hyrec) {
+  ExpectPinned(Base(KnnAlgorithm::kHyrec), {0x6debf5f5edf1cc9eULL, 38571, 6},
+               "hyrec");
+  KnnPipelineConfig golfi = Base(KnnAlgorithm::kHyrec);
+  golfi.mode = SimilarityMode::kGoldFinger;
+  ExpectPinned(golfi, {0x1adbe0b518ee1937ULL, 39628, 6}, "hyrec golfi");
+}
+
+TEST(BuildDigestTest, NNDescent) {
+  ExpectPinned(Base(KnnAlgorithm::kNNDescent),
+               {0x50bcf779b2e3e0b9ULL, 47519, 4}, "nndescent");
+}
+
+TEST(BuildDigestTest, ClusterConquer) {
+  ExpectPinned(Base(KnnAlgorithm::kClusterConquer),
+               {0xbb8ce56d37bfebf1ULL, 61940, 1}, "cluster-conquer");
+  KnnPipelineConfig hyrec = Base(KnnAlgorithm::kClusterConquer);
+  hyrec.cluster_conquer.inner = ClusterConquerInner::kHyrec;
+  ExpectPinned(hyrec, {0xc892c69a697b0a16ULL, 58945, 1},
+               "cluster-conquer hyrec");
+}
+
+TEST(BuildDigestTest, Lsh) {
+  const Pinned want[2][2] = {
+      // native: permutation, universal
+      {{0x69d1598087c16b70ULL, 26250, 1}, {0xddd9ee96018cdcf2ULL, 19496, 1}},
+      // GoldFinger: permutation, universal
+      {{0x4ad7202001d652d4ULL, 26250, 1}, {0xce4996e3aba0f1f7ULL, 19496, 1}},
+  };
+  const SimilarityMode modes[] = {SimilarityMode::kNative,
+                                  SimilarityMode::kGoldFinger};
+  const MinwiseKind kinds[] = {MinwiseKind::kExplicitPermutation,
+                               MinwiseKind::kUniversalHash};
+  for (int m = 0; m < 2; ++m) {
+    for (int f = 0; f < 2; ++f) {
+      KnnPipelineConfig config = Base(KnnAlgorithm::kLsh);
+      config.mode = modes[m];
+      config.lsh.kind = kinds[f];
+      ExpectPinned(config, want[m][f],
+                   "lsh mode " + std::to_string(m) + " kind " +
+                       std::to_string(f));
+    }
+  }
+}
+
+TEST(BuildDigestTest, BandedLsh) {
+  ExpectPinned(Base(KnnAlgorithm::kBandedLsh),
+               {0xa92338314c75a471ULL, 4838, 1}, "banded lsh");
+}
+
+}  // namespace
+}  // namespace gf

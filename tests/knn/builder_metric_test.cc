@@ -32,7 +32,7 @@ TEST(BuilderMetricTest, NativeCosineMatchesCosineProvider) {
       d, Config(SimilarityMode::kNative, SimilarityMetric::kCosine));
   ASSERT_TRUE(result.ok());
   CosineProvider provider(d);
-  const KnnGraph reference = BruteForceKnn(provider, 8);
+  const KnnGraph reference = BruteForceKnn(provider, 8).value();
   for (UserId u = 0; u < d.NumUsers(); ++u) {
     const auto a = result->graph.NeighborsOf(u);
     const auto b = reference.NeighborsOf(u);

@@ -72,7 +72,7 @@ TEST(GraphMetricsTest, GiniHighForHub) {
 TEST(GraphMetricsTest, RealKnnGraphIsWellConnected) {
   const Dataset d = testing::SmallSynthetic(200);
   ExactJaccardProvider provider(d);
-  const KnnGraph g = BruteForceKnn(provider, 10);
+  const KnnGraph g = BruteForceKnn(provider, 10).value();
   const auto stats = ConnectedComponents(g);
   // A k=10 graph over community data: the giant component dominates.
   EXPECT_GT(stats.largest, d.NumUsers() * 3 / 4);

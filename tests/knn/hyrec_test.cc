@@ -21,8 +21,8 @@ TEST(HyrecTest, ConvergesToHighQualityGraph) {
   const Dataset d = testing::SmallSynthetic(300);
   ExactJaccardProvider provider(d);
   KnnBuildStats stats;
-  const KnnGraph approx = HyrecKnn(provider, Config(), nullptr, &stats);
-  const KnnGraph exact = BruteForceKnn(provider, 10);
+  const KnnGraph approx = HyrecKnn(provider, Config(), nullptr, &stats).value();
+  const KnnGraph exact = BruteForceKnn(provider, 10).value();
 
   const double approx_avg = AverageExactSimilarity(approx, d);
   const double exact_avg = AverageExactSimilarity(exact, d);
@@ -78,8 +78,8 @@ TEST(HyrecTest, UpdatesDecreaseOverIterations) {
 TEST(HyrecTest, DeterministicGivenSeedSequential) {
   const Dataset d = testing::SmallSynthetic(120);
   ExactJaccardProvider provider(d);
-  const KnnGraph a = HyrecKnn(provider, Config(), nullptr);
-  const KnnGraph b = HyrecKnn(provider, Config(), nullptr);
+  const KnnGraph a = HyrecKnn(provider, Config(), nullptr).value();
+  const KnnGraph b = HyrecKnn(provider, Config(), nullptr).value();
   for (UserId u = 0; u < d.NumUsers(); ++u) {
     const auto na = a.NeighborsOf(u);
     const auto nb = b.NeighborsOf(u);
@@ -94,16 +94,16 @@ TEST(HyrecTest, ParallelRunReachesSameQuality) {
   const Dataset d = testing::SmallSynthetic(250);
   ExactJaccardProvider provider(d);
   ThreadPool pool(4);
-  const KnnGraph exact = BruteForceKnn(provider, 10);
+  const KnnGraph exact = BruteForceKnn(provider, 10).value();
   const double exact_avg = AverageExactSimilarity(exact, d);
-  const KnnGraph par = HyrecKnn(provider, Config(), &pool);
+  const KnnGraph par = HyrecKnn(provider, Config(), &pool).value();
   EXPECT_GT(GraphQuality(AverageExactSimilarity(par, d), exact_avg), 0.9);
 }
 
 TEST(HyrecTest, TinyDatasetDegenerate) {
   const Dataset d = testing::TinyDataset();
   ExactJaccardProvider provider(d);
-  const KnnGraph g = HyrecKnn(provider, Config(2), nullptr);
+  const KnnGraph g = HyrecKnn(provider, Config(2), nullptr).value();
   // With 4 users and k=2 Hyrec behaves like an exhaustive search.
   ASSERT_EQ(g.NeighborsOf(0).size(), 2u);
   EXPECT_EQ(g.NeighborsOf(0)[0].id, 2u);  // the identical profile
@@ -117,10 +117,10 @@ TEST(HyrecTest, WorksWithGoldFingerProvider) {
   ASSERT_TRUE(store.ok());
   GoldFingerProvider provider(*store);
   KnnBuildStats stats;
-  const KnnGraph g = HyrecKnn(provider, Config(), nullptr, &stats);
+  const KnnGraph g = HyrecKnn(provider, Config(), nullptr, &stats).value();
 
   ExactJaccardProvider exact_provider(d);
-  const KnnGraph exact = BruteForceKnn(exact_provider, 10);
+  const KnnGraph exact = BruteForceKnn(exact_provider, 10).value();
   const double q = GraphQuality(AverageExactSimilarity(g, d),
                                 AverageExactSimilarity(exact, d));
   EXPECT_GT(q, 0.8);  // paper Table 4: Hyrec+GolFi quality ~0.78-0.93
@@ -150,8 +150,8 @@ TEST(HyrecTest, BatchScoringMatchesPerPairScoringExactly) {
   GoldFingerProvider batched(*store);
   PerPairProvider per_pair{&*store};
   KnnBuildStats bs, ps;
-  const KnnGraph gb = HyrecKnn(batched, Config(), nullptr, &bs);
-  const KnnGraph gp = HyrecKnn(per_pair, Config(), nullptr, &ps);
+  const KnnGraph gb = HyrecKnn(batched, Config(), nullptr, &bs).value();
+  const KnnGraph gp = HyrecKnn(per_pair, Config(), nullptr, &ps).value();
 
   EXPECT_EQ(bs.similarity_computations, ps.similarity_computations);
   EXPECT_EQ(bs.iterations, ps.iterations);

@@ -32,7 +32,7 @@ std::vector<std::vector<ItemId>> ProfilesOf(const Dataset& d) {
 TEST(IncrementalTest, NoChangesIsIdentity) {
   const Dataset d = testing::SmallSynthetic(150);
   ExactJaccardProvider provider(d);
-  const KnnGraph original = BruteForceKnn(provider, 8);
+  const KnnGraph original = BruteForceKnn(provider, 8).value();
   KnnBuildStats stats;
   const KnnGraph refreshed =
       RefreshKnnGraph(original, provider, {}, {}, &stats);
@@ -53,7 +53,7 @@ TEST(IncrementalTest, RepairsAfterProfileChanges) {
 
   // Build on the original data.
   ExactJaccardProvider old_provider(d);
-  const KnnGraph original = BruteForceKnn(old_provider, 10);
+  const KnnGraph original = BruteForceKnn(old_provider, 10).value();
 
   // Mutate 10 users' profiles entirely.
   Rng rng(5);
@@ -71,7 +71,7 @@ TEST(IncrementalTest, RepairsAfterProfileChanges) {
   KnnBuildStats refresh_stats;
   const KnnGraph refreshed = RefreshKnnGraph(original, new_provider,
                                              changed, {}, &refresh_stats);
-  const KnnGraph rebuilt = BruteForceKnn(new_provider, 10);
+  const KnnGraph rebuilt = BruteForceKnn(new_provider, 10).value();
 
   const double rebuilt_avg = AverageExactSimilarity(rebuilt, mutated);
   const double refreshed_avg = AverageExactSimilarity(refreshed, mutated);
@@ -87,7 +87,7 @@ TEST(IncrementalTest, ChangedUsersRowsAreFullyRescored) {
   const Dataset d = testing::SmallSynthetic(120, 9);
   auto profiles = ProfilesOf(d);
   ExactJaccardProvider old_provider(d);
-  const KnnGraph original = BruteForceKnn(old_provider, 5);
+  const KnnGraph original = BruteForceKnn(old_provider, 5).value();
 
   Rng rng(7);
   ReplaceProfile(profiles, 3, d.NumItems(), rng);
@@ -115,7 +115,7 @@ TEST(IncrementalTest, ChangedUsersRowsAreFullyRescored) {
 TEST(IncrementalTest, DuplicateChangedUsersAreDeduplicated) {
   const Dataset d = testing::SmallSynthetic(80);
   ExactJaccardProvider provider(d);
-  const KnnGraph original = BruteForceKnn(provider, 5);
+  const KnnGraph original = BruteForceKnn(provider, 5).value();
   KnnBuildStats once, twice;
   RefreshKnnGraph(original, provider, {4}, {}, &once);
   RefreshKnnGraph(original, provider, {4, 4, 4}, {}, &twice);
@@ -129,7 +129,7 @@ TEST(IncrementalTest, WorksWithGoldFingerProvider) {
   auto store = FingerprintStore::Build(d, fc);
   ASSERT_TRUE(store.ok());
   GoldFingerProvider provider(*store);
-  const KnnGraph original = BruteForceKnn(provider, 8);
+  const KnnGraph original = BruteForceKnn(provider, 8).value();
   // Pretend users 1 and 2 changed (same store: identity refresh must
   // preserve quality).
   const KnnGraph refreshed =

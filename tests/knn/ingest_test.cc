@@ -161,7 +161,7 @@ TEST(IngestServiceTest, PublishedGraphMatchesReferenceRefresh) {
   const FingerprintStore epoch0 = write->Materialize();
   const GoldFingerProvider provider0(epoch0);
   auto graph0 =
-      std::make_shared<const KnnGraph>(BruteForceKnn(provider0, kK));
+      std::make_shared<const KnnGraph>(BruteForceKnn(provider0, kK).value());
 
   VersionedStore store(std::move(write).value(), graph0);
   obs::MetricRegistry registry;

@@ -43,7 +43,7 @@ TEST(KiffTest, EquivalentToBruteForceOnSharingPairs) {
   const KnnGraph kiff = KiffKnn(d, config);
 
   ExactJaccardProvider provider(d);
-  const KnnGraph exact = BruteForceKnn(provider, 10);
+  const KnnGraph exact = BruteForceKnn(provider, 10).value();
 
   // Every neighbor with nonzero similarity is found through a shared
   // item, so KIFF is exact wherever similarities are positive.
@@ -111,7 +111,7 @@ TEST(KiffTest, ProviderVariantWithGoldFinger) {
   const KnnGraph golfi = KiffKnn(d, provider, config);
 
   ExactJaccardProvider exact_provider(d);
-  const KnnGraph exact = BruteForceKnn(exact_provider, 10);
+  const KnnGraph exact = BruteForceKnn(exact_provider, 10).value();
   const double q = GraphQuality(AverageExactSimilarity(golfi, d),
                                 AverageExactSimilarity(exact, d));
   EXPECT_GT(q, 0.85);

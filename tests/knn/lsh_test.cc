@@ -1,4 +1,7 @@
-#include "knn/lsh.h"
+// The paper's single-value LSH (§3.2.5), built as banded LSH with one
+// row per band (AsBandedLsh).
+
+#include "knn/banded_lsh.h"
 
 #include <gtest/gtest.h>
 
@@ -10,20 +13,21 @@
 namespace gf {
 namespace {
 
-LshConfig Config(std::size_t k = 10, std::size_t functions = 10) {
+BandedLshConfig Config(std::size_t k = 10, std::size_t functions = 10) {
   LshConfig c;
   c.k = k;
   c.num_functions = functions;
   c.seed = 31;
-  return c;
+  return AsBandedLsh(c);
 }
+
 
 TEST(LshTest, ProducesReasonableQualityGraph) {
   const Dataset d = testing::SmallSynthetic(300);
   ExactJaccardProvider provider(d);
   KnnBuildStats stats;
-  const KnnGraph approx = LshKnn(d, provider, Config(), nullptr, &stats);
-  const KnnGraph exact = BruteForceKnn(provider, 10);
+  const KnnGraph approx = BandedLshKnn(d, provider, Config(), nullptr, &stats);
+  const KnnGraph exact = BruteForceKnn(provider, 10).value();
   const double q = GraphQuality(AverageExactSimilarity(approx, d),
                                 AverageExactSimilarity(exact, d));
   // Paper Table 4: native LSH quality 0.87-0.99.
@@ -34,7 +38,7 @@ TEST(LshTest, FewerComputationsThanBruteForce) {
   const Dataset d = testing::SmallSynthetic(400);
   ExactJaccardProvider provider(d);
   KnnBuildStats stats;
-  LshKnn(d, provider, Config(), nullptr, &stats);
+  BandedLshKnn(d, provider, Config(), nullptr, &stats);
   const auto exhaustive =
       static_cast<uint64_t>(d.NumUsers()) * (d.NumUsers() - 1);
   EXPECT_LT(stats.similarity_computations, exhaustive);
@@ -44,10 +48,11 @@ TEST(LshTest, FewerComputationsThanBruteForce) {
 TEST(LshTest, MoreFunctionsImproveQuality) {
   const Dataset d = testing::SmallSynthetic(250);
   ExactJaccardProvider provider(d);
-  const KnnGraph exact = BruteForceKnn(provider, 10);
+  const KnnGraph exact = BruteForceKnn(provider, 10).value();
   const double exact_avg = AverageExactSimilarity(exact, d);
   const auto quality_with = [&](std::size_t functions) {
-    const KnnGraph g = LshKnn(d, provider, Config(10, functions), nullptr);
+    const KnnGraph g =
+        BandedLshKnn(d, provider, Config(10, functions), nullptr);
     return GraphQuality(AverageExactSimilarity(g, d), exact_avg);
   };
   EXPECT_GE(quality_with(12) + 0.03, quality_with(2));
@@ -56,9 +61,9 @@ TEST(LshTest, MoreFunctionsImproveQuality) {
 TEST(LshTest, UniversalHashVariantWorks) {
   const Dataset d = testing::SmallSynthetic(200);
   ExactJaccardProvider provider(d);
-  LshConfig config = Config();
+  BandedLshConfig config = Config();
   config.kind = MinwiseKind::kUniversalHash;
-  const KnnGraph g = LshKnn(d, provider, config, nullptr);
+  const KnnGraph g = BandedLshKnn(d, provider, config, nullptr);
   EXPECT_EQ(g.NumUsers(), d.NumUsers());
   EXPECT_GT(g.NumEdges(), 0u);
 }
@@ -67,7 +72,7 @@ TEST(LshTest, EmptyProfilesGetNoNeighborsAndNoBuckets) {
   auto d = Dataset::FromProfiles({{}, {0, 1}, {0, 1, 2}, {1, 2}}, 4);
   ASSERT_TRUE(d.ok());
   ExactJaccardProvider provider(*d);
-  const KnnGraph g = LshKnn(*d, provider, Config(2, 4), nullptr);
+  const KnnGraph g = BandedLshKnn(*d, provider, Config(2, 4), nullptr);
   EXPECT_EQ(g.NeighborsOf(0).size(), 0u);
   EXPECT_GT(g.NeighborsOf(1).size(), 0u);
 }
@@ -78,7 +83,7 @@ TEST(LshTest, UsersSharingMinItemShareBuckets) {
   auto d = Dataset::FromProfiles({{3, 4, 5}, {3, 4, 5}, {0, 1, 2}}, 6);
   ASSERT_TRUE(d.ok());
   ExactJaccardProvider provider(*d);
-  const KnnGraph g = LshKnn(*d, provider, Config(1, 5), nullptr);
+  const KnnGraph g = BandedLshKnn(*d, provider, Config(1, 5), nullptr);
   ASSERT_EQ(g.NeighborsOf(0).size(), 1u);
   EXPECT_EQ(g.NeighborsOf(0)[0].id, 1u);
   ASSERT_EQ(g.NeighborsOf(1).size(), 1u);
@@ -89,8 +94,8 @@ TEST(LshTest, ParallelEqualsSequentialGraph) {
   const Dataset d = testing::SmallSynthetic(150);
   ExactJaccardProvider provider(d);
   ThreadPool pool(4);
-  const KnnGraph seq = LshKnn(d, provider, Config(), nullptr);
-  const KnnGraph par = LshKnn(d, provider, Config(), &pool);
+  const KnnGraph seq = BandedLshKnn(d, provider, Config(), nullptr);
+  const KnnGraph par = BandedLshKnn(d, provider, Config(), &pool);
   for (UserId u = 0; u < d.NumUsers(); ++u) {
     const auto a = seq.NeighborsOf(u);
     const auto b = par.NeighborsOf(u);
@@ -105,7 +110,7 @@ TEST(LshTest, StatsPopulated) {
   const Dataset d = testing::SmallSynthetic(100);
   ExactJaccardProvider provider(d);
   KnnBuildStats stats;
-  LshKnn(d, provider, Config(), nullptr, &stats);
+  BandedLshKnn(d, provider, Config(), nullptr, &stats);
   EXPECT_EQ(stats.iterations, 1u);
   EXPECT_GT(stats.seconds, 0.0);
 }

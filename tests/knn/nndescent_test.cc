@@ -21,8 +21,9 @@ TEST(NNDescentTest, ConvergesToHighQualityGraph) {
   const Dataset d = testing::SmallSynthetic(300);
   ExactJaccardProvider provider(d);
   KnnBuildStats stats;
-  const KnnGraph approx = NNDescentKnn(provider, Config(), nullptr, &stats);
-  const KnnGraph exact = BruteForceKnn(provider, 10);
+  const KnnGraph approx =
+      NNDescentKnn(provider, Config(), nullptr, &stats).value();
+  const KnnGraph exact = BruteForceKnn(provider, 10).value();
   const double q = GraphQuality(AverageExactSimilarity(approx, d),
                                 AverageExactSimilarity(exact, d));
   // Paper Table 4: native NNDescent quality 0.98-1.0.
@@ -32,8 +33,8 @@ TEST(NNDescentTest, ConvergesToHighQualityGraph) {
 TEST(NNDescentTest, HighNeighborRecallOnExactProvider) {
   const Dataset d = testing::SmallSynthetic(250);
   ExactJaccardProvider provider(d);
-  const KnnGraph approx = NNDescentKnn(provider, Config(), nullptr);
-  const KnnGraph exact = BruteForceKnn(provider, 10);
+  const KnnGraph approx = NNDescentKnn(provider, Config(), nullptr).value();
+  const KnnGraph exact = BruteForceKnn(provider, 10).value();
   EXPECT_GT(NeighborRecall(approx, exact), 0.85);
 }
 
@@ -95,8 +96,8 @@ TEST(NNDescentTest, ParallelRunReachesSameQuality) {
   const Dataset d = testing::SmallSynthetic(250);
   ExactJaccardProvider provider(d);
   ThreadPool pool(4);
-  const KnnGraph exact = BruteForceKnn(provider, 10);
-  const KnnGraph par = NNDescentKnn(provider, Config(), &pool);
+  const KnnGraph exact = BruteForceKnn(provider, 10).value();
+  const KnnGraph par = NNDescentKnn(provider, Config(), &pool).value();
   const double q = GraphQuality(AverageExactSimilarity(par, d),
                                 AverageExactSimilarity(exact, d));
   EXPECT_GT(q, 0.95);
@@ -109,9 +110,9 @@ TEST(NNDescentTest, WorksWithGoldFingerProvider) {
   auto store = FingerprintStore::Build(d, fc);
   ASSERT_TRUE(store.ok());
   GoldFingerProvider provider(*store);
-  const KnnGraph g = NNDescentKnn(provider, Config(), nullptr);
+  const KnnGraph g = NNDescentKnn(provider, Config(), nullptr).value();
   ExactJaccardProvider exact_provider(d);
-  const KnnGraph exact = BruteForceKnn(exact_provider, 10);
+  const KnnGraph exact = BruteForceKnn(exact_provider, 10).value();
   const double q = GraphQuality(AverageExactSimilarity(g, d),
                                 AverageExactSimilarity(exact, d));
   EXPECT_GT(q, 0.8);
@@ -137,8 +138,8 @@ TEST(NNDescentTest, BatchScoringMatchesPerPairScoringExactly) {
   GoldFingerProvider batched(*store);
   PerPairProvider per_pair{&*store};
   KnnBuildStats bs, ps;
-  const KnnGraph gb = NNDescentKnn(batched, Config(), nullptr, &bs);
-  const KnnGraph gp = NNDescentKnn(per_pair, Config(), nullptr, &ps);
+  const KnnGraph gb = NNDescentKnn(batched, Config(), nullptr, &bs).value();
+  const KnnGraph gp = NNDescentKnn(per_pair, Config(), nullptr, &ps).value();
 
   EXPECT_EQ(bs.similarity_computations, ps.similarity_computations);
   EXPECT_EQ(bs.iterations, ps.iterations);
@@ -157,7 +158,7 @@ TEST(NNDescentTest, BatchScoringMatchesPerPairScoringExactly) {
 TEST(NNDescentTest, TinyDatasetFindsIdenticalTwin) {
   const Dataset d = testing::TinyDataset();
   ExactJaccardProvider provider(d);
-  const KnnGraph g = NNDescentKnn(provider, Config(2), nullptr);
+  const KnnGraph g = NNDescentKnn(provider, Config(2), nullptr).value();
   EXPECT_EQ(g.NeighborsOf(0)[0].id, 2u);
   EXPECT_FLOAT_EQ(g.NeighborsOf(0)[0].similarity, 1.0f);
 }

@@ -34,12 +34,12 @@ TEST(ParallelRaceTest, BruteForceTiledScanUnderThreads) {
 
   AccessCounter::Instance().Reset();
   AccessCounter::Enable(true);  // concurrent relaxed counting
-  const KnnGraph parallel = BruteForceKnn(provider, 10, &pool);
+  const KnnGraph parallel = BruteForceKnn(provider, 10, &pool).value();
   AccessCounter::Enable(false);
 
   // Thread-partitioned rows: the parallel graph equals the sequential
   // one exactly.
-  const KnnGraph sequential = BruteForceKnn(provider, 10);
+  const KnnGraph sequential = BruteForceKnn(provider, 10).value();
   ASSERT_EQ(parallel.NumUsers(), sequential.NumUsers());
   for (UserId u = 0; u < parallel.NumUsers(); ++u) {
     const auto a = parallel.NeighborsOf(u);
@@ -67,7 +67,7 @@ TEST(ParallelRaceTest, NNDescentLockedJoinsUnderThreads) {
   AccessCounter::Instance().Reset();
   AccessCounter::Enable(true);
   KnnBuildStats stats;
-  const KnnGraph g = NNDescentKnn(provider, config, &pool, &stats);
+  const KnnGraph g = NNDescentKnn(provider, config, &pool, &stats).value();
   AccessCounter::Enable(false);
 
   // The graph is well-formed: full lists, no self loops, no duplicates.

@@ -29,7 +29,7 @@ TEST(QualityTest, EmptyGraphScoresZero) {
 TEST(QualityTest, ExactGraphHasQualityOne) {
   const Dataset d = testing::SmallSynthetic(100);
   ExactJaccardProvider provider(d);
-  const KnnGraph exact = BruteForceKnn(provider, 5);
+  const KnnGraph exact = BruteForceKnn(provider, 5).value();
   const double avg = AverageExactSimilarity(exact, d);
   EXPECT_DOUBLE_EQ(GraphQuality(avg, avg), 1.0);
 }
@@ -41,7 +41,7 @@ TEST(QualityTest, GraphQualityZeroDenominator) {
 TEST(QualityTest, ParallelAverageMatchesSequential) {
   const Dataset d = testing::SmallSynthetic(200);
   ExactJaccardProvider provider(d);
-  const KnnGraph g = BruteForceKnn(provider, 5);
+  const KnnGraph g = BruteForceKnn(provider, 5).value();
   ThreadPool pool(4);
   EXPECT_DOUBLE_EQ(AverageExactSimilarity(g, d, nullptr),
                    AverageExactSimilarity(g, d, &pool));
@@ -50,7 +50,7 @@ TEST(QualityTest, ParallelAverageMatchesSequential) {
 TEST(QualityTest, PerUserQualityOfExactGraphIsAllOnes) {
   const Dataset d = testing::SmallSynthetic(80);
   ExactJaccardProvider provider(d);
-  const KnnGraph g = BruteForceKnn(provider, 5);
+  const KnnGraph g = BruteForceKnn(provider, 5).value();
   const auto q = ComputePerUserQuality(g, g, d);
   EXPECT_FALSE(q.values.empty());
   EXPECT_NEAR(q.mean, 1.0, 1e-9);
@@ -62,7 +62,7 @@ TEST(QualityTest, PerUserQualityOfExactGraphIsAllOnes) {
 TEST(QualityTest, PerUserQualityDetectsCollapsedNeighborhood) {
   const Dataset d = testing::SmallSynthetic(80);
   ExactJaccardProvider provider(d);
-  const KnnGraph exact = BruteForceKnn(provider, 5);
+  const KnnGraph exact = BruteForceKnn(provider, 5).value();
   // Approx graph: user 0 gets garbage (empty row), others exact.
   NeighborLists lists(d.NumUsers(), 5);
   for (UserId u = 1; u < d.NumUsers(); ++u) {
@@ -82,7 +82,7 @@ TEST(QualityTest, PerUserQualitySkipsZeroSimilarityUsers) {
   auto d = Dataset::FromProfiles({{0}, {1}, {2}}, 3);
   ASSERT_TRUE(d.ok());
   ExactJaccardProvider provider(*d);
-  const KnnGraph g = BruteForceKnn(provider, 2);
+  const KnnGraph g = BruteForceKnn(provider, 2).value();
   const auto q = ComputePerUserQuality(g, g, *d);
   EXPECT_TRUE(q.values.empty());
   EXPECT_DOUBLE_EQ(q.mean, 0.0);
@@ -91,7 +91,7 @@ TEST(QualityTest, PerUserQualitySkipsZeroSimilarityUsers) {
 TEST(QualityTest, NeighborRecallIdenticalGraphsIsOne) {
   const Dataset d = testing::SmallSynthetic(80);
   ExactJaccardProvider provider(d);
-  const KnnGraph g = BruteForceKnn(provider, 5);
+  const KnnGraph g = BruteForceKnn(provider, 5).value();
   EXPECT_DOUBLE_EQ(NeighborRecall(g, g), 1.0);
 }
 

@@ -227,10 +227,12 @@ TEST(BandedQueryTest, PinnedSnapshotBuildMatchesRawReference) {
   auto want = raw->QueryBatch(queries, 4);
   ASSERT_TRUE(want.ok());
 
-  auto pinned = BandedShfQueryEngine::Build(StoreSnapshot::Borrow(store, 3),
+  SnapshotPtr snapshot = StoreSnapshot::Own(FingerprintStore(store), 3);
+  const std::weak_ptr<const StoreSnapshot> epoch = snapshot;
+  auto pinned = BandedShfQueryEngine::Build(std::move(snapshot),
                                             BandedShfQueryEngine::Options{});
   ASSERT_TRUE(pinned.ok());
-  EXPECT_EQ(pinned->pinned_snapshot()->epoch(), 3u);
+  EXPECT_FALSE(epoch.expired());  // the engine alone keeps it alive
   auto got = pinned->QueryBatch(queries, 4);
   ASSERT_TRUE(got.ok());
   ASSERT_EQ(got->size(), want->size());

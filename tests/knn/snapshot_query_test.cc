@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <vector>
 
 #include "common/random.h"
@@ -266,6 +267,53 @@ TEST(SnapshotQueryTest, PublishInvalidatesTheServingCache) {
   // And the cache serves the new epoch immediately afterwards.
   ASSERT_TRUE(engine.QueryBatch(queries, 4).ok());
   EXPECT_EQ(registry.GetCounter("cache.hits")->value(), 2 * queries.size());
+}
+
+// Each request counts once in the L1's statistics — as a miss where
+// the engine computes it, as a hit where the cache answers it — also
+// when QueryService probed the cache before queueing the request.
+TEST(SnapshotQueryTest, ServiceCountsEachRequestOnce) {
+  Rng rng(0x5A5A0C);
+  auto write = RandomWriteSide(100, 240, rng);
+  ASSERT_TRUE(write.ok());
+  VersionedStore store(std::move(write).value());
+  SnapshotQueryEngine::Options options;
+  options.cache_capacity = 1024;
+  SnapshotQueryEngine engine(&store, options);
+  QueryService::Options service_options;
+  service_options.start_dispatcher = false;
+  service_options.cache_try = engine.AsCacheTryFn();
+  QueryService service(engine.AsBatchFn(), service_options);
+
+  const SnapshotPtr snapshot = store.Acquire();
+  std::vector<Shf> queries;
+  for (UserId u = 0; u < 32; ++u) {
+    queries.push_back(snapshot->store().Extract(u));
+    for (UserId v = 0; v < u; ++v) {
+      ASSERT_FALSE(queries[u] == queries[v]) << "requests must be distinct";
+    }
+  }
+  const auto serve_round = [&] {
+    std::vector<std::future<Result<std::vector<Neighbor>>>> futures;
+    for (const Shf& query : queries) {
+      futures.push_back(service.Submit(query, 5));
+    }
+    while (service.DrainOnce() > 0) {
+    }
+    for (auto& future : futures) ASSERT_TRUE(future.get().ok());
+  };
+
+  serve_round();
+  ServingCache::Stats stats = engine.cache()->stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, queries.size());
+  EXPECT_EQ(stats.inserts, queries.size());
+
+  serve_round();  // every request now resolves inside Submit
+  stats = engine.cache()->stats();
+  EXPECT_EQ(stats.hits, queries.size());
+  EXPECT_EQ(stats.misses, queries.size());
+  service.Shutdown();
 }
 
 TEST(SnapshotQueryTest, EmptyStoreAnswersEmptyLists) {

@@ -32,9 +32,9 @@ TEST(KnnStatsTest, GreedyAlgorithmsHandleSingleUser) {
   GreedyConfig config;
   config.k = 5;
   KnnBuildStats stats;
-  const KnnGraph h = HyrecKnn(provider, config, nullptr, &stats);
+  const KnnGraph h = HyrecKnn(provider, config, nullptr, &stats).value();
   EXPECT_EQ(h.NeighborsOf(0).size(), 0u);
-  const KnnGraph n = NNDescentKnn(provider, config, nullptr, &stats);
+  const KnnGraph n = NNDescentKnn(provider, config, nullptr, &stats).value();
   EXPECT_EQ(n.NeighborsOf(0).size(), 0u);
 }
 
@@ -44,7 +44,7 @@ TEST(KnnStatsTest, GreedyAlgorithmsHandleTwoUsers) {
   ExactJaccardProvider provider(*d);
   GreedyConfig config;
   config.k = 3;
-  const KnnGraph h = HyrecKnn(provider, config);
+  const KnnGraph h = HyrecKnn(provider, config).value();
   ASSERT_EQ(h.NeighborsOf(0).size(), 1u);
   EXPECT_EQ(h.NeighborsOf(0)[0].id, 1u);
   EXPECT_NEAR(h.NeighborsOf(0)[0].similarity, 1.0 / 3.0, 1e-6);

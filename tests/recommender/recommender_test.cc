@@ -25,7 +25,7 @@ Dataset HandDataset() {
 TEST(RecommenderTest, RecommendsNeighborsUnknownItems) {
   const Dataset d = HandDataset();
   ExactJaccardProvider provider(d);
-  const KnnGraph g = BruteForceKnn(provider, 1);
+  const KnnGraph g = BruteForceKnn(provider, 1).value();
   const auto recs = RecommendForUser(g, d, 0, Config());
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].item, 4u);
@@ -36,7 +36,7 @@ TEST(RecommenderTest, RecommendsNeighborsUnknownItems) {
 TEST(RecommenderTest, NeverRecommendsKnownItems) {
   const Dataset d = testing::SmallSynthetic(100);
   ExactJaccardProvider provider(d);
-  const KnnGraph g = BruteForceKnn(provider, 10);
+  const KnnGraph g = BruteForceKnn(provider, 10).value();
   auto all = RecommendAll(g, d, Config(10));
   ASSERT_TRUE(all.ok());
   for (UserId u = 0; u < d.NumUsers(); ++u) {
@@ -52,7 +52,7 @@ TEST(RecommenderTest, NeverRecommendsKnownItems) {
 TEST(RecommenderTest, ScoresAreSortedDescending) {
   const Dataset d = testing::SmallSynthetic(100);
   ExactJaccardProvider provider(d);
-  const KnnGraph g = BruteForceKnn(provider, 10);
+  const KnnGraph g = BruteForceKnn(provider, 10).value();
   auto all = RecommendAll(g, d, Config(20));
   ASSERT_TRUE(all.ok());
   for (const auto& recs : *all) {
@@ -65,7 +65,7 @@ TEST(RecommenderTest, ScoresAreSortedDescending) {
 TEST(RecommenderTest, ScoresAreNormalizedWeightedVotes) {
   const Dataset d = testing::SmallSynthetic(80);
   ExactJaccardProvider provider(d);
-  const KnnGraph g = BruteForceKnn(provider, 8);
+  const KnnGraph g = BruteForceKnn(provider, 8).value();
   auto all = RecommendAll(g, d, Config(10));
   ASSERT_TRUE(all.ok());
   for (const auto& recs : *all) {
@@ -79,7 +79,7 @@ TEST(RecommenderTest, ScoresAreNormalizedWeightedVotes) {
 TEST(RecommenderTest, RespectsTopNLimit) {
   const Dataset d = testing::SmallSynthetic(150);
   ExactJaccardProvider provider(d);
-  const KnnGraph g = BruteForceKnn(provider, 10);
+  const KnnGraph g = BruteForceKnn(provider, 10).value();
   auto all = RecommendAll(g, d, Config(3));
   ASSERT_TRUE(all.ok());
   for (const auto& recs : *all) EXPECT_LE(recs.size(), 3u);
@@ -89,7 +89,7 @@ TEST(RecommenderTest, SizeMismatchRejected) {
   const Dataset d = testing::SmallSynthetic(20);
   const Dataset other = testing::SmallSynthetic(30);
   ExactJaccardProvider provider(d);
-  const KnnGraph g = BruteForceKnn(provider, 3);
+  const KnnGraph g = BruteForceKnn(provider, 3).value();
   EXPECT_FALSE(RecommendAll(g, other, Config()).ok());
 }
 
@@ -97,7 +97,7 @@ TEST(RecommenderTest, UserWithNoNeighborsGetsNothing) {
   auto d = Dataset::FromProfiles({{0, 1}}, 4);
   ASSERT_TRUE(d.ok());
   ExactJaccardProvider provider(*d);
-  const KnnGraph g = BruteForceKnn(provider, 3);
+  const KnnGraph g = BruteForceKnn(provider, 3).value();
   const auto recs = RecommendForUser(g, *d, 0, Config());
   EXPECT_TRUE(recs.empty());
 }
@@ -108,7 +108,7 @@ TEST(RecommenderTest, ZeroSimilarityNeighborsCarryNoVote) {
   auto d = Dataset::FromProfiles({{0, 1}, {2, 3}}, 4);
   ASSERT_TRUE(d.ok());
   ExactJaccardProvider provider(*d);
-  const KnnGraph g = BruteForceKnn(provider, 1);
+  const KnnGraph g = BruteForceKnn(provider, 1).value();
   const auto recs = RecommendForUser(g, *d, 0, Config());
   EXPECT_TRUE(recs.empty());
 }
@@ -116,7 +116,7 @@ TEST(RecommenderTest, ZeroSimilarityNeighborsCarryNoVote) {
 TEST(RecommenderTest, ParallelEqualsSequential) {
   const Dataset d = testing::SmallSynthetic(120);
   ExactJaccardProvider provider(d);
-  const KnnGraph g = BruteForceKnn(provider, 8);
+  const KnnGraph g = BruteForceKnn(provider, 8).value();
   ThreadPool pool(4);
   auto seq = RecommendAll(g, d, Config(5), nullptr);
   auto par = RecommendAll(g, d, Config(5), &pool);
