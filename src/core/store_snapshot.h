@@ -5,12 +5,12 @@
 // the serving front-end, gfk — reads through a SnapshotPtr instead of a
 // raw `const FingerprintStore&`. A snapshot is reference-counted and
 // never mutated after publication: readers acquire one pointer per
-// batch (a single atomic shared_ptr load), run the whole batch against
-// it, and drop it; writers publish a new snapshot by swapping the
-// current pointer. No reader ever blocks on a writer and no writer on a
-// reader (RCU by shared_ptr): an epoch stays alive exactly as long as
-// some batch still holds it, and is retired — arena freed — when the
-// last holder drops.
+// batch (one shared_ptr copy), run the whole batch against it, and
+// drop it; writers publish a new snapshot by swapping the current
+// pointer. Readers and writers share only that copy or swap, never a
+// batch's or a publish's work (RCU by shared_ptr): an epoch stays alive
+// exactly as long as some batch still holds it, and is retired — arena
+// freed — when the last holder drops.
 //
 // A snapshot optionally carries the KNN graph built over the same
 // epoch's ratings, so store and graph always advance together (the

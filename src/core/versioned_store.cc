@@ -105,9 +105,8 @@ VersionedStore::VersionedStore(MutableFingerprintStore write_side,
     : write_side_(std::move(write_side)),
       clock_(clock != nullptr ? clock : Clock::System()),
       live_(std::make_shared<std::atomic<int64_t>>(0)) {
-  current_.store(MakeTracked(write_side_.Materialize(), 0,
-                             std::move(initial_graph)),
-                 std::memory_order_release);
+  current_ = MakeTracked(write_side_.Materialize(), 0,
+                         std::move(initial_graph));
 }
 
 SnapshotPtr VersionedStore::MakeTracked(
@@ -131,7 +130,13 @@ SnapshotPtr VersionedStore::Commit(Staged staged,
   SnapshotPtr snap =
       MakeTracked(std::move(staged.store), staged.epoch, std::move(graph));
   epoch_.store(staged.epoch, std::memory_order_release);
-  current_.store(snap, std::memory_order_release);
+  // `previous` outlives the lock, so retiring the old epoch (which may
+  // free its arena) never runs under it.
+  SnapshotPtr previous = snap;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    current_.swap(previous);
+  }
   return snap;
 }
 

@@ -12,12 +12,13 @@
 // VersionedStore pairs that write side with the snapshot seam: a
 // single-writer Apply stream mutates the write side, and Stage/Commit
 // publish immutable StoreSnapshot epochs that readers acquire without
-// ever blocking the writer (atomic shared_ptr swap — RCU by reference
-// count). Publication is copy-on-write at epoch granularity: each
-// commit gathers the touched users' live words into a fresh contiguous
-// arena (FingerprintStore kernels require row-major adjacency), the
-// previous epoch keeps serving until its last reader drops, and
-// LiveSnapshots() exposes how many epochs are still pinned.
+// waiting on the writer's work (a shared_ptr copy or swap under a
+// mutex held for nothing else — RCU by reference count). Publication
+// is copy-on-write at epoch granularity: each commit gathers the
+// touched users' live words into a fresh contiguous arena
+// (FingerprintStore kernels require row-major adjacency), the previous
+// epoch keeps serving until its last reader drops, and LiveSnapshots()
+// exposes how many epochs are still pinned.
 //
 // Threading contract: Apply/Stage/Commit/Publish are single-writer
 // (the IngestService worker); Acquire and LiveSnapshots are safe from
@@ -29,6 +30,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -136,9 +138,11 @@ class VersionedStore final : public SnapshotSource {
                               nullptr,
                           Clock* clock = nullptr);
 
-  /// Current epoch, one atomic load; never nullptr. Thread-safe.
+  /// Current epoch, one pointer copy under the lock; never nullptr.
+  /// Thread-safe.
   SnapshotPtr Acquire() const override {
-    return current_.load(std::memory_order_acquire);
+    const std::lock_guard<std::mutex> lock(mu_);
+    return current_;
   }
 
   /// Write-side access (single writer only).
@@ -187,7 +191,10 @@ class VersionedStore final : public SnapshotSource {
   Clock* clock_;
   std::shared_ptr<std::atomic<int64_t>> live_;
   std::atomic<uint64_t> epoch_{0};
-  std::atomic<SnapshotPtr> current_;
+  // Guards current_ only. Not std::atomic<SnapshotPtr>: TSan reports
+  // libstdc++ 12's store/load pair on it as a data race.
+  mutable std::mutex mu_;
+  SnapshotPtr current_;
 };
 
 }  // namespace gf

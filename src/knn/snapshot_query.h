@@ -4,7 +4,7 @@
 // the exhaustive scan over a sharded view of each epoch:
 //
 //   * Per batch it acquires the source's current snapshot ONCE and runs
-//     the whole batch against that epoch — one atomic load per batch,
+//     the whole batch against that epoch — one Acquire per batch,
 //     never per candidate, and no torn reads across an epoch swap.
 //   * The sharded view + engine for an epoch are built lazily and
 //     cached; as long as the publisher hasn't moved, every batch reuses

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
@@ -234,6 +235,85 @@ TEST(IngestServiceTest, WorkerModeDrainsAndShutdownPublishesTail) {
   EXPECT_EQ(service.Submit(RatingEvent::Add(0, 1)).code(),
             StatusCode::kUnavailable)
       << "intake closed after shutdown";
+}
+
+// What readers see, not just the write side: a seeded 70/30 add/remove
+// stream drained in stepping mode across several cadence publishes
+// leaves a current epoch that is bit-identical to fingerprinting the
+// write side's final profiles from scratch, and a pinned batch over
+// that epoch equals the scan of it.
+TEST(IngestServiceTest, PublishedEpochMatchesRebuildOfWriteSide) {
+  Rng rng(0x16E57);
+  constexpr std::size_t kUsers = 300;
+  constexpr std::size_t kItems = 400;
+  constexpr std::size_t kK = 10;
+  auto dataset = RandomDataset(kUsers, kItems, 12, rng);
+  ASSERT_TRUE(dataset.ok());
+  auto write =
+      MutableFingerprintStore::FromDataset(*dataset, SmallConfig(1024));
+  ASSERT_TRUE(write.ok());
+  VersionedStore store(std::move(write).value());
+  SnapshotQueryEngine engine(&store);
+
+  IngestService::Options options;
+  options.publish_every = 128;
+  options.start_worker = false;
+  IngestService service(&store, options);
+  for (std::size_t e = 0; e < 2000; ++e) {
+    const auto user = static_cast<UserId>(rng.Below(kUsers));
+    const auto item = static_cast<ItemId>(rng.Below(kItems));
+    const RatingEvent event = rng.Below(10) < 7
+                                  ? RatingEvent::Add(user, item)
+                                  : RatingEvent::Remove(user, item);
+    ASSERT_TRUE(service.Submit(event).ok());
+  }
+  while (service.DrainOnce() > 0) {
+  }
+  service.Flush();
+  EXPECT_GE(store.epoch(), 4u) << "several epochs must publish";
+
+  const SnapshotPtr snapshot = store.Acquire();
+  const MutableFingerprintStore& side = store.write_side();
+  std::vector<std::vector<ItemId>> profiles(side.num_users());
+  for (UserId u = 0; u < side.num_users(); ++u) {
+    const auto profile = side.ProfileOf(u);
+    profiles[u].assign(profile.begin(), profile.end());
+  }
+  auto ratings = Dataset::FromProfiles(std::move(profiles), kItems);
+  ASSERT_TRUE(ratings.ok());
+  auto rebuilt = FingerprintStore::Build(*ratings, side.config());
+  ASSERT_TRUE(rebuilt.ok());
+  const auto live_words = snapshot->store().WordsArena();
+  const auto want_words = rebuilt->WordsArena();
+  ASSERT_EQ(live_words.size(), want_words.size());
+  EXPECT_TRUE(std::equal(live_words.begin(), live_words.end(),
+                         want_words.begin()));
+  const auto live_cards = snapshot->store().Cardinalities();
+  const auto want_cards = rebuilt->Cardinalities();
+  ASSERT_EQ(live_cards.size(), want_cards.size());
+  EXPECT_TRUE(std::equal(live_cards.begin(), live_cards.end(),
+                         want_cards.begin()));
+
+  std::vector<Shf> queries;
+  for (std::size_t q = 0; q < 33; ++q) {
+    queries.push_back(
+        snapshot->store().Extract(static_cast<UserId>(rng.Below(kUsers))));
+  }
+  auto pinned = engine.QueryBatchPinned(queries, kK);
+  ASSERT_TRUE(pinned.ok());
+  EXPECT_EQ(pinned->snapshot, snapshot);
+  const auto want = ScanQueryEngine(pinned->snapshot).QueryBatch(queries, kK);
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ(pinned->results.size(), want->size());
+  for (std::size_t q = 0; q < want->size(); ++q) {
+    ASSERT_EQ(pinned->results[q].size(), (*want)[q].size()) << "query " << q;
+    for (std::size_t j = 0; j < (*want)[q].size(); ++j) {
+      EXPECT_EQ(pinned->results[q][j].id, (*want)[q][j].id)
+          << "query " << q << " slot " << j;
+      EXPECT_EQ(pinned->results[q][j].similarity, (*want)[q][j].similarity)
+          << "query " << q << " slot " << j;
+    }
+  }
 }
 
 // The TSan stress (wired into the CI tsan job): producers hammer the

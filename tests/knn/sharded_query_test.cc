@@ -178,6 +178,29 @@ TEST(ShardedQueryTest, BitExactOnSharedPoolAndPinnedWorkers) {
   }
 }
 
+// The tile loop's edges inside every shard: at b = 1024 each of 4
+// shards spans several 256-row tiles (the last one partial), and the
+// batch spans two full 16-query groups of the multi-query kernel plus
+// a partial third — on the shared pool and on pinned workers over a
+// first-touch store.
+TEST(ShardedQueryTest, MultiTileShardsAndQueryGroupsMatchScan) {
+  Rng rng(7);
+  const std::size_t users = 3001;
+  const auto store = RandomStore(users, 1024, rng);
+  std::vector<Shf> queries;
+  for (std::size_t q = 0; q < 37; ++q) {
+    queries.push_back(store.Extract(static_cast<UserId>(rng.Below(users))));
+  }
+  const ScanQueryEngine scan(store);
+  const auto want = scan.QueryBatch(queries, 10).value();
+
+  ThreadPool pool(3);
+  const ScanQueryEngine shared(Shard(store, 4), &pool);
+  ExpectIdentical(shared.QueryBatch(queries, 10).value(), want);
+  const ScanQueryEngine pinned(Shard(store, 4, Placement::kFirstTouch));
+  ExpectIdentical(pinned.QueryBatch(queries, 10).value(), want);
+}
+
 TEST(ShardedQueryTest, ZeroCardinalityQueriesAndRowsMatchScan) {
   // All-zero fingerprints exercise the estimator's 0/0 guard on both
   // sides of the scatter; ranking ties then resolve purely by id.

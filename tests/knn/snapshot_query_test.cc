@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <vector>
 
@@ -267,6 +268,65 @@ TEST(SnapshotQueryTest, PublishInvalidatesTheServingCache) {
   // And the cache serves the new epoch immediately afterwards.
   ASSERT_TRUE(engine.QueryBatch(queries, 4).ok());
   EXPECT_EQ(registry.GetCounter("cache.hits")->value(), 2 * queries.size());
+}
+
+// A cache smaller than its traffic: a skewed repeat stream over more
+// distinct queries than the cache holds makes hits, misses and CLOCK
+// evictions all happen, and every answer, hit or miss, equals the
+// scan. After a publish, the first pass over the pool hits nothing.
+TEST(SnapshotQueryTest, CacheSmallerThanItsTrafficStaysExact) {
+  constexpr std::size_t kK = 5;
+  constexpr std::size_t kPool = 96;
+  Rng rng(0x5A5A0D);
+  auto write = RandomWriteSide(400, 240, rng);
+  ASSERT_TRUE(write.ok());
+  VersionedStore store(std::move(write).value());
+  SnapshotQueryEngine::Options options;
+  options.cache_capacity = 32;
+  SnapshotQueryEngine engine(&store, options);
+
+  const SnapshotPtr epoch0 = store.Acquire();
+  std::vector<Shf> pool;
+  for (UserId u = 0; pool.size() < kPool; ++u) {
+    ASSERT_LT(u, epoch0->store().num_users()) << "too few distinct rows";
+    Shf query = epoch0->store().Extract(u);
+    if (std::find(pool.begin(), pool.end(), query) == pool.end()) {
+      pool.push_back(std::move(query));
+    }
+  }
+  const auto truth = ScanQueryEngine(epoch0).QueryBatch(pool, kK).value();
+
+  // Below(Below(n) + 1) favours low indices: a hot head, a long tail.
+  for (int batch = 0; batch < 250; ++batch) {
+    std::vector<Shf> queries;
+    std::vector<std::vector<Neighbor>> want;
+    for (int i = 0; i < 8; ++i) {
+      const std::size_t pick = rng.Below(rng.Below(kPool) + 1);
+      queries.push_back(pool[pick]);
+      want.push_back(truth[pick]);
+    }
+    auto got = engine.QueryBatch(queries, kK);
+    ASSERT_TRUE(got.ok());
+    ExpectResultsIdentical(*got, want);
+  }
+  const ServingCache::Stats warm = engine.cache()->stats();
+  EXPECT_GT(warm.hits, 0u);
+  EXPECT_GT(warm.misses, 0u);
+  EXPECT_GT(warm.evictions, 0u) << "a pool above capacity must evict";
+  EXPECT_LE(engine.cache()->Size(), options.cache_capacity);
+
+  // An unchanged store republished is still a new epoch: one query at
+  // a time over the whole pool, none may hit.
+  store.Publish();
+  const SnapshotPtr epoch1 = store.Acquire();
+  const auto truth1 = ScanQueryEngine(epoch1).QueryBatch(pool, kK).value();
+  for (std::size_t q = 0; q < kPool; ++q) {
+    auto got = engine.Query(pool[q], kK);
+    ASSERT_TRUE(got.ok());
+    ExpectResultsIdentical({*got}, {truth1[q]});
+  }
+  EXPECT_EQ(engine.cache()->stats().hits, warm.hits)
+      << "no hit may survive the publish";
 }
 
 // Each request counts once in the L1's statistics — as a miss where

@@ -64,7 +64,7 @@ TEST(ClusterBitExactTest, FullQuorumMatrixMatchesSingleBoxScan) {
     for (UserId u = 0; u < 3; ++u) queries.push_back(foreign.Extract(u));
 
     ScanQueryEngine engine(store);
-    for (const std::size_t shards : {1u, 3u}) {
+    for (const std::size_t shards : {1u, 2u, 3u, 4u}) {
       for (const std::size_t replicas : {1u, 2u, 3u, 5u}) {
         for (const std::size_t k :
              {std::size_t{1}, std::size_t{5}, users + 7}) {
