@@ -22,7 +22,7 @@
 // regression on 4 cpus vs 32, or scalar vs avx2, is hardware, not code.
 //
 // Each harness passes its own default output filename (BENCH_kernel_
-// popcount.json, BENCH_query.json, ...; BENCH_pipeline.json when
+// popcount.json, BENCH_cc.json, ...; BENCH_pipeline.json when
 // omitted — the canonical pipeline report emitted by bench_table4);
 // GF_BENCH_OUT overrides whichever default, so only one harness per
 // CI step should run with the override set.

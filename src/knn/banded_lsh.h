@@ -4,8 +4,10 @@
 // bands of `rows` values; a band's tuple is one bucket key, and two
 // users become candidates when ANY band collides. The collision
 // probability is the S-curve 1 - (1 - J^rows)^bands, so rows sharpens
-// precision and bands boosts recall. Candidates are scored with the
-// provider and each user keeps its best k.
+// precision and bands boosts recall. A user's candidates are merged in
+// a CandidateSet (knn/candidate_set.h), scored in ascending id order
+// with one ScoreBatch call when the provider has one, and each user
+// keeps its best k.
 //
 // The paper's single-value LSH (Indyk & Motwani; §3.2.5) is the
 // rows = 1 case: one bucket table per min-wise function (LshConfig,
@@ -20,7 +22,6 @@
 #ifndef GF_KNN_BANDED_LSH_H_
 #define GF_KNN_BANDED_LSH_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -31,7 +32,9 @@
 #include "common/timer.h"
 #include "dataset/dataset.h"
 #include "hash/murmur3.h"
+#include "knn/candidate_set.h"
 #include "knn/graph.h"
+#include "knn/provider_concepts.h"
 #include "knn/stats.h"
 #include "minhash/permutation.h"
 #include "obs/pipeline_context.h"
@@ -122,30 +125,29 @@ KnnGraph BandedLshKnn(const Dataset& dataset, const Provider& provider,
                                        obs::kSizeBucketBoundaries)
           : nullptr;
   ParallelFor(pool, n, [&](std::size_t begin, std::size_t end) {
+    CandidateSet marked(n);
     std::vector<UserId> candidates;
+    std::vector<double> sims;
     for (std::size_t uu = begin; uu < end; ++uu) {
       const auto u = static_cast<UserId>(uu);
       if (dataset.ProfileSize(u) == 0) continue;
-      candidates.clear();
       for (std::size_t band = 0; band < config.bands; ++band) {
         const auto it = tables[band].find(keys[uu * config.bands + band]);
         if (it == tables[band].end()) continue;
-        for (UserId v : it->second) {
-          if (v != u) candidates.push_back(v);
-        }
+        for (UserId v : it->second) marked.Insert(v);
       }
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
+      marked.Erase(u);
+      candidates.clear();
+      marked.Drain(candidates);
       if (candidate_sizes != nullptr) {
         candidate_sizes->Observe(static_cast<double>(candidates.size()));
       }
-      uint64_t local = 0;
-      for (UserId v : candidates) {
-        ++local;
-        lists.Insert(u, v, provider(u, v));
+      sims.resize(candidates.size());
+      ScoreCandidates(provider, u, candidates, sims);
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        lists.Insert(u, candidates[i], sims[i]);
       }
-      computations.fetch_add(local, std::memory_order_relaxed);
+      computations.fetch_add(candidates.size(), std::memory_order_relaxed);
     }
   });
 

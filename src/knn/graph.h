@@ -5,13 +5,17 @@
 #ifndef GF_KNN_GRAPH_H_
 #define GF_KNN_GRAPH_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "dataset/types.h"
+#include "knn/candidate_set.h"
+#include "knn/provider_concepts.h"
 
 namespace gf {
 
@@ -122,20 +126,48 @@ class NeighborLists {
   /// from a snapshot reproduces the exact mutable state of the build.
   void RestoreRow(UserId u, std::span<const Entry> entries);
 
-  /// Fills every list with `k` distinct random neighbors != u, scored
-  /// by `score` (signature: double(UserId u, UserId v)). The standard
-  /// random initialization of the greedy algorithms.
-  template <typename Score>
-  void InitRandom(Rng& rng, Score&& score) {
+  /// Fills every (empty) list with min(k, n-1) distinct random
+  /// neighbors != u, the standard random initialization of the greedy
+  /// algorithms; returns the similarities computed. The draws run first,
+  /// in one Rng sequence: row u takes ids until it holds the quota of
+  /// distinct ones or 100k+100 draws ran out. Then each row scores all
+  /// its draws, repeats included, through ScoreCandidates on `pool`, and
+  /// offers them in draw order, so the lists and the count do not depend
+  /// on the pool.
+  template <typename Provider>
+  uint64_t InitRandom(Rng& rng, const Provider& provider,
+                      ThreadPool* pool = nullptr) {
+    const std::size_t want = std::min(k_, num_users_ - 1);
+    std::vector<UserId> draws;
+    std::vector<std::size_t> row_start(num_users_ + 1, 0);
+    CandidateSet distinct(num_users_);
+    std::vector<UserId> drained;
     for (UserId u = 0; u < num_users_; ++u) {
-      const std::size_t want = std::min(k_, num_users_ - 1);
+      std::size_t have = 0;
       std::size_t guard = 0;
-      while (sizes_[u] < want && guard++ < 100 * k_ + 100) {
+      while (have < want && guard++ < 100 * k_ + 100) {
         const auto v = static_cast<UserId>(rng.Below(num_users_));
         if (v == u) continue;
-        Insert(u, v, score(u, v));
+        draws.push_back(v);
+        have += distinct.Insert(v);
       }
+      drained.clear();
+      distinct.Drain(drained);
+      row_start[u + 1] = draws.size();
     }
+    ParallelFor(pool, num_users_, [&](std::size_t begin, std::size_t end) {
+      std::vector<double> sims;
+      for (std::size_t u = begin; u < end; ++u) {
+        const std::span<const UserId> row(draws.data() + row_start[u],
+                                          row_start[u + 1] - row_start[u]);
+        sims.resize(row.size());
+        ScoreCandidates(provider, static_cast<UserId>(u), row, sims);
+        for (std::size_t i = 0; i < row.size(); ++i) {
+          Insert(static_cast<UserId>(u), row[i], sims[i]);
+        }
+      }
+    });
+    return draws.size();
   }
 
   /// Sorts each list by decreasing similarity and freezes the result.

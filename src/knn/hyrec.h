@@ -10,6 +10,14 @@
 // a checkpoint directory (knn/checkpoint.h); with one it also
 // snapshots the state between iterations, so a resumed build replays
 // exactly the remaining iterations.
+//
+// A step reads a snapshot of the lists and writes only u's own row, so
+// any pool size builds the sequential graph. u's neighbors-of-neighbors
+// are marked in a CandidateSet (knn/candidate_set.h); u and its own
+// snapshot neighbors are erased, and the rest drain in ascending id
+// order into one ScoreBatch call, then into u's row in that order. The
+// init draws the random graph in Rng order and scores it row by row on
+// the pool (NeighborLists::InitRandom).
 
 #ifndef GF_KNN_HYREC_H_
 #define GF_KNN_HYREC_H_
@@ -21,6 +29,7 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "knn/candidate_set.h"
 #include "knn/checkpoint.h"
 #include "knn/graph.h"
 #include "knn/greedy_config.h"
@@ -49,16 +58,12 @@ struct HyrecState {
         snap_sizes(num_users) {}
 };
 
-/// Random-graph initialization (iteration 0).
+/// Random-graph initialization (iteration 0), scored on `pool`.
 template <typename Provider>
 void HyrecInit(const Provider& provider, const GreedyConfig& config,
-               HyrecState& state) {
-  (void)provider;
+               HyrecState& state, ThreadPool* pool = nullptr) {
   Rng rng(config.seed);
-  state.lists.InitRandom(rng, [&](UserId a, UserId b) {
-    ++state.computations;
-    return provider(a, b);
-  });
+  state.computations += state.lists.InitRandom(rng, provider, pool);
 }
 
 /// One Hyrec iteration: snapshot the lists, compare every user with its
@@ -97,61 +102,38 @@ bool HyrecStep(const Provider& provider, const GreedyConfig& config,
   std::atomic<uint64_t> updates{0};
   std::atomic<uint64_t> computations{0};
   ParallelFor(pool, n, [&](std::size_t begin, std::size_t end) {
-    std::vector<UserId> candidates;
-    std::vector<UserId> current;
+    CandidateSet marked(n);
     std::vector<UserId> to_score;
     std::vector<double> sims;
     for (std::size_t uu = begin; uu < end; ++uu) {
       const auto u = static_cast<UserId>(uu);
-      candidates.clear();
       const std::size_t base = uu * k;
       for (std::size_t i = 0; i < snap_sizes[uu]; ++i) {
         const UserId v = snap_ids[base + i];
         const std::size_t vbase = static_cast<std::size_t>(v) * k;
         for (std::size_t j = 0; j < snap_sizes[v]; ++j) {
-          const UserId w = snap_ids[vbase + j];
-          if (w != u) candidates.push_back(w);
+          marked.Insert(snap_ids[vbase + j]);
         }
       }
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-      // Skip users already in u's snapshot list: their similarity is
-      // already stored.
-      current.assign(snap_ids.begin() + static_cast<long>(base),
-                     snap_ids.begin() +
-                         static_cast<long>(base + snap_sizes[uu]));
-      std::sort(current.begin(), current.end());
-
+      // u and its snapshot neighbors already have a stored similarity.
+      marked.Erase(u);
+      for (std::size_t i = 0; i < snap_sizes[uu]; ++i) {
+        marked.Erase(snap_ids[base + i]);
+      }
       to_score.clear();
-      for (UserId w : candidates) {
-        if (std::binary_search(current.begin(), current.end(), w)) {
-          continue;
-        }
-        to_score.push_back(w);
-      }
+      marked.Drain(to_score);
 
       if (candidate_sizes != nullptr) {
         candidate_sizes->Observe(static_cast<double>(to_score.size()));
       }
+      sims.resize(to_score.size());
+      ScoreCandidates(provider, u, to_score, sims);
       uint64_t local_updates = 0;
-      const uint64_t local_computations = to_score.size();
-      if constexpr (BatchSimilarityProvider<Provider>) {
-        // Score the whole surviving candidate set in one batched
-        // kernel call, then apply the same inserts in the same order.
-        sims.resize(to_score.size());
-        provider.ScoreBatch(u, to_score, sims);
-        for (std::size_t i = 0; i < to_score.size(); ++i) {
-          if (lists.Insert(u, to_score[i], sims[i])) ++local_updates;
-        }
-      } else {
-        for (UserId w : to_score) {
-          if (lists.Insert(u, w, provider(u, w))) ++local_updates;
-        }
+      for (std::size_t i = 0; i < to_score.size(); ++i) {
+        if (lists.Insert(u, to_score[i], sims[i])) ++local_updates;
       }
       updates.fetch_add(local_updates, std::memory_order_relaxed);
-      computations.fetch_add(local_computations,
-                             std::memory_order_relaxed);
+      computations.fetch_add(to_score.size(), std::memory_order_relaxed);
     }
   });
 
@@ -186,7 +168,7 @@ Result<KnnGraph> HyrecKnn(const Provider& provider,
     GF_RETURN_IF_ERROR(RestoreProgress(*resumed, state));
   } else {
     obs::ScopedPhase init_span(obs, "hyrec.init");
-    HyrecInit(provider, config, state);
+    HyrecInit(provider, config, state, pool);
   }
   while (state.iterations < config.max_iterations &&
          !HyrecStep(provider, config, state, pool, obs)) {

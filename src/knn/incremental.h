@@ -18,16 +18,22 @@
 // Unchanged-to-unchanged edges keep their stored similarity: with a
 // deterministic provider those scores are still exact, so the repair
 // concentrates the similarity budget on the changed region.
+//
+// A changed user's candidates (steps 1 and 3, and each refinement pass)
+// are marked in one CandidateSet (knn/candidate_set.h) and drained in
+// ascending id order into one ScoreBatch call when the provider has
+// one; the pairs are then offered in that order.
 
 #ifndef GF_KNN_INCREMENTAL_H_
 #define GF_KNN_INCREMENTAL_H_
 
-#include <algorithm>
 #include <vector>
 
 #include "common/random.h"
 #include "common/timer.h"
+#include "knn/candidate_set.h"
 #include "knn/graph.h"
+#include "knn/provider_concepts.h"
 #include "knn/stats.h"
 
 namespace gf {
@@ -57,10 +63,10 @@ KnnGraph RefreshKnnGraph(const KnnGraph& previous, const Provider& provider,
   const std::size_t k = previous.k();
   uint64_t computations = 0;
 
-  std::sort(changed_users.begin(), changed_users.end());
-  changed_users.erase(
-      std::unique(changed_users.begin(), changed_users.end()),
-      changed_users.end());
+  CandidateSet marked(n);
+  for (UserId u : changed_users) marked.Insert(u);
+  changed_users.clear();
+  marked.Drain(changed_users);
   std::vector<bool> changed(n, false);
   for (UserId u : changed_users) changed[u] = true;
 
@@ -87,39 +93,46 @@ KnnGraph RefreshKnnGraph(const KnnGraph& previous, const Provider& provider,
     }
   }
 
-  Rng rng(config.seed);
+  // Scores u against the drained candidates and offers every pair both
+  // ways (step 3: u may now belong in v's neighborhood). Returns how
+  // many offers changed a row.
   std::vector<UserId> candidates;
+  std::vector<double> sims;
+  auto score_and_offer = [&](UserId u) {
+    candidates.clear();
+    marked.Drain(candidates);
+    sims.resize(candidates.size());
+    ScoreCandidates(provider, u, candidates, sims);
+    computations += candidates.size();
+    uint64_t updates = 0;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      updates += lists.Insert(u, candidates[i], sims[i]);
+      updates += lists.Insert(candidates[i], u, sims[i]);
+    }
+    return updates;
+  };
+
+  Rng rng(config.seed);
   for (UserId u : changed_users) {
     // Candidate set: old neighbors, old reverse neighbors, their
     // neighbors, plus random probes.
-    candidates.clear();
     for (const Neighbor& nb : previous.NeighborsOf(u)) {
-      candidates.push_back(nb.id);
+      marked.Insert(nb.id);
       for (const Neighbor& nn : previous.NeighborsOf(nb.id)) {
-        candidates.push_back(nn.id);
+        marked.Insert(nn.id);
       }
     }
     for (UserId r : reverse[u]) {
-      candidates.push_back(r);
+      marked.Insert(r);
       for (const Neighbor& nn : previous.NeighborsOf(r)) {
-        candidates.push_back(nn.id);
+        marked.Insert(nn.id);
       }
     }
     for (std::size_t p = 0; p < config.random_probes && n > 1; ++p) {
-      candidates.push_back(static_cast<UserId>(rng.Below(n)));
+      marked.Insert(static_cast<UserId>(rng.Below(n)));
     }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-
-    for (UserId v : candidates) {
-      if (v == u) continue;
-      ++computations;
-      const double sim = provider(u, v);
-      lists.Insert(u, v, sim);
-      // Step 3: u may now belong in v's neighborhood.
-      lists.Insert(v, u, sim);
-    }
+    marked.Erase(u);
+    score_and_offer(u);
   }
 
   // Refinement: neighbor-of-neighbor passes restricted to the changed
@@ -127,21 +140,11 @@ KnnGraph RefreshKnnGraph(const KnnGraph& previous, const Provider& provider,
   for (std::size_t pass = 0; pass < config.refine_iterations; ++pass) {
     uint64_t updates = 0;
     for (UserId u : changed_users) {
-      candidates.clear();
       for (const auto& nb : lists.Of(u)) {
-        for (const auto& nn : lists.Of(nb.id)) {
-          if (nn.id != u) candidates.push_back(nn.id);
-        }
+        for (const auto& nn : lists.Of(nb.id)) marked.Insert(nn.id);
       }
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-      for (UserId w : candidates) {
-        ++computations;
-        const double sim = provider(u, w);
-        updates += lists.Insert(u, w, sim);
-        updates += lists.Insert(w, u, sim);
-      }
+      marked.Erase(u);
+      updates += score_and_offer(u);
     }
     if (updates == 0) break;  // converged early
   }

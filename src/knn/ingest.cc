@@ -3,6 +3,8 @@
 #include <optional>
 #include <utility>
 
+#include "knn/similarity_provider.h"
+
 namespace gf {
 
 IngestService::IngestService(VersionedStore* store, Options options,
@@ -69,13 +71,10 @@ void IngestService::PublishEpoch() {
   // a graph (store-only serving) the epoch publishes store-only.
   std::shared_ptr<const KnnGraph> graph = store_->Acquire()->graph();
   if (options_.repair_graph && graph != nullptr && !staged.dirty.empty()) {
-    const FingerprintStore& staged_store = staged.store;
-    const auto provider = [&staged_store](UserId a, UserId b) {
-      return staged_store.EstimateJaccard(a, b);
-    };
     if (refresh_users_ != nullptr) refresh_users_->Add(staged.dirty.size());
-    graph = std::make_shared<const KnnGraph>(RefreshKnnGraph(
-        *graph, provider, staged.dirty, options_.refresh));
+    graph = std::make_shared<const KnnGraph>(
+        RefreshKnnGraph(*graph, GoldFingerProvider(staged.store),
+                        staged.dirty, options_.refresh));
   }
 
   SnapshotPtr snap = store_->Commit(std::move(staged), std::move(graph));

@@ -58,15 +58,12 @@ struct NNDescentState {
         new_rev(num_users) {}
 };
 
-/// Random-graph initialization (iteration 0).
+/// Random-graph initialization (iteration 0), scored on `pool`.
 template <typename Provider>
 void NNDescentInit(const Provider& provider, const GreedyConfig& config,
-                   NNDescentState& state) {
+                   NNDescentState& state, ThreadPool* pool = nullptr) {
   Rng rng(config.seed);
-  state.lists.InitRandom(rng, [&](UserId a, UserId b) {
-    ++state.computations;
-    return provider(a, b);
-  });
+  state.computations += state.lists.InitRandom(rng, provider, pool);
 }
 
 /// One NNDescent iteration (sample / reverse / local joins). Returns
@@ -185,18 +182,12 @@ bool NNDescentStep(const Provider& provider, const GreedyConfig& config,
         if (join_sizes != nullptr) {
           join_sizes->Observe(static_cast<double>(partners.size()));
         }
-        if constexpr (BatchSimilarityProvider<Provider>) {
-          // One batched kernel call per join source, then the same
-          // two-sided inserts in the same order.
-          sims.resize(partners.size());
-          provider.ScoreBatch(p, partners, sims);
-          for (std::size_t j = 0; j < partners.size(); ++j) {
-            commit(p, partners[j], sims[j]);
-          }
-        } else {
-          for (UserId q : partners) {
-            commit(p, q, provider(p, q));
-          }
+        // Score every partner (one ScoreBatch call when the provider
+        // has one), then commit the two-sided inserts in partner order.
+        sims.resize(partners.size());
+        ScoreCandidates(provider, p, partners, sims);
+        for (std::size_t j = 0; j < partners.size(); ++j) {
+          commit(p, partners[j], sims[j]);
         }
       }
       updates.fetch_add(local_updates, std::memory_order_relaxed);
@@ -237,7 +228,7 @@ Result<KnnGraph> NNDescentKnn(const Provider& provider,
     state.sample_rng.LoadState(resumed->rng);
   } else {
     obs::ScopedPhase init_span(obs, "nndescent.init");
-    NNDescentInit(provider, config, state);
+    NNDescentInit(provider, config, state, pool);
   }
   while (state.iterations < config.max_iterations &&
          !NNDescentStep(provider, config, state, pool, obs)) {

@@ -12,11 +12,11 @@
 //       cache-blocked scan).
 //
 // Both must be bit-exact with the per-pair operator: the KNN algorithms
-// pick the batch path purely by `if constexpr` on these concepts, and
-// the produced graphs must not depend on which path ran. Kept in this
-// small header (not similarity_provider.h) so the algorithm headers can
-// test for the interface without pulling in every provider's
-// dependencies.
+// pick the batch path purely by `if constexpr` on these concepts
+// (ScoreCandidates below), and the produced graphs must not depend on
+// which path ran. Kept in this small header (not similarity_provider.h)
+// so the algorithm headers can test for the interface without pulling
+// in every provider's dependencies.
 
 #ifndef GF_KNN_PROVIDER_CONCEPTS_H_
 #define GF_KNN_PROVIDER_CONCEPTS_H_
@@ -43,6 +43,21 @@ concept TiledSimilarityProvider =
              std::span<double> out) {
       p.ScoreTile(u, first, count, out);
     };
+
+/// out[i] = sim(u, candidates[i]): one ScoreBatch call when the
+/// provider has one, else one per-pair call per candidate.
+template <typename Provider>
+void ScoreCandidates(const Provider& provider, UserId u,
+                     std::span<const UserId> candidates,
+                     std::span<double> out) {
+  if constexpr (BatchSimilarityProvider<Provider>) {
+    provider.ScoreBatch(u, candidates, out);
+  } else {
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      out[i] = provider(u, candidates[i]);
+    }
+  }
+}
 
 }  // namespace gf
 

@@ -11,8 +11,13 @@
 #include <string>
 #include <string_view>
 
+#include "common/thread_pool.h"
+#include "core/fingerprint_store.h"
 #include "io/serialization.h"
+#include "knn/brute_force.h"
 #include "knn/builder.h"
+#include "knn/incremental.h"
+#include "knn/similarity_provider.h"
 #include "testing/test_util.h"
 
 namespace gf {
@@ -34,9 +39,9 @@ struct Pinned {
 };
 
 void ExpectPinned(const KnnPipelineConfig& config, const Pinned& want,
-                  const std::string& label) {
+                  const std::string& label, ThreadPool* pool = nullptr) {
   const Dataset d = testing::SmallSynthetic(240);
-  auto result = BuildKnnGraph(d, config);
+  auto result = BuildKnnGraph(d, config, pool);
   ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
   const uint64_t digest = Fnv1a64(io::SerializeKnnGraph(result->graph));
   EXPECT_EQ(digest, want.digest)
@@ -74,6 +79,21 @@ TEST(BuildDigestTest, Hyrec) {
   KnnPipelineConfig golfi = Base(KnnAlgorithm::kHyrec);
   golfi.mode = SimilarityMode::kGoldFinger;
   ExpectPinned(golfi, {0x1adbe0b518ee1937ULL, 39628, 6}, "hyrec golfi");
+}
+
+// Hyrec writes only its own rows against a per-iteration snapshot, so a
+// pool of any size reproduces the sequential pins above.
+TEST(BuildDigestTest, HyrecOnPools) {
+  for (const std::size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    const std::string label = " on " + std::to_string(threads) + " threads";
+    ExpectPinned(Base(KnnAlgorithm::kHyrec),
+                 {0x6debf5f5edf1cc9eULL, 38571, 6}, "hyrec" + label, &pool);
+    KnnPipelineConfig golfi = Base(KnnAlgorithm::kHyrec);
+    golfi.mode = SimilarityMode::kGoldFinger;
+    ExpectPinned(golfi, {0x1adbe0b518ee1937ULL, 39628, 6},
+                 "hyrec golfi" + label, &pool);
+  }
 }
 
 TEST(BuildDigestTest, NNDescent) {
@@ -116,6 +136,50 @@ TEST(BuildDigestTest, Lsh) {
 TEST(BuildDigestTest, BandedLsh) {
   ExpectPinned(Base(KnnAlgorithm::kBandedLsh),
                {0xa92338314c75a471ULL, 4838, 1}, "banded lsh");
+}
+
+// Pins RefreshKnnGraph: a native brute-force graph repaired after three
+// users took other users' profiles. The changed list is unsorted, holds
+// a duplicate and the last user. The batched GoldFinger provider and a
+// per-pair lambda over the same store must agree exactly.
+TEST(BuildDigestTest, RefreshKnnGraph) {
+  const Dataset before = testing::SmallSynthetic(240);
+  const Dataset donors = testing::SmallSynthetic(240, 8);
+  const std::vector<UserId> changed = {17, 5, 239, 17};
+  std::vector<std::vector<ItemId>> profiles(before.NumUsers());
+  for (UserId u = 0; u < before.NumUsers(); ++u) {
+    const auto p = (u == 5 || u == 17 || u == 239) ? donors.Profile(u)
+                                                   : before.Profile(u);
+    profiles[u].assign(p.begin(), p.end());
+  }
+  const Dataset after =
+      Dataset::FromProfiles(std::move(profiles), before.NumItems()).value();
+  const KnnGraph previous =
+      BruteForceKnn(ExactJaccardProvider(before), 8).value();
+  FingerprintConfig fc;
+  fc.num_bits = 512;
+  const FingerprintStore store = FingerprintStore::Build(after, fc).value();
+
+  auto expect = [&](const auto& provider, const Pinned& want,
+                    const std::string& label) {
+    KnnBuildStats stats;
+    const KnnGraph graph =
+        RefreshKnnGraph(previous, provider, changed, {}, &stats);
+    const uint64_t digest = Fnv1a64(io::SerializeKnnGraph(graph));
+    EXPECT_EQ(digest, want.digest)
+        << label << " repaired {0x" << std::hex << digest << std::dec
+        << ", " << stats.similarity_computations << ", " << stats.iterations
+        << "}";
+    EXPECT_EQ(stats.similarity_computations, want.similarity_computations)
+        << label;
+    EXPECT_EQ(stats.iterations, want.iterations) << label;
+  };
+  const Pinned golfi = {0x76e7dd1c9d4165b1ULL, 376, 3};
+  expect(GoldFingerProvider(store), golfi, "goldfinger");
+  expect([&store](UserId a, UserId b) { return store.EstimateJaccard(a, b); },
+         golfi, "per-pair");
+  expect(ExactJaccardProvider(after), {0x19c505ead118cdc5ULL, 359, 3},
+         "exact");
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 #include "knn/graph.h"
 
 #include <algorithm>
+#include <atomic>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/thread_pool.h"
 
 namespace gf {
 namespace {
@@ -97,7 +101,17 @@ TEST(NeighborListsTest, InsertMarksEntryNew) {
 TEST(NeighborListsTest, InitRandomFillsDistinctNeighbors) {
   NeighborLists lists(20, 5);
   Rng rng(3);
-  lists.InitRandom(rng, [](UserId, UserId) { return 0.1; });
+  ThreadPool pool(2);
+  std::atomic<uint64_t> calls{0};
+  const uint64_t scored = lists.InitRandom(
+      rng,
+      [&calls](UserId, UserId) {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        return 0.1;
+      },
+      &pool);
+  EXPECT_EQ(scored, calls.load());
+  EXPECT_GE(scored, 20u * 5u);
   for (UserId u = 0; u < 20; ++u) {
     const auto row = lists.Of(u);
     ASSERT_EQ(row.size(), 5u);
@@ -114,9 +128,55 @@ TEST(NeighborListsTest, InitRandomFillsDistinctNeighbors) {
 TEST(NeighborListsTest, InitRandomWithFewerUsersThanK) {
   NeighborLists lists(3, 10);
   Rng rng(4);
-  lists.InitRandom(rng, [](UserId, UserId) { return 0.0; });
+  ThreadPool pool(2);
+  lists.InitRandom(rng, [](UserId, UserId) { return 0.0; }, &pool);
   for (UserId u = 0; u < 3; ++u) {
     EXPECT_EQ(lists.Of(u).size(), 2u);  // everyone else
+  }
+}
+
+// InitRandom draws every row first and scores afterwards. It must give
+// what drawing, scoring and inserting one id at a time gives: the same
+// rows in the same slot order, with repeated draws scored and counted.
+// The coarse score makes ties, so the first of equal scores must win.
+TEST(NeighborListsTest, InitRandomMatchesDrawScoreInsertLoop) {
+  constexpr std::size_t kUsers = 40;
+  constexpr std::size_t kK = 12;
+  const auto score = [](UserId u, UserId v) {
+    return static_cast<double>((u * 7 + v * 13) % 5) / 5.0;
+  };
+  NeighborLists want(kUsers, kK);
+  Rng want_rng(11);
+  uint64_t want_scored = 0;
+  for (UserId u = 0; u < kUsers; ++u) {
+    std::size_t guard = 0;
+    while (want.Of(u).size() < kK && guard++ < 100 * kK + 100) {
+      const auto v = static_cast<UserId>(want_rng.Below(kUsers));
+      if (v == u) continue;
+      ++want_scored;
+      want.Insert(u, v, score(u, v));
+    }
+  }
+  ASSERT_GT(want_scored, kUsers * kK) << "no repeated draw to check";
+  const uint64_t want_next = want_rng.Next();  // the draws consumed alike
+
+  for (const std::size_t threads : {0, 1, 3}) {
+    std::optional<ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    NeighborLists got(kUsers, kK);
+    Rng rng(11);
+    EXPECT_EQ(got.InitRandom(rng, score, pool ? &*pool : nullptr),
+              want_scored);
+    EXPECT_EQ(rng.Next(), want_next) << threads << " threads";
+    for (UserId u = 0; u < kUsers; ++u) {
+      const auto a = want.Of(u);
+      const auto b = got.Of(u);
+      ASSERT_EQ(a.size(), b.size()) << "user " << u;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].id, b[i].id) << "user " << u << " slot " << i;
+        EXPECT_EQ(a[i].similarity, b[i].similarity);
+      }
+    }
   }
 }
 
