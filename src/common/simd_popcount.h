@@ -4,14 +4,15 @@
 // out the way FingerprintStore stores them (row-major, words_per_row
 // contiguous uint64_t words per candidate). Batching amortizes call
 // overhead, keeps the query words hot, and opens the door to SIMD
-// popcount (AVX2 vpshufb nibble-LUT).
+// popcount.
 //
-// Backends: a portable scalar implementation and an AVX2 one. The
+// Backends: a portable scalar implementation, an AVX2 one (vpshufb
+// nibble-LUT) and an AVX-512 one (vpopcntq, AVX512_VPOPCNTDQ). The
 // backend is selected once, at first use, from CPUID (via
-// __builtin_cpu_supports) and is bit-exact with scalar: both compute
-// sums of per-word integer popcounts, so every backend returns
-// identical uint32_t counts on identical inputs — results never depend
-// on the machine the library runs on.
+// __builtin_cpu_supports), widest first, and is bit-exact with scalar:
+// all compute sums of per-word integer popcounts, so every backend
+// returns identical uint32_t counts on identical inputs — results never
+// depend on the machine the library runs on.
 //
 // The entry points cover the candidate layouts the KNN algorithms and
 // the query serving engine produce:
@@ -24,9 +25,11 @@
 //   AndPopCountTileMulti — a batch of queries against one contiguous
 //                          tile (the serving engine's batched scan):
 //                          the tile is streamed once per PAIR of
-//                          queries (the AVX2 backend ANDs each row
-//                          vector against two query vectors), instead
-//                          of once per query.
+//                          queries on AVX2 (each row vector is ANDed
+//                          against two query vectors) and once per
+//                          call on AVX-512 (every query is scored
+//                          against a block of rows while it sits in
+//                          L1), instead of once per query.
 
 #ifndef GF_COMMON_SIMD_POPCOUNT_H_
 #define GF_COMMON_SIMD_POPCOUNT_H_
@@ -36,17 +39,22 @@
 
 namespace gf::bits {
 
-/// Kernel backends, in dispatch-preference order.
-enum class PopcountBackend { kScalar, kAvx2 };
+/// Kernel backends. Dispatch prefers kAvx512, then kAvx2, then kScalar.
+enum class PopcountBackend { kScalar, kAvx2, kAvx512 };
 
 /// The backend the dispatched entry points use on this machine.
 PopcountBackend ActivePopcountBackend();
 
-/// Human-readable backend name ("scalar", "avx2") for logs and benches.
+/// Human-readable backend name ("scalar", "avx2", "avx512") for logs
+/// and benches.
 const char* PopcountBackendName(PopcountBackend backend);
 
 /// True when the CPU (and compiler) support the AVX2 backend.
 bool Avx2Available();
+
+/// True when the CPU (and compiler) support the AVX-512 backend:
+/// AVX512F plus the VPOPCNTDQ vector popcount.
+bool Avx512Available();
 
 /// out_counts[i] = popcount(query AND row_i) for the `n_rows` contiguous
 /// rows starting at `tile` (row i at tile + i * words_per_row). `query`
@@ -64,16 +72,16 @@ void AndPopCountBatch(const uint64_t* query, const uint64_t* base,
 /// out_counts[q * n_rows + r] = popcount(query_q AND row_r) for the
 /// `n_queries` queries packed at queries + q * words_per_row and the
 /// `n_rows` contiguous rows starting at `tile`. Bit-exact with calling
-/// AndPopCountTile once per query; faster because each tile row vector
-/// is loaded once and ANDed against two query fingerprints.
+/// AndPopCountTile once per query; faster because each tile row is
+/// loaded from memory once for several query fingerprints.
 void AndPopCountTileMulti(const uint64_t* queries, std::size_t n_queries,
                           const uint64_t* tile, std::size_t n_rows,
                           std::size_t words_per_row, uint32_t* out_counts);
 
 // Fixed-backend implementations, exposed so tests can assert that every
 // backend agrees bit-exactly and benches can compare them. The Avx2
-// variants require Avx2Available(); on other hardware they fall back to
-// scalar (so calling them is always safe, just not meaningful to bench).
+// variants require Avx2Available() and the Avx512 ones
+// Avx512Available(); on non-x86 builds both are the scalar code.
 namespace detail {
 
 void AndPopCountTileScalar(const uint64_t* query, const uint64_t* tile,
@@ -97,6 +105,18 @@ void AndPopCountBatchAvx2(const uint64_t* query, const uint64_t* base,
 void AndPopCountTileMultiAvx2(const uint64_t* queries, std::size_t n_queries,
                               const uint64_t* tile, std::size_t n_rows,
                               std::size_t words_per_row, uint32_t* out_counts);
+
+void AndPopCountTileAvx512(const uint64_t* query, const uint64_t* tile,
+                           std::size_t n_rows, std::size_t words_per_row,
+                           uint32_t* out_counts);
+void AndPopCountBatchAvx512(const uint64_t* query, const uint64_t* base,
+                            std::size_t words_per_row,
+                            const uint32_t* row_ids, std::size_t n_rows,
+                            uint32_t* out_counts);
+void AndPopCountTileMultiAvx512(const uint64_t* queries,
+                                std::size_t n_queries, const uint64_t* tile,
+                                std::size_t n_rows, std::size_t words_per_row,
+                                uint32_t* out_counts);
 
 }  // namespace detail
 

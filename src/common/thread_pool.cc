@@ -35,6 +35,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
+  Enqueue({std::move(task)});
+}
+
+void ThreadPool::Enqueue(Task task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     tasks_.push(std::move(task));
@@ -50,7 +54,7 @@ void ThreadPool::Wait() {
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       task_available_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
@@ -62,7 +66,7 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     const auto start = std::chrono::steady_clock::now();
-    task();
+    task.fn();
     busy_micros_.fetch_add(
         static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
@@ -72,7 +76,8 @@ void ThreadPool::WorkerLoop() {
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) all_done_.notify_all();
+      const bool call_done = task.pending != nullptr && --*task.pending == 0;
+      if (--in_flight_ == 0 || call_done) all_done_.notify_all();
     }
   }
 }
@@ -87,11 +92,13 @@ void ThreadPool::ParallelFor(
     return;
   }
   const std::size_t chunk = (n + n_chunks - 1) / n_chunks;
+  std::size_t pending = (n + chunk - 1) / chunk;
   for (std::size_t begin = 0; begin < n; begin += chunk) {
     const std::size_t end = std::min(n, begin + chunk);
-    Submit([&fn, begin, end] { fn(begin, end); });
+    Enqueue({[&fn, begin, end] { fn(begin, end); }, &pending});
   }
-  Wait();
+  std::unique_lock<std::mutex> lock(mu_);
+  all_done_.wait(lock, [&pending] { return pending == 0; });
 }
 
 void ParallelFor(ThreadPool* pool, std::size_t n,

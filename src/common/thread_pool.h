@@ -62,22 +62,32 @@ class ThreadPool {
   void Wait();
 
   /// Runs fn(begin, end) over [0, n) split into ~3x-threads chunks, and
-  /// blocks until all chunks are done. `fn` must be safe to call
-  /// concurrently on disjoint ranges. When the pool has one thread or n
-  /// is tiny, runs inline.
+  /// blocks until all of this call's chunks are done; tasks other
+  /// callers put on the pool do not hold it up. `fn` must be safe to
+  /// call concurrently on disjoint ranges. When the pool has one thread
+  /// or n is tiny, runs inline.
   void ParallelFor(std::size_t n,
                    const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
+  struct Task {
+    std::function<void()> fn;
+    // A ParallelFor call's count of unfinished chunks, guarded by mu_;
+    // null for Submit-ed tasks.
+    std::size_t* pending = nullptr;
+  };
+
+  void Enqueue(Task task);
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
   std::vector<int> cpu_affinity_;
   std::atomic<uint64_t> tasks_executed_{0};
   std::atomic<uint64_t> busy_micros_{0};
-  std::queue<std::function<void()>> tasks_;
+  std::queue<Task> tasks_;
   std::mutex mu_;
   std::condition_variable task_available_;
+  // Signalled when in_flight_ or a ParallelFor call's count reaches 0.
   std::condition_variable all_done_;
   std::size_t in_flight_ = 0;  // queued + running tasks
   bool stop_ = false;

@@ -60,40 +60,6 @@ void FingerprintStore::ScoreTileImpl(const uint64_t* query,
   CountLoads(count * (2 * words_per_shf_ + 2));
 }
 
-template <typename CountsToSim>
-void FingerprintStore::ScoreTileMultiImpl(const uint64_t* queries,
-                                          const uint32_t* query_cards,
-                                          std::size_t num_queries,
-                                          UserId first, std::size_t count,
-                                          std::span<double> out,
-                                          CountsToSim&& to_sim) const {
-  // Queries are grouped so the count scratch stays a fixed stack array:
-  // 16 queries x 256 rows = 16 KiB. Within a group the <= 256-row tile
-  // (32 KiB at b = 1024) stays cache-hot across all 16 queries.
-  constexpr std::size_t kQueryChunk = 16;
-  uint32_t counts[kQueryChunk * kScoreChunk];
-  for (std::size_t qdone = 0; qdone < num_queries; qdone += kQueryChunk) {
-    const std::size_t nq = std::min(kQueryChunk, num_queries - qdone);
-    for (std::size_t done = 0; done < count; done += kScoreChunk) {
-      const std::size_t m = std::min(kScoreChunk, count - done);
-      const uint64_t* tile =
-          words_data_ +
-          (static_cast<std::size_t>(first) + done) * words_per_shf_;
-      bits::AndPopCountTileMulti(queries + qdone * words_per_shf_, nq, tile,
-                                 m, words_per_shf_, counts);
-      for (std::size_t q = 0; q < nq; ++q) {
-        double* out_q = out.data() + (qdone + q) * count + done;
-        const uint32_t card_q = query_cards[qdone + q];
-        for (std::size_t i = 0; i < m; ++i) {
-          out_q[i] =
-              to_sim(card_q, cards_data_[first + done + i], counts[q * m + i]);
-        }
-      }
-    }
-  }
-  CountLoads(num_queries * count * (2 * words_per_shf_ + 2));
-}
-
 void FingerprintStore::EstimateJaccardBatch(UserId u,
                                             std::span<const UserId> candidates,
                                             std::span<double> out) const {
@@ -122,27 +88,11 @@ void FingerprintStore::EstimateCosineTile(UserId u, UserId first,
                 cards_data_[u], first, count, out, &CosineFromCounts);
 }
 
-void FingerprintStore::EstimateJaccardTileExternal(
-    std::span<const uint64_t> query_words, uint32_t query_cardinality,
-    UserId first, std::size_t count, std::span<double> out) const {
-  ScoreTileImpl(query_words.data(), query_cardinality, first, count, out,
-                &JaccardFromCounts);
-}
-
 void FingerprintStore::EstimateJaccardBatchExternal(
     std::span<const uint64_t> query_words, uint32_t query_cardinality,
     std::span<const UserId> candidates, std::span<double> out) const {
   ScoreBatchImpl(query_words.data(), query_cardinality, candidates, out,
                  &JaccardFromCounts);
-}
-
-void FingerprintStore::EstimateJaccardTileMultiExternal(
-    std::span<const uint64_t> queries_words,
-    std::span<const uint32_t> query_cardinalities, UserId first,
-    std::size_t count, std::span<double> out) const {
-  ScoreTileMultiImpl(queries_words.data(), query_cardinalities.data(),
-                     query_cardinalities.size(), first, count, out,
-                     &JaccardFromCounts);
 }
 
 Result<FingerprintStore> FingerprintStore::Build(

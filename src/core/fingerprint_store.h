@@ -132,38 +132,16 @@ class FingerprintStore {
   void EstimateCosineTile(UserId u, UserId first, std::size_t count,
                           std::span<double> out) const;
 
-  /// External-query tile kernel (the serving path): scores a
-  /// caller-supplied fingerprint — `query_words` must hold
-  /// words_per_shf() words, `query_cardinality` its popcount — against
-  /// the contiguous user range [first, first + count). Bit-exact with
-  /// extracting each candidate and calling Shf::EstimateJaccard pair by
-  /// pair; runs on the same AndPopCountTile kernel as the UserId
-  /// overloads. out must hold `count`.
-  void EstimateJaccardTileExternal(std::span<const uint64_t> query_words,
-                                   uint32_t query_cardinality, UserId first,
-                                   std::size_t count,
-                                   std::span<double> out) const;
-
-  /// External-query gather kernel: scores the caller-supplied
-  /// fingerprint against an arbitrary candidate id list (banded-LSH
-  /// query candidates). out must hold candidates.size().
+  /// External-query gather kernel: scores a caller-supplied
+  /// fingerprint — `query_words` must hold words_per_shf() words,
+  /// `query_cardinality` its popcount — against an arbitrary candidate
+  /// id list (banded-LSH query candidates). Bit-exact with extracting
+  /// each candidate and calling Shf::EstimateJaccard pair by pair.
+  /// out must hold candidates.size().
   void EstimateJaccardBatchExternal(std::span<const uint64_t> query_words,
                                     uint32_t query_cardinality,
                                     std::span<const UserId> candidates,
                                     std::span<double> out) const;
-
-  /// Multi-query tile kernel for batched serving: scores a batch of B
-  /// external fingerprints (query q's words at queries_words[q *
-  /// words_per_shf(), ...), cardinality query_cardinalities[q], B =
-  /// query_cardinalities.size()) against [first, first + count) in one
-  /// pass, so each store tile streams through cache once per batch
-  /// instead of once per query. out[q * count + i] scores query q
-  /// against user first + i; out must hold B * count. Bit-exact with B
-  /// EstimateJaccardTileExternal calls.
-  void EstimateJaccardTileMultiExternal(
-      std::span<const uint64_t> queries_words,
-      std::span<const uint32_t> query_cardinalities, UserId first,
-      std::size_t count, std::span<double> out) const;
 
   /// Cosine analogue of EstimateJaccard (same kernel, CosineFromCounts).
   double EstimateCosine(UserId a, UserId b) const {
@@ -197,11 +175,6 @@ class FingerprintStore {
   void ScoreTileImpl(const uint64_t* query, uint32_t query_card,
                      UserId first, std::size_t count, std::span<double> out,
                      CountsToSim&& to_sim) const;
-  template <typename CountsToSim>
-  void ScoreTileMultiImpl(const uint64_t* queries, const uint32_t* query_cards,
-                          std::size_t num_queries, UserId first,
-                          std::size_t count, std::span<double> out,
-                          CountsToSim&& to_sim) const;
 
   FingerprintStore(const FingerprintConfig& config, std::size_t num_users)
       : config_(config),

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/bit_util.h"
+#include "common/simd_popcount.h"
 #include "core/similarity.h"
 #include "hash/murmur3.h"
 #include "io/container.h"
@@ -251,20 +252,49 @@ void ScanQueryEngine::ScanRows(std::size_t s, std::size_t begin,
   const FingerprintStore& rows = store_->shard(s);
   const UserId base = store_->ShardBegin(s);
   const std::size_t nb = query_cards.size();
-  std::vector<double> scores(nb * std::min(kTileRows, end - begin));
+  const std::size_t words = rows.words_per_shf();
+  const uint64_t* arena = rows.WordsArena().data();
+  const uint32_t* cards = rows.Cardinalities().data();
+  // Each 16-query x 256-row block is counted into a 16 KiB integer
+  // scratch; a tile stays cache-hot across the whole batch.
+  //
+  // Prune before dividing: a row with intersection i and union u is
+  // offered only when i >= floor * u, floor being the selector's k-th
+  // best score (-1 until it holds k). The skip is exact. A row enters
+  // only by scoring above the floor: one scoring equal to it has a
+  // larger id than every survivor (the selector is fresh and sees
+  // ascending ids), so it loses the tie. And fl(i/u) > floor implies
+  // i/u > floor, so i > floor * u, and by monotone rounding
+  // i >= fl(floor * u). Offered rows are scored by JaccardFromCounts
+  // as without the prune, so answers are bit-identical.
+  constexpr std::size_t kQueryGroup = 16;
+  uint32_t counts[kQueryGroup * kTileRows];
   for (std::size_t first = begin; first < end; first += kTileRows) {
     const std::size_t m = std::min(kTileRows, end - first);
-    rows.EstimateJaccardTileMultiExternal(query_words, query_cards,
-                                          static_cast<UserId>(first), m,
-                                          {scores.data(), nb * m});
-    for (std::size_t q = 0; q < nb; ++q) {
-      const double* sims = scores.data() + q * m;
-      TopKSelector& sel = selectors[q];
-      for (std::size_t i = 0; i < m; ++i) {
-        sel.Offer(base + static_cast<UserId>(first + i), sims[i]);
+    for (std::size_t q0 = 0; q0 < nb; q0 += kQueryGroup) {
+      const std::size_t nq = std::min(kQueryGroup, nb - q0);
+      bits::AndPopCountTileMulti(query_words.data() + q0 * words, nq,
+                                 arena + first * words, m, words, counts);
+      for (std::size_t q = 0; q < nq; ++q) {
+        TopKSelector& sel = selectors[q0 + q];
+        const uint32_t card_q = query_cards[q0 + q];
+        const uint32_t* inter = counts + q * m;
+        double floor = sel.Floor();
+        for (std::size_t i = 0; i < m; ++i) {
+          const uint32_t card_r = cards[first + i];
+          const uint32_t union_estimate = card_q + card_r - inter[i];
+          if (static_cast<double>(inter[i]) <
+              floor * static_cast<double>(union_estimate)) {
+            continue;
+          }
+          sel.Offer(base + static_cast<UserId>(first + i),
+                    JaccardFromCounts(card_q, card_r, inter[i]));
+          floor = sel.Floor();
+        }
       }
     }
   }
+  CountLoads(nb * (end - begin) * (2 * words + 2));  // modelled traffic
   if (partition_scan_ != nullptr) {
     partition_scan_->Observe(
         static_cast<double>(Clock::System()->NowMicros() - t0));

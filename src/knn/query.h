@@ -94,6 +94,14 @@ class TopKSelector {
     std::push_heap(heap_.begin(), heap_.end(), Better);
   }
 
+  /// The worst survivor's score once k entries are held, -1 (below
+  /// every score) until then. A candidate scoring below it cannot
+  /// enter, nor can one that ties it with a larger id than that
+  /// survivor's.
+  double Floor() const {
+    return heap_.size() < k_ || heap_.empty() ? -1.0 : heap_[0].similarity;
+  }
+
   /// The survivors, best first. Leaves the selector empty.
   std::vector<Neighbor> Take() {
     std::sort(heap_.begin(), heap_.end(), Better);
@@ -226,7 +234,9 @@ class ScanQueryEngine {
 
  private:
   // The one tile loop: scores rows [begin, end) of shard `s` against
-  // the packed batch, offering query q's scores to selectors[q].
+  // the packed batch, offering query q's scores to selectors[q]. The
+  // selectors must be fresh: the prune relies on each seeing its rows
+  // in ascending id.
   void ScanRows(std::size_t s, std::size_t begin, std::size_t end,
                 std::span<const uint64_t> query_words,
                 std::span<const uint32_t> query_cards,

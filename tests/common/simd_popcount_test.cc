@@ -113,7 +113,10 @@ TEST(SimdPopcountTest, DispatchedEntryPointsMatchScalar) {
 
 TEST(SimdPopcountTest, BackendReportingIsConsistent) {
   const PopcountBackend backend = ActivePopcountBackend();
-  if (Avx2Available()) {
+  if (Avx512Available()) {
+    EXPECT_EQ(backend, PopcountBackend::kAvx512);
+    EXPECT_STREQ(PopcountBackendName(backend), "avx512");
+  } else if (Avx2Available()) {
     EXPECT_EQ(backend, PopcountBackend::kAvx2);
     EXPECT_STREQ(PopcountBackendName(backend), "avx2");
   } else {
@@ -190,6 +193,87 @@ TEST(SimdPopcountTest, DispatchedTileMultiMatchesScalar) {
   AndPopCountTileMulti(queries.data(), n_queries, in.rows.data(), in.n_rows,
                        words, got.data());
   EXPECT_EQ(want, got);
+}
+
+// The AVX-512 backend's regimes: one-word rows (eight rows per
+// vector), zero-masked tails of every length under a vector (words
+// 1..9, 15, 17), whole vectors (8, 16, 24, 64, 128), row counts around
+// its eight-row blocks and the 256-row tile, and query counts around
+// the 16-query group. Outputs carry guard words past the end, so a
+// store outside the n counts fails too.
+constexpr std::size_t kAvx512Words[] = {1, 2,  3,  4,  5,  6,  7,  8,
+                                        9, 15, 16, 17, 24, 64, 128};
+constexpr std::size_t kAvx512Rows[] = {0, 1, 7, 8, 9, 255, 256, 257};
+constexpr std::size_t kAvx512Queries[] = {1, 2, 3, 15, 16, 17};
+constexpr uint32_t kGuard = 0xdeadbeef;
+
+// n counts followed by 16 guard words.
+std::vector<uint32_t> GuardedOutput(std::size_t n) {
+  return std::vector<uint32_t>(n + 16, kGuard);
+}
+
+TEST(SimdPopcountTest, Avx512TileAgreesWithScalarBitExactly) {
+  if (!Avx512Available()) GTEST_SKIP() << "no AVX-512 VPOPCNTDQ here";
+  Rng rng(18);
+  for (std::size_t words : kAvx512Words) {
+    for (std::size_t n_rows : kAvx512Rows) {
+      const KernelInput in = RandomInput(n_rows, words, rng);
+      std::vector<uint32_t> want = GuardedOutput(n_rows);
+      std::vector<uint32_t> got = GuardedOutput(n_rows);
+      detail::AndPopCountTileScalar(in.query.data(), in.rows.data(), n_rows,
+                                    words, want.data());
+      detail::AndPopCountTileAvx512(in.query.data(), in.rows.data(), n_rows,
+                                    words, got.data());
+      ASSERT_EQ(got, want) << "words=" << words << " n_rows=" << n_rows;
+    }
+  }
+}
+
+TEST(SimdPopcountTest, Avx512BatchAgreesWithScalarBitExactly) {
+  if (!Avx512Available()) GTEST_SKIP() << "no AVX-512 VPOPCNTDQ here";
+  Rng rng(19);
+  for (std::size_t words : kAvx512Words) {
+    for (std::size_t n_ids : kAvx512Rows) {
+      const KernelInput in = RandomInput(64, words, rng);
+      // Unsorted ids with repeats: a descending run, then random draws.
+      std::vector<uint32_t> ids(n_ids);
+      for (std::size_t i = 0; i < n_ids; ++i) {
+        ids[i] = i < 10 ? static_cast<uint32_t>(63 - i % 3)
+                        : static_cast<uint32_t>(rng.Below(in.n_rows));
+      }
+      std::vector<uint32_t> want = GuardedOutput(n_ids);
+      std::vector<uint32_t> got = GuardedOutput(n_ids);
+      detail::AndPopCountBatchScalar(in.query.data(), in.rows.data(), words,
+                                     ids.data(), n_ids, want.data());
+      detail::AndPopCountBatchAvx512(in.query.data(), in.rows.data(), words,
+                                     ids.data(), n_ids, got.data());
+      ASSERT_EQ(got, want) << "words=" << words << " n_ids=" << n_ids;
+    }
+  }
+}
+
+TEST(SimdPopcountTest, Avx512TileMultiAgreesWithScalarBitExactly) {
+  if (!Avx512Available()) GTEST_SKIP() << "no AVX-512 VPOPCNTDQ here";
+  Rng rng(20);
+  for (std::size_t words : kAvx512Words) {
+    for (std::size_t n_rows : kAvx512Rows) {
+      for (std::size_t n_queries : kAvx512Queries) {
+        const KernelInput in = RandomInput(n_rows, words, rng);
+        std::vector<uint64_t> queries(n_queries * words);
+        for (auto& w : queries) w = rng.Next();
+        std::vector<uint32_t> want = GuardedOutput(n_queries * n_rows);
+        std::vector<uint32_t> got = GuardedOutput(n_queries * n_rows);
+        detail::AndPopCountTileMultiScalar(queries.data(), n_queries,
+                                           in.rows.data(), n_rows, words,
+                                           want.data());
+        detail::AndPopCountTileMultiAvx512(queries.data(), n_queries,
+                                           in.rows.data(), n_rows, words,
+                                           got.data());
+        ASSERT_EQ(got, want) << "words=" << words << " n_rows=" << n_rows
+                             << " queries=" << n_queries;
+      }
+    }
+  }
 }
 
 TEST(SimdPopcountTest, AllOnesAndDisjointPatterns) {

@@ -1,7 +1,11 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -82,6 +86,49 @@ TEST(ThreadPoolTest, SequentialUseAfterParallelFor) {
     });
   }
   EXPECT_EQ(sum.load(), 5L * (999L * 1000L / 2));
+}
+
+// Two callers share one pool (as serve_cluster's two replicas do). The
+// first caller's two chunks hold two of the four workers; the second
+// caller's two trivial chunks run on the free workers, and its
+// ParallelFor returns without waiting for the first caller's tasks.
+TEST(ThreadPoolTest, ParallelForDoesNotWaitForAnotherCallersTasks) {
+  using std::chrono::steady_clock;
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  int blocked = 0;
+  bool release = false;
+  std::thread first([&] {
+    pool.ParallelFor(2, [&](std::size_t, std::size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      ++blocked;
+      cv.notify_all();
+      // Bounded, so a pool that makes the second caller wait fails the
+      // test below instead of hanging it.
+      cv.wait_for(lock, std::chrono::seconds(2), [&] { return release; });
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return blocked == 2; });
+  }
+
+  const auto start = steady_clock::now();
+  std::atomic<int> ran{0};
+  pool.ParallelFor(2, [&](std::size_t begin, std::size_t end) {
+    ran.fetch_add(static_cast<int>(end - begin));
+  });
+  const auto elapsed = steady_clock::now() - start;
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  first.join();
+
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 TEST(ThreadPoolTest, AffinityPoolRunsWorkAndReportsCpuSet) {

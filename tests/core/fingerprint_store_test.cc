@@ -174,50 +174,10 @@ TEST(FingerprintStoreTest, ExternalTileAndBatchEqualStoredUserKernels) {
   for (UserId u : {UserId{0}, UserId{17}, UserId{89}}) {
     const Shf query = store->Extract(u);
     std::vector<double> want(n), got(n);
-
-    store->EstimateJaccardTile(u, 0, n, want);
-    store->EstimateJaccardTileExternal(query.words(), query.cardinality(), 0,
-                                       n, got);
-    EXPECT_EQ(want, got) << "tile, user " << u;
-
     store->EstimateJaccardBatch(u, everyone, want);
     store->EstimateJaccardBatchExternal(query.words(), query.cardinality(),
                                         everyone, got);
     EXPECT_EQ(want, got) << "batch, user " << u;
-  }
-}
-
-TEST(FingerprintStoreTest, TileMultiExternalEqualsPerQueryTile) {
-  const Dataset d = testing::SmallSynthetic(120);
-  auto store = FingerprintStore::Build(d, Config(256));
-  ASSERT_TRUE(store.ok());
-  const std::size_t words = store->words_per_shf();
-
-  // 17 queries crosses the 16-query group boundary of ScoreTileMultiImpl.
-  const std::size_t n_queries = 17;
-  std::vector<uint64_t> queries_words(n_queries * words);
-  std::vector<uint32_t> cards(n_queries);
-  std::vector<Shf> queries;
-  for (std::size_t q = 0; q < n_queries; ++q) {
-    queries.push_back(store->Extract(static_cast<UserId>(q * 7 % 120)));
-    const auto w = queries.back().words();
-    std::copy(w.begin(), w.end(), queries_words.begin() + q * words);
-    cards[q] = queries.back().cardinality();
-  }
-
-  // A tile that is neither aligned nor the whole store.
-  const UserId first = 3;
-  const std::size_t count = 101;
-  std::vector<double> got(n_queries * count);
-  store->EstimateJaccardTileMultiExternal(queries_words, cards, first, count,
-                                          got);
-  for (std::size_t q = 0; q < n_queries; ++q) {
-    std::vector<double> want(count);
-    store->EstimateJaccardTileExternal(queries[q].words(), cards[q], first,
-                                       count, want);
-    for (std::size_t i = 0; i < count; ++i) {
-      ASSERT_EQ(got[q * count + i], want[i]) << "q=" << q << " i=" << i;
-    }
   }
 }
 

@@ -201,6 +201,75 @@ TEST(ShardedQueryTest, MultiTileShardsAndQueryGroupsMatchScan) {
   ExpectIdentical(pinned.QueryBatch(queries, 10).value(), want);
 }
 
+// Ties at the k-th best score. 40 distinct fingerprints are stored 25
+// times each, shuffled so the copies straddle 256-row tiles and shard
+// boundaries, next to zero-cardinality rows. A query drawn from the
+// store ties with all 25 copies of itself, so k = 24, 25 and 26 cut
+// inside, at and just past a tie group; the all-zero query scores 0
+// against every row, so its answer is decided by id alone. Every
+// partitioning, with and without a pool, answers what per-pair Query
+// does, bit for bit.
+TEST(ShardedQueryTest, TiesAtTheFloorMatchScan) {
+  Rng rng(8);
+  constexpr std::size_t kDistinct = 40;
+  constexpr std::size_t kCopies = 25;
+  constexpr std::size_t kZeroRows = 13;
+  const std::size_t bits = 1024;
+  const std::size_t words_per_shf = bits::WordsForBits(bits);
+  std::vector<uint64_t> distinct(kDistinct * words_per_shf);
+  for (auto& w : distinct) w = rng.Next() & rng.Next();
+  // Each row's fingerprint index; kDistinct marks an all-zero row.
+  std::vector<std::size_t> labels;
+  for (std::size_t d = 0; d < kDistinct; ++d) {
+    labels.insert(labels.end(), kCopies, d);
+  }
+  labels.insert(labels.end(), kZeroRows, kDistinct);
+  rng.Shuffle(labels);
+  const std::size_t users = labels.size();
+
+  std::vector<uint64_t> words(users * words_per_shf, 0);
+  std::vector<uint32_t> cards(users, 0);
+  for (std::size_t u = 0; u < users; ++u) {
+    if (labels[u] == kDistinct) continue;
+    std::copy_n(distinct.begin() + labels[u] * words_per_shf, words_per_shf,
+                words.begin() + u * words_per_shf);
+    cards[u] = bits::PopCount(
+        {words.data() + u * words_per_shf, words_per_shf});
+  }
+  FingerprintConfig config;
+  config.num_bits = bits;
+  const auto store = FingerprintStore::FromRaw(config, users,
+                                               std::move(words),
+                                               std::move(cards))
+                         .value();
+
+  std::vector<Shf> queries;
+  while (queries.size() < 37) {
+    const auto u = static_cast<UserId>(rng.Below(users));
+    if (labels[u] != kDistinct) queries.push_back(store.Extract(u));
+  }
+  queries.push_back(*Shf::Create(bits));
+
+  const ScanQueryEngine scan(store);
+  ThreadPool pool(4);
+  std::vector<std::unique_ptr<ScanQueryEngine>> engines;
+  engines.push_back(std::make_unique<ScanQueryEngine>(store));
+  engines.push_back(std::make_unique<ScanQueryEngine>(store, &pool));
+  for (const std::size_t shards : {1u, 3u, 7u}) {
+    engines.push_back(std::make_unique<ScanQueryEngine>(Shard(store, shards)));
+    engines.push_back(
+        std::make_unique<ScanQueryEngine>(Shard(store, shards), &pool));
+  }
+  for (const std::size_t k : {1ul, 5ul, 24ul, 25ul, 26ul, users}) {
+    std::vector<std::vector<Neighbor>> want;
+    for (const Shf& query : queries) want.push_back(scan.Query(query, k).value());
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " engine=" + std::to_string(e));
+      ExpectIdentical(engines[e]->QueryBatch(queries, k).value(), want);
+    }
+  }
+}
+
 TEST(ShardedQueryTest, ZeroCardinalityQueriesAndRowsMatchScan) {
   // All-zero fingerprints exercise the estimator's 0/0 guard on both
   // sides of the scatter; ranking ties then resolve purely by id.
