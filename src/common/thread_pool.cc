@@ -3,25 +3,15 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/cpu_topology.h"
-
 namespace gf {
 
-ThreadPool::ThreadPool(std::size_t n_threads)
-    : ThreadPool(n_threads, std::vector<int>{}) {}
-
-ThreadPool::ThreadPool(std::size_t n_threads, std::vector<int> cpu_affinity)
-    : cpu_affinity_(std::move(cpu_affinity)) {
+ThreadPool::ThreadPool(std::size_t n_threads) {
   if (n_threads == 0) {
     n_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(n_threads);
   for (std::size_t i = 0; i < n_threads; ++i) {
-    workers_.emplace_back([this] {
-      // Best-effort: a failed pin still runs the worker, just unplaced.
-      if (!cpu_affinity_.empty()) PinCurrentThreadToCpus(cpu_affinity_);
-      WorkerLoop();
-    });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 

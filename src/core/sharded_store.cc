@@ -1,102 +1,9 @@
 #include "core/sharded_store.h"
 
-#include <algorithm>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
-#include "common/cpu_topology.h"
-
 namespace gf {
-
-namespace {
-
-// Copies global rows [begin, begin + count) of `store` into a
-// standalone shard store. Runs on the placement thread so that both the
-// allocation and the first write of every arena page happen there
-// (first-touch NUMA policy).
-Result<FingerprintStore> BuildShard(const FingerprintStore& store,
-                                    UserId begin, std::size_t count) {
-  const std::size_t words_per_shf = store.words_per_shf();
-  std::vector<uint64_t> words(count * words_per_shf);
-  std::vector<uint32_t> cards(count);
-  for (std::size_t r = 0; r < count; ++r) {
-    const auto src = store.WordsOf(begin + static_cast<UserId>(r));
-    std::copy(src.begin(), src.end(), words.begin() + r * words_per_shf);
-    cards[r] = store.CardinalityOf(begin + static_cast<UserId>(r));
-  }
-  return FingerprintStore::FromRaw(store.config(), count, std::move(words),
-                                   std::move(cards));
-}
-
-}  // namespace
-
-Result<ShardedFingerprintStore> ShardedFingerprintStore::Partition(
-    const FingerprintStore& store, const Options& options,
-    const obs::PipelineContext* obs) {
-  if (options.num_shards == 0) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
-  obs::ScopedPhase phase(obs, "store.shard.partition",
-                         "store.shard.partition_seconds");
-
-  const std::size_t n = store.num_users();
-  const std::size_t s_count = options.num_shards;
-  ShardedFingerprintStore out(store.config(), n, options.placement);
-  out.shard_begins_.reserve(s_count);
-  out.shard_cpus_.reserve(s_count);
-
-  // Balanced contiguous split: the first n % S shards get one extra
-  // user, so sizes differ by at most one row.
-  const std::size_t base = n / s_count;
-  const std::size_t extra = n % s_count;
-  std::vector<std::size_t> sizes(s_count);
-  UserId begin = 0;
-  for (std::size_t s = 0; s < s_count; ++s) {
-    sizes[s] = base + (s < extra ? 1 : 0);
-    out.shard_begins_.push_back(begin);
-    out.shard_cpus_.push_back(ShardCpuAssignment(s));
-    begin += static_cast<UserId>(sizes[s]);
-  }
-
-  std::vector<std::optional<Result<FingerprintStore>>> built(s_count);
-  if (options.placement == Placement::kFirstTouch) {
-    // One placement thread per shard: pin to the shard's node, then
-    // allocate + copy there. Threads write disjoint slots, so the only
-    // synchronization needed is the joins.
-    std::vector<std::thread> placers;
-    placers.reserve(s_count);
-    for (std::size_t s = 0; s < s_count; ++s) {
-      placers.emplace_back([&, s] {
-        PinCurrentThreadToCpus(out.shard_cpus_[s]);
-        built[s].emplace(BuildShard(store, out.shard_begins_[s], sizes[s]));
-      });
-    }
-    for (auto& t : placers) t.join();
-  } else {
-    for (std::size_t s = 0; s < s_count; ++s) {
-      built[s].emplace(BuildShard(store, out.shard_begins_[s], sizes[s]));
-    }
-  }
-
-  out.shards_.reserve(s_count);
-  for (std::size_t s = 0; s < s_count; ++s) {
-    if (!built[s]->ok()) {
-      return Status(built[s]->status().code(),
-                    "shard " + std::to_string(s) + ": " +
-                        built[s]->status().message());
-    }
-    out.shards_.push_back(std::move(*built[s]).value());
-  }
-
-  if (obs != nullptr) {
-    obs->Count("store.shard.partitions", 1);
-    obs->Count("store.shard.users_copied", n);
-    obs->SetGauge("store.shard.count", static_cast<double>(s_count));
-  }
-  return out;
-}
 
 Result<ShardedFingerprintStore> ShardedFingerprintStore::ViewOf(
     const FingerprintStore& source, std::span<const UserId> shard_begins,
@@ -111,9 +18,8 @@ Result<ShardedFingerprintStore> ShardedFingerprintStore::ViewOf(
   const std::size_t s_count = shard_begins.size();
   obs::ScopedPhase phase(obs, "store.shard.view");
 
-  ShardedFingerprintStore out(source.config(), n, Placement::kNone);
+  ShardedFingerprintStore out(source.config(), n);
   out.shard_begins_.reserve(s_count);
-  out.shard_cpus_.reserve(s_count);
   out.shards_.reserve(s_count);
   for (std::size_t s = 0; s < s_count; ++s) {
     const UserId begin = shard_begins[s];
@@ -134,7 +40,6 @@ Result<ShardedFingerprintStore> ShardedFingerprintStore::ViewOf(
         count != 0 ? source.Cardinalities().data() + begin : nullptr);
     if (!shard.ok()) return shard.status();
     out.shard_begins_.push_back(begin);
-    out.shard_cpus_.push_back(ShardCpuAssignment(s));
     out.shards_.push_back(std::move(shard).value());
   }
   if (obs != nullptr) {

@@ -1,22 +1,15 @@
-// ShardedFingerprintStore: one fingerprint table cut into S contiguous
-// user shards, each shard its own row-major FingerprintStore arena
-// (DESIGN.md §12). Sharding is pure partitioning — every global user id
-// appears in exactly one shard, rows are bit-for-bit copies of the
-// source store — so a scatter/merge scan over the shards can stay
-// bit-exact with a scan of the unsharded store.
+// ShardedFingerprintStore: one fingerprint arena seen as S contiguous
+// zero-copy user shards (DESIGN.md §12). Shard s is a borrowed view
+// over a run of the arena's rows — no bytes move — so every global
+// user id appears in exactly one shard, bit for bit the source row, and
+// a scatter/merge scan over the shards stays bit-exact with a scan of
+// the whole store.
 //
 // Why contiguous shards: the SHF rows are fixed-width (words_per_shf
 // words each), so S equal slices are perfectly balanced in both bytes
 // and scan work, and a shard-local tile scan is the same cache-friendly
 // kernel the single store runs (core/fingerprint_store.h). Global ids
 // recover as ShardBegin(s) + local row.
-//
-// NUMA placement: with Placement::kFirstTouch each shard's arena is
-// allocated AND first-written on a thread pinned to that shard's CPU
-// set (common/cpu_topology.h deals shards round-robin across nodes), so
-// the kernel's first-touch policy lands the shard's pages on the node
-// its scan workers will run on. No libnuma dependency; on single-node
-// or non-Linux hosts this degrades to plain parallel construction.
 
 #ifndef GF_CORE_SHARDED_STORE_H_
 #define GF_CORE_SHARDED_STORE_H_
@@ -32,38 +25,18 @@
 
 namespace gf {
 
-/// Immutable sharded view-by-copy of a FingerprintStore.
+/// Immutable sharded view of one FingerprintStore's arena.
 class ShardedFingerprintStore {
  public:
-  enum class Placement {
-    kNone,        // arenas built by the calling thread
-    kFirstTouch,  // each arena first-written from a thread pinned to the
-                  // shard's NUMA node CPU set
-  };
-
-  struct Options {
-    /// Number of contiguous user shards (>= 1). May exceed the user
-    /// count; the surplus shards are empty and scans skip them.
-    std::size_t num_shards = 1;
-    Placement placement = Placement::kNone;
-  };
-
-  /// Cuts `store` into Options::num_shards contiguous shards (sizes
-  /// differ by at most one user). The source store is only read; the
-  /// shards own their arenas, so the source may be dropped afterwards.
-  static Result<ShardedFingerprintStore> Partition(
-      const FingerprintStore& store, const Options& options,
-      const obs::PipelineContext* obs = nullptr);
-
-  /// Zero-copy hydration (the mmap serving path, io/gfix.h): shard s
-  /// becomes a borrowed view over rows [shard_begins[s],
+  /// Zero-copy hydration (also the mmap serving path, io/gfix.h): shard
+  /// s becomes a borrowed view over rows [shard_begins[s],
   /// shard_begins[s+1]) of `source`'s arena — no bytes move, so a
   /// million-user store shards in microseconds. `shard_begins` must
-  /// start at 0 and be non-decreasing; source.num_users() closes the
-  /// last shard. The SOURCE's memory (not the source object) must
-  /// outlive the result; placement is kNone (the pages lie wherever the
-  /// mapping put them), but ShardCpus is still dealt round-robin so
-  /// pinned scan workers remain usable.
+  /// start at 0, be non-decreasing and stay within
+  /// source.num_users(), which closes the last shard; anything else
+  /// (a GFIX file's shard bounds included) is InvalidArgument. Equal
+  /// begins make empty shards, which scans skip. The SOURCE's memory
+  /// (not the source object) must outlive the result.
   static Result<ShardedFingerprintStore> ViewOf(
       const FingerprintStore& source, std::span<const UserId> shard_begins,
       const obs::PipelineContext* obs = nullptr);
@@ -85,37 +58,28 @@ class ShardedFingerprintStore {
 
   std::size_t num_shards() const { return shards_.size(); }
 
-  /// Shard `s`'s own store; its local row r is global user
-  /// ShardBegin(s) + r.
+  /// Shard `s`, a store borrowing its rows; its local row r is global
+  /// user ShardBegin(s) + r.
   const FingerprintStore& shard(std::size_t s) const { return shards_[s]; }
 
   /// First global user id of shard `s`.
   UserId ShardBegin(std::size_t s) const { return shard_begins_[s]; }
 
-  /// The CPU set shard `s` was placed on (and its scan workers should
-  /// pin to). Populated for every placement policy.
-  std::span<const int> ShardCpus(std::size_t s) const {
-    return shard_cpus_[s];
-  }
-
   std::size_t num_users() const { return num_users_; }
   std::size_t num_bits() const { return config_.num_bits; }
   const FingerprintConfig& config() const { return config_; }
-  Placement placement() const { return placement_; }
 
  private:
   ShardedFingerprintStore(const FingerprintConfig& config,
-                          std::size_t num_users, Placement placement)
-      : config_(config), num_users_(num_users), placement_(placement) {}
+                          std::size_t num_users)
+      : config_(config), num_users_(num_users) {}
 
   FingerprintConfig config_;
   std::size_t num_users_;
-  Placement placement_;
   std::vector<FingerprintStore> shards_;
   std::vector<UserId> shard_begins_;
-  std::vector<std::vector<int>> shard_cpus_;
   // Keeps the borrowed source (an epoch snapshot) alive for snapshot
-  // views; null for Partition copies and raw ViewOf borrows.
+  // views; null for raw ViewOf borrows.
   std::shared_ptr<const void> retain_;
 };
 

@@ -96,9 +96,7 @@ ScanQueryEngine::ScanQueryEngine(const FingerprintStore& store,
 
 ScanQueryEngine::ScanQueryEngine(SnapshotPtr snapshot, ThreadPool* pool,
                                  const obs::PipelineContext* obs)
-    : ScanQueryEngine(WholeStore(std::move(snapshot)), pool, obs) {
-  split_rows_ = true;
-}
+    : ScanQueryEngine(WholeStore(std::move(snapshot)), pool, obs) {}
 
 ScanQueryEngine::ScanQueryEngine(
     std::shared_ptr<const ShardedFingerprintStore> store, ThreadPool* pool,
@@ -112,17 +110,7 @@ ScanQueryEngine::ScanQueryEngine(
       candidates_(CounterOrNull(obs, "query.candidates")),
       batches_(CounterOrNull(obs, "query.batches")),
       queries_(CounterOrNull(obs, "query.sharded.queries")),
-      clock_(ClockOrNull(obs)) {
-  if (store_->placement() != ShardedFingerprintStore::Placement::kFirstTouch) {
-    return;
-  }
-  shard_pools_.reserve(store_->num_shards());
-  for (std::size_t s = 0; s < store_->num_shards(); ++s) {
-    const auto cpus = store_->ShardCpus(s);
-    shard_pools_.push_back(std::make_unique<ThreadPool>(
-        1, std::vector<int>(cpus.begin(), cpus.end())));
-  }
-}
+      clock_(ClockOrNull(obs)) {}
 
 Result<std::vector<Neighbor>> ScanQueryEngine::Query(const Shf& query,
                                                      std::size_t k) const {
@@ -205,15 +193,7 @@ Result<ScoredLists> ScanQueryEngine::QueryBatchPacked(
     const std::lock_guard<std::mutex> lock(partials_mu);
     partials.push_back(std::move(part));
   };
-  const auto scan_shard = [&](std::size_t s) {
-    scan(s, 0, store_->shard(s).num_users());
-  };
-  if (!shard_pools_.empty()) {
-    for (std::size_t s = 0; s < shard_pools_.size(); ++s) {
-      shard_pools_[s]->Submit([&scan_shard, s] { scan_shard(s); });
-    }
-    for (const auto& shard_pool : shard_pools_) shard_pool->Wait();
-  } else if (split_rows_) {
+  if (store_->num_shards() == 1) {
     ParallelFor(pool_, store_->num_users(),
                 [&](std::size_t begin, std::size_t end) {
                   scan(0, begin, end);
@@ -221,7 +201,9 @@ Result<ScoredLists> ScanQueryEngine::QueryBatchPacked(
   } else {
     ParallelFor(pool_, store_->num_shards(),
                 [&](std::size_t begin, std::size_t end) {
-                  for (std::size_t s = begin; s < end; ++s) scan_shard(s);
+                  for (std::size_t s = begin; s < end; ++s) {
+                    scan(s, 0, store_->shard(s).num_users());
+                  }
                 });
   }
   ScoredLists results = MergeTopK(partials, nb, k);

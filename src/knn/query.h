@@ -12,9 +12,9 @@
 //    an epoch snapshot or a sharded store. QueryBatch scores a batch of
 //    B query SHFs tile by tile through the multi-query SIMD kernel
 //    (each 256-row tile streams through cache once per batch), one task
-//    per partition — row chunks of a plain store, shards of a sharded
-//    one, pinned per-shard workers for a first-touch store — and joins
-//    the partitions' top-k lists with MergeTopK. Query() is the
+//    per partition — row chunks of a one-shard store (a plain store or
+//    snapshot is one), shards of a store with several — and joins the
+//    partitions' top-k lists with MergeTopK. Query() is the
 //    sequential per-pair reference scan the exactness tests compare
 //    against.
 //  * MergeTopK — the one merge of partial top-k lists. The scan's
@@ -174,13 +174,10 @@ Status CheckQueries(std::size_t num_bits, std::span<const Shf> queries,
                     std::size_t k);
 
 /// The exhaustive engine: answers queries by scoring every stored
-/// fingerprint. The input type picks how a batch is split:
-///   * plain store or snapshot — ParallelFor row chunks on `pool`;
-///   * sharded store — one task per shard on `pool`;
-///   * sharded store partitioned with Placement::kFirstTouch — one
-///     pinned worker per shard, on the CPU set the shard's arena was
-///     first-touched from (ShardedFingerprintStore::ShardCpus), so
-///     every scan stays on the local NUMA node; `pool` is unused.
+/// fingerprint. The shard count picks how a batch is split:
+///   * one shard — ParallelFor row chunks on `pool`; a plain store or
+///     snapshot is a one-shard view;
+///   * several shards — one task per shard on `pool`.
 /// `pool == nullptr` scans sequentially. Every split is bit-exact with
 /// every other and with per-pair Query.
 class ScanQueryEngine {
@@ -244,10 +241,6 @@ class ScanQueryEngine {
 
   std::shared_ptr<const ShardedFingerprintStore> store_;
   ThreadPool* pool_;
-  // Plain stores and snapshots (a one-shard view): split by rows.
-  bool split_rows_ = false;
-  // One pinned single-thread pool per shard for first-touch stores.
-  std::vector<std::unique_ptr<ThreadPool>> shard_pools_;
   // Cached instruments (registration locks a mutex; lookups here keep
   // the per-query path lock-free). Null without a metrics sink.
   obs::Histogram* latency_ = nullptr;

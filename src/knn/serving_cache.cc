@@ -97,7 +97,7 @@ void ServingCache::FillEntry(Entry& entry, uint64_t hash, const Shf& query,
   entry.referenced = false;
   entry.hash = hash;
   entry.epoch = epoch;
-  entry.k = static_cast<uint32_t>(k);
+  entry.k = k;
   entry.cardinality = query.cardinality();
   entry.num_bits = query.num_bits();
   entry.words.assign(query.words().begin(), query.words().end());

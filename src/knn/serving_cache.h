@@ -144,7 +144,7 @@ class ServingCache {
     bool referenced = false;  // CLOCK second-chance bit
     uint64_t hash = 0;
     uint64_t epoch = 0;
-    uint32_t k = 0;
+    std::size_t k = 0;  // any k, SIZE_MAX included
     uint32_t cardinality = 0;
     uint64_t num_bits = 0;
     std::vector<uint64_t> words;

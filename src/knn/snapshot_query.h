@@ -1,7 +1,7 @@
 // SnapshotQueryEngine: the serving-side consumer of the epoch seam
 // (DESIGN.md §15). It bridges a SnapshotSource (a VersionedStore under
 // live ingestion, or a FixedSnapshotSource over a batch/mmap store) to
-// the exhaustive scan over a sharded view of each epoch:
+// the exhaustive scan over a zero-copy sharded view of each epoch:
 //
 //   * Per batch it acquires the source's current snapshot ONCE and runs
 //     the whole batch against that epoch — one Acquire per batch,
@@ -57,8 +57,9 @@ namespace gf {
 class SnapshotQueryEngine {
  public:
   struct Options {
-    /// Contiguous user shards per epoch view (>= 1); the scan runs
-    /// one task per shard on the pool.
+    /// Contiguous zero-copy shards per epoch view (>= 1). On the pool,
+    /// one shard is split into row chunks; several shards run one task
+    /// each.
     std::size_t num_shards = 1;
     /// L1 exact-result cache entries (0 = no cache). Entries are keyed
     /// to the pinned epoch, so a snapshot publish invalidates every

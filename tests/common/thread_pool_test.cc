@@ -131,22 +131,6 @@ TEST(ThreadPoolTest, ParallelForDoesNotWaitForAnotherCallersTasks) {
   EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
-TEST(ThreadPoolTest, AffinityPoolRunsWorkAndReportsCpuSet) {
-  // Affinity is best-effort by contract: the pool must record the
-  // requested set and still execute work even if pinning is refused.
-  ThreadPool pool(2, std::vector<int>{0});
-  EXPECT_EQ(pool.cpu_affinity(), std::vector<int>{0});
-  std::atomic<int> count{0};
-  for (int i = 0; i < 8; ++i) pool.Submit([&] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 8);
-}
-
-TEST(ThreadPoolTest, EmptyAffinityMeansUnpinned) {
-  ThreadPool pool(2);
-  EXPECT_TRUE(pool.cpu_affinity().empty());
-}
-
 TEST(ThreadPoolTest, DestructorJoinsCleanly) {
   // Pool with queued work destroyed after Wait: no crash, no leak
   // (exercised under the test runner's lifetime checks).

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/bit_util.h"
@@ -53,19 +54,28 @@ void ExpectExactPartition(const FingerprintStore& source,
   EXPECT_EQ(covered, source.num_users());
 }
 
-TEST(ShardedStoreTest, RejectsZeroShards) {
+// Shard bounds can come from a file (GFIX, io/gfix.h), so every
+// malformed cut is refused rather than read past the arena.
+TEST(ShardedStoreTest, RejectsMalformedBegins) {
   Rng rng(1);
   const auto store = RandomStore(10, 128, rng);
-  ShardedFingerprintStore::Options options;
-  options.num_shards = 0;
-  EXPECT_FALSE(ShardedFingerprintStore::Partition(store, options).ok());
+  const std::vector<std::vector<UserId>> malformed = {
+      {},          // no shard
+      {1, 5},      // the first shard does not begin at user 0
+      {0, 6, 4},   // decreasing
+      {0, 4, 11},  // a begin past the last user
+  };
+  for (const auto& begins : malformed) {
+    EXPECT_FALSE(ShardedFingerprintStore::ViewOf(store, begins).ok())
+        << "begins of size " << begins.size();
+  }
 }
 
 TEST(ShardedStoreTest, SingleShardIsTheWholeStore) {
   Rng rng(2);
   const auto store = RandomStore(17, 256, rng);
-  auto sharded = ShardedFingerprintStore::Partition(
-      store, ShardedFingerprintStore::Options{});
+  auto sharded = ShardedFingerprintStore::ViewOf(
+      store, ShardedFingerprintStore::BalancedBegins(17, 1));
   ASSERT_TRUE(sharded.ok());
   EXPECT_EQ(sharded->num_shards(), 1u);
   ExpectExactPartition(store, *sharded);
@@ -74,9 +84,8 @@ TEST(ShardedStoreTest, SingleShardIsTheWholeStore) {
 TEST(ShardedStoreTest, UnevenSplitIsBalancedAndExact) {
   Rng rng(3);
   const auto store = RandomStore(23, 192, rng);  // 23 users over 5 shards
-  ShardedFingerprintStore::Options options;
-  options.num_shards = 5;
-  auto sharded = ShardedFingerprintStore::Partition(store, options);
+  auto sharded = ShardedFingerprintStore::ViewOf(
+      store, ShardedFingerprintStore::BalancedBegins(23, 5));
   ASSERT_TRUE(sharded.ok());
   ASSERT_EQ(sharded->num_shards(), 5u);
   // Shard sizes differ by at most one user: 23 = 3 x 5 + 2x4... (5,5,5,4,4).
@@ -93,9 +102,8 @@ TEST(ShardedStoreTest, UnevenSplitIsBalancedAndExact) {
 TEST(ShardedStoreTest, MoreShardsThanUsersLeavesEmptyShards) {
   Rng rng(4);
   const auto store = RandomStore(3, 128, rng);
-  ShardedFingerprintStore::Options options;
-  options.num_shards = 8;
-  auto sharded = ShardedFingerprintStore::Partition(store, options);
+  auto sharded = ShardedFingerprintStore::ViewOf(
+      store, ShardedFingerprintStore::BalancedBegins(3, 8));
   ASSERT_TRUE(sharded.ok());
   ASSERT_EQ(sharded->num_shards(), 8u);
   ExpectExactPartition(store, *sharded);
@@ -106,42 +114,15 @@ TEST(ShardedStoreTest, MoreShardsThanUsersLeavesEmptyShards) {
   EXPECT_EQ(empty, 5u);
 }
 
-TEST(ShardedStoreTest, FirstTouchPlacementIsStillExact) {
-  Rng rng(5);
-  const auto store = RandomStore(50, 512, rng);
-  ShardedFingerprintStore::Options options;
-  options.num_shards = 4;
-  options.placement = ShardedFingerprintStore::Placement::kFirstTouch;
-  auto sharded = ShardedFingerprintStore::Partition(store, options);
-  ASSERT_TRUE(sharded.ok());
-  EXPECT_EQ(sharded->placement(),
-            ShardedFingerprintStore::Placement::kFirstTouch);
-  ExpectExactPartition(store, *sharded);
-}
-
-TEST(ShardedStoreTest, EveryShardHasACpuSet) {
-  Rng rng(6);
-  const auto store = RandomStore(12, 128, rng);
-  ShardedFingerprintStore::Options options;
-  options.num_shards = 3;
-  auto sharded = ShardedFingerprintStore::Partition(store, options);
-  ASSERT_TRUE(sharded.ok());
-  for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_FALSE(sharded->ShardCpus(s).empty()) << "shard " << s;
-  }
-}
-
-TEST(ShardedStoreTest, EmitsPartitionMetrics) {
+TEST(ShardedStoreTest, EmitsViewMetrics) {
   Rng rng(7);
   const auto store = RandomStore(20, 128, rng);
   obs::MetricRegistry registry;
   obs::PipelineContext obs{.metrics = &registry};
-  ShardedFingerprintStore::Options options;
-  options.num_shards = 4;
-  ASSERT_TRUE(
-      ShardedFingerprintStore::Partition(store, options, &obs).ok());
-  EXPECT_EQ(registry.GetCounter("store.shard.partitions")->value(), 1u);
-  EXPECT_EQ(registry.GetCounter("store.shard.users_copied")->value(), 20u);
+  ASSERT_TRUE(ShardedFingerprintStore::ViewOf(
+                  store, ShardedFingerprintStore::BalancedBegins(20, 4), &obs)
+                  .ok());
+  EXPECT_EQ(registry.GetCounter("store.shard.views")->value(), 1u);
   EXPECT_EQ(registry.GetGauge("store.shard.count")->value(), 4.0);
 }
 

@@ -187,10 +187,10 @@ TEST(QueryServiceTest, ThreadedEndToEndMatchesScan) {
   const std::size_t users = 80;
   const auto store = RandomStore(users, 256, rng);
   const ScanQueryEngine scan(store);
-  ShardedFingerprintStore::Options store_options;
-  store_options.num_shards = 3;
   const ScanQueryEngine engine(std::make_shared<const ShardedFingerprintStore>(
-      ShardedFingerprintStore::Partition(store, store_options).value()));
+      ShardedFingerprintStore::ViewOf(
+          store, ShardedFingerprintStore::BalancedBegins(users, 3))
+          .value()));
 
   QueryService::Options options;
   options.max_batch = 8;

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -58,6 +60,26 @@ TEST(ServingCacheTest, HitReplaysTheExactInsertedResult) {
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
+}
+
+// k above the row count is legal (it answers as k = n), so all 64 bits
+// of k key an entry: a k cut to 32 bits in the entry never equals the
+// probe's, and every lookup would count as a collision and miss.
+TEST(ServingCacheTest, KAbove32BitsHits) {
+  for (const std::size_t k : {(std::size_t{1} << 32) + 10, SIZE_MAX}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    ServingCache::Options options;
+    options.capacity = 8;
+    ServingCache cache(options);
+    const Shf query = QueryOf(3);
+    cache.Insert(query, k, /*epoch=*/0, ResultOf(3));
+
+    std::vector<Neighbor> out;
+    ASSERT_TRUE(cache.Lookup(query, k, 0, &out));
+    EXPECT_EQ(out[0].id, static_cast<UserId>(3));
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().collisions, 0u);
+  }
 }
 
 TEST(ServingCacheTest, CapacityBoundHoldsUnderInsertStorm) {

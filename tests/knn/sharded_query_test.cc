@@ -1,7 +1,7 @@
 // ScanQueryEngine over sharded stores (DESIGN.md §12): the scatter over
-// shards — sequential, one task per shard on a shared pool, or pinned
-// per-shard workers over a first-touch store — merges to the answer of
-// the unsharded scan, bit for bit.
+// zero-copy shards — sequential, or one task per shard on a shared pool
+// (row chunks for a one-shard store) — merges to the answer of the
+// unsharded scan, bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +19,6 @@
 namespace gf {
 namespace {
 
-using Placement = ShardedFingerprintStore::Placement;
-
 FingerprintStore RandomStore(std::size_t users, std::size_t bits, Rng& rng) {
   const std::size_t words_per_shf = bits::WordsForBits(bits);
   std::vector<uint64_t> words(users * words_per_shf);
@@ -37,29 +35,27 @@ FingerprintStore RandomStore(std::size_t users, std::size_t bits, Rng& rng) {
       .value();
 }
 
+// `store` (which must outlive the result) cut into `shards` balanced
+// zero-copy views.
 std::shared_ptr<const ShardedFingerprintStore> Shard(
-    const FingerprintStore& store, std::size_t shards,
-    Placement placement = Placement::kNone) {
-  ShardedFingerprintStore::Options options;
-  options.num_shards = shards;
-  options.placement = placement;
+    const FingerprintStore& store, std::size_t shards) {
   return std::make_shared<const ShardedFingerprintStore>(
-      ShardedFingerprintStore::Partition(store, options).value());
+      ShardedFingerprintStore::ViewOf(
+          store, ShardedFingerprintStore::BalancedBegins(store.num_users(),
+                                                         shards))
+          .value());
 }
 
 // The engine over `store` cut into `shards`, in each scatter mode:
-// sequential, one task per shard on a shared pool, and one pinned
-// worker per shard over a first-touch partition.
+// sequential, and on a shared pool.
 struct ScatterModes {
   ThreadPool pool{3};
   std::vector<std::unique_ptr<ScanQueryEngine>> engines;
 
   ScatterModes(const FingerprintStore& store, std::size_t shards) {
-    const auto plain = Shard(store, shards);
-    engines.push_back(std::make_unique<ScanQueryEngine>(plain));
-    engines.push_back(std::make_unique<ScanQueryEngine>(plain, &pool));
-    engines.push_back(std::make_unique<ScanQueryEngine>(
-        Shard(store, shards, Placement::kFirstTouch)));
+    const auto sharded = Shard(store, shards);
+    engines.push_back(std::make_unique<ScanQueryEngine>(sharded));
+    engines.push_back(std::make_unique<ScanQueryEngine>(sharded, &pool));
   }
 };
 
@@ -149,7 +145,7 @@ TEST(ShardedQueryTest, BitExactWithScanAcrossShardCountsAndK) {
   }
 }
 
-TEST(ShardedQueryTest, BitExactOnSharedPoolAndPinnedWorkers) {
+TEST(ShardedQueryTest, BitExactOnSharedPoolAndConcurrentCallers) {
   Rng rng(3);
   const std::size_t users = 120;
   const auto store = RandomStore(users, 512, rng);
@@ -160,29 +156,22 @@ TEST(ShardedQueryTest, BitExactOnSharedPoolAndPinnedWorkers) {
   const ScanQueryEngine scan(store);
   const auto want = scan.QueryBatch(queries, 10).value();
 
-  {  // shared pool scatter
-    ThreadPool pool(3);
-    const ScanQueryEngine engine(Shard(store, 4), &pool);
-    ExpectIdentical(engine.QueryBatch(queries, 10).value(), want);
-  }
-  {  // a first-touch store: the engine owns pinned per-shard workers
-    const ScanQueryEngine engine(Shard(store, 4, Placement::kFirstTouch));
-    ExpectIdentical(engine.QueryBatch(queries, 10).value(), want);
-    // Concurrent batches share the pinned workers safely.
-    ThreadPool callers(3);
-    ParallelFor(&callers, 6, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        ExpectIdentical(engine.QueryBatch(queries, 10).value(), want);
-      }
-    });
-  }
+  ThreadPool pool(3);
+  const ScanQueryEngine engine(Shard(store, 4), &pool);
+  ExpectIdentical(engine.QueryBatch(queries, 10).value(), want);
+  // Concurrent batches share the pool safely.
+  ThreadPool callers(3);
+  ParallelFor(&callers, 6, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      ExpectIdentical(engine.QueryBatch(queries, 10).value(), want);
+    }
+  });
 }
 
 // The tile loop's edges inside every shard: at b = 1024 each of 4
 // shards spans several 256-row tiles (the last one partial), and the
 // batch spans two full 16-query groups of the multi-query kernel plus
-// a partial third — on the shared pool and on pinned workers over a
-// first-touch store.
+// a partial third — sequential and on the shared pool.
 TEST(ShardedQueryTest, MultiTileShardsAndQueryGroupsMatchScan) {
   Rng rng(7);
   const std::size_t users = 3001;
@@ -197,8 +186,8 @@ TEST(ShardedQueryTest, MultiTileShardsAndQueryGroupsMatchScan) {
   ThreadPool pool(3);
   const ScanQueryEngine shared(Shard(store, 4), &pool);
   ExpectIdentical(shared.QueryBatch(queries, 10).value(), want);
-  const ScanQueryEngine pinned(Shard(store, 4, Placement::kFirstTouch));
-  ExpectIdentical(pinned.QueryBatch(queries, 10).value(), want);
+  const ScanQueryEngine sequential(Shard(store, 4));
+  ExpectIdentical(sequential.QueryBatch(queries, 10).value(), want);
 }
 
 // Ties at the k-th best score. 40 distinct fingerprints are stored 25

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/versioned_store.h"
 #include "knn/query.h"
 #include "obs/metrics.h"
@@ -84,6 +85,35 @@ TEST(SnapshotQueryTest, MatchesScanAcrossShardCountsOnFixedSource) {
     ASSERT_TRUE(got.ok()) << "shards=" << shards;
     ExpectResultsIdentical(*expected, *got);
   }
+}
+
+// The default engine (one shard per epoch view) cuts each batch into
+// row chunks on its pool, as ScanQueryEngine does over a plain store,
+// instead of scanning the lone shard as one task.
+TEST(SnapshotQueryTest, OneShardEngineSplitsRowsOnThePool) {
+  Rng rng(0x5A5A0A);
+  auto write = RandomWriteSide(3000, 2000, rng);
+  ASSERT_TRUE(write.ok());
+  const FingerprintStore store = write->Materialize();
+  FixedSnapshotSource source(store);
+  const std::vector<Shf> queries = RandomQueries(store, 20, rng);
+
+  ThreadPool pool(3);
+  obs::MetricRegistry registry;
+  obs::PipelineContext obs{.metrics = &registry};
+  const SnapshotQueryEngine engine(&source, &pool, &obs);
+  auto got = engine.QueryBatch(queries, 10);
+  ASSERT_TRUE(got.ok());
+
+  const obs::Histogram* scans =
+      registry.FindHistogram("query.shard.scan_micros");
+  ASSERT_NE(scans, nullptr);
+  EXPECT_GT(scans->count(), 1u);
+
+  const ScanQueryEngine scan(store);
+  auto want = scan.QueryBatch(queries, 10);
+  ASSERT_TRUE(want.ok());
+  ExpectResultsIdentical(*want, *got);
 }
 
 TEST(SnapshotQueryTest, PinnedBatchNamesItsEpochAndStaysOnIt) {
