@@ -71,8 +71,8 @@ int main() {
     gf::GoldFingerProvider new_provider(*new_store);
 
     gf::KnnBuildStats refresh_stats, rebuild_stats;
-    const gf::KnnGraph refreshed = gf::RefreshKnnGraph(
-        previous, new_provider, changed, {}, &refresh_stats);
+    const gf::KnnGraph refreshed =
+        gf::RefreshKnnGraph(previous, new_provider, changed, &refresh_stats);
     const gf::KnnGraph rebuilt =
         gf::BruteForceKnn(new_provider, kK, nullptr, &rebuild_stats).value();
 

@@ -1,6 +1,7 @@
 #include "util/bench_env.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,11 +64,18 @@ double ScaleMultiplier() {
       full != nullptr && full[0] == '1') {
     return -1.0;  // sentinel: full scale
   }
-  if (const char* s = std::getenv("GF_BENCH_SCALE"); s != nullptr) {
-    const double v = std::atof(s);
-    if (v > 0) return v;
+  const char* s = std::getenv("GF_BENCH_SCALE");
+  if (s == nullptr || s[0] == '\0') return 1.0;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (*end != '\0' || !std::isfinite(v) || v <= 0) {
+    std::fprintf(stderr,
+                 "FATAL: GF_BENCH_SCALE=%s is not a positive number "
+                 "(use GF_BENCH_FULL=1 for the paper's full size)\n",
+                 s);
+    std::exit(1);
   }
-  return 1.0;
+  return v;
 }
 
 std::vector<PaperDataset> SelectedDatasets() {

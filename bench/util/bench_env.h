@@ -5,7 +5,8 @@
 // Environment knobs (all optional):
 //   GF_BENCH_SCALE   multiplier on every dataset's default bench scale
 //                    (1.0 default; set with care — the paper's full
-//                    ml20M Table-4 run took hours on 8 cores).
+//                    ml20M Table-4 run took hours on 8 cores). Anything
+//                    but a positive number exits with a message.
 //   GF_BENCH_FULL=1  shorthand: run every dataset at the paper's full
 //                    user/item counts (overrides GF_BENCH_SCALE).
 //   GF_DATASETS      comma-separated subset of ml1M,ml10M,ml20M,AM,DBLP,GW.
@@ -36,7 +37,9 @@ struct BenchDataset {
 /// on one core while preserving every qualitative effect.
 double DefaultScale(PaperDataset d);
 
-/// Reads GF_BENCH_SCALE / GF_BENCH_FULL.
+/// Reads GF_BENCH_SCALE / GF_BENCH_FULL: -1 for full scale, else the
+/// multiplier. Exits with status 1 when GF_BENCH_SCALE holds anything
+/// but a positive number (an empty value counts as unset).
 double ScaleMultiplier();
 
 /// Resolves GF_DATASETS (default: all six).

@@ -8,6 +8,17 @@
 
 namespace gf {
 
+namespace {
+
+// GraphNeighborsSource takes seeds only from a recorded answer whose
+// query estimates at least this similar to the new one (below it, the
+// answer says nothing useful about this query's neighborhood).
+constexpr double kMinSeedSimilarity = 0.05;
+// How many of that answer's ids GraphNeighborsSource expands.
+constexpr std::size_t kMaxSeeds = 16;
+
+}  // namespace
+
 RecentAnswers::RecentAnswers(std::size_t capacity) : capacity_(capacity) {
   ring_.reserve(capacity_);
 }
@@ -58,20 +69,17 @@ std::size_t RecentAnswers::size() const {
 
 GraphNeighborsSource::GraphNeighborsSource(
     const RecentAnswers* recent, std::shared_ptr<const KnnGraph> graph,
-    std::size_t num_users, Options options)
-    : recent_(recent),
-      graph_(std::move(graph)),
-      num_users_(num_users),
-      options_(options) {}
+    std::size_t num_users)
+    : recent_(recent), graph_(std::move(graph)), num_users_(num_users) {}
 
 void GraphNeighborsSource::Collect(const Shf& query, std::size_t k,
                                    std::vector<UserId>* out) const {
   (void)k;
   const std::vector<UserId> seeds =
-      recent_->NearestSeeds(query, options_.min_seed_similarity);
+      recent_->NearestSeeds(query, kMinSeedSimilarity);
   std::size_t taken = 0;
   for (const UserId seed : seeds) {
-    if (taken >= options_.max_seeds) break;
+    if (taken >= kMaxSeeds) break;
     // Seeds recorded under an older (possibly larger) epoch must not
     // index past the pinned store or graph.
     if (seed >= num_users_) continue;

@@ -15,7 +15,11 @@
 //                                its cached result, and expand each seed
 //                                with its KNN-graph neighbors — a
 //                                neighbor's neighbors are excellent
-//                                candidates for a nearby query.
+//                                candidates for a nearby query. Seeds
+//                                come only from an answer estimated at
+//                                least 0.05 similar to the query, and at
+//                                most its first 16 ids are expanded
+//                                (constants in candidate_source.cc).
 //   * PopularityCandidateSource — highest-cardinality users as a
 //                                fallback so no query goes unanswered
 //                                (fresh caches, zero-collision bands).
@@ -111,24 +115,10 @@ class RecentAnswers {
 /// answered query, expanded one hop through the epoch's KNN graph.
 class GraphNeighborsSource final : public CandidateSource {
  public:
-  struct Options {
-    /// Seeds are only taken when the nearest recorded query estimates
-    /// at least this similar (below it, the answer says nothing useful
-    /// about this query's neighborhood).
-    double min_seed_similarity = 0.05;
-    /// How many of the nearest answer's ids to expand.
-    std::size_t max_seeds = 16;
-  };
-
   /// `recent` must outlive the source; `graph` (the epoch's published
   /// KNN graph) may be nullptr — seeds then go in unexpanded. Ids are
   /// bounded by `num_users` (a seed recorded under an older, larger
-  /// epoch must not index past the pinned store). The three-arg
-  /// overload (below the class) uses default Options — the usual
-  /// nested-struct default-argument quirk.
-  GraphNeighborsSource(const RecentAnswers* recent,
-                       std::shared_ptr<const KnnGraph> graph,
-                       std::size_t num_users, Options options);
+  /// epoch must not index past the pinned store).
   GraphNeighborsSource(const RecentAnswers* recent,
                        std::shared_ptr<const KnnGraph> graph,
                        std::size_t num_users);
@@ -141,7 +131,6 @@ class GraphNeighborsSource final : public CandidateSource {
   const RecentAnswers* recent_;
   std::shared_ptr<const KnnGraph> graph_;
   std::size_t num_users_;
-  Options options_;
 };
 
 /// Fallback: the `count` highest-cardinality stored users (ties toward
@@ -203,11 +192,6 @@ class CandidateQueryEngine {
   std::vector<obs::Counter*> source_counters_;  // parallel to sources_
   CandidateRescorer rescorer_;
 };
-
-inline GraphNeighborsSource::GraphNeighborsSource(
-    const RecentAnswers* recent, std::shared_ptr<const KnnGraph> graph,
-    std::size_t num_users)
-    : GraphNeighborsSource(recent, std::move(graph), num_users, Options{}) {}
 
 }  // namespace gf
 

@@ -38,17 +38,16 @@
 
 namespace gf {
 
-struct RefreshConfig {
-  /// Random probes added per changed user (escape hatch from a stale
-  /// neighborhood).
-  std::size_t random_probes = 8;
-  /// Hyrec-style neighbor-of-neighbor passes over the changed users
-  /// after seeding. At small change fractions the seed candidates
-  /// suffice; at heavy churn the extra passes let changed users find
-  /// each other through the repaired graph.
-  std::size_t refine_iterations = 2;
-  uint64_t seed = 0xF5E5;
-};
+/// Random probes added per changed user (escape hatch from a stale
+/// neighborhood).
+inline constexpr std::size_t kRefreshRandomProbes = 8;
+/// Hyrec-style neighbor-of-neighbor passes over the changed users after
+/// seeding. At small change fractions the seed candidates suffice; at
+/// heavy churn the extra passes let changed users find each other
+/// through the repaired graph.
+inline constexpr std::size_t kRefreshRefineIterations = 2;
+/// Seed of the random probes.
+inline constexpr uint64_t kRefreshSeed = 0xF5E5;
 
 /// Repairs `previous` after the profiles behind `changed_users` were
 /// modified (the provider must already reflect the new data). Returns
@@ -56,7 +55,6 @@ struct RefreshConfig {
 template <typename Provider>
 KnnGraph RefreshKnnGraph(const KnnGraph& previous, const Provider& provider,
                          std::vector<UserId> changed_users,
-                         const RefreshConfig& config = {},
                          KnnBuildStats* stats = nullptr) {
   WallTimer timer;
   const std::size_t n = previous.NumUsers();
@@ -112,7 +110,7 @@ KnnGraph RefreshKnnGraph(const KnnGraph& previous, const Provider& provider,
     return updates;
   };
 
-  Rng rng(config.seed);
+  Rng rng(kRefreshSeed);
   for (UserId u : changed_users) {
     // Candidate set: old neighbors, old reverse neighbors, their
     // neighbors, plus random probes.
@@ -128,7 +126,7 @@ KnnGraph RefreshKnnGraph(const KnnGraph& previous, const Provider& provider,
         marked.Insert(nn.id);
       }
     }
-    for (std::size_t p = 0; p < config.random_probes && n > 1; ++p) {
+    for (std::size_t p = 0; p < kRefreshRandomProbes && n > 1; ++p) {
       marked.Insert(static_cast<UserId>(rng.Below(n)));
     }
     marked.Erase(u);
@@ -137,7 +135,7 @@ KnnGraph RefreshKnnGraph(const KnnGraph& previous, const Provider& provider,
 
   // Refinement: neighbor-of-neighbor passes restricted to the changed
   // users, over the LIVE lists (so repaired edges propagate).
-  for (std::size_t pass = 0; pass < config.refine_iterations; ++pass) {
+  for (std::size_t pass = 0; pass < kRefreshRefineIterations; ++pass) {
     uint64_t updates = 0;
     for (UserId u : changed_users) {
       for (const auto& nb : lists.Of(u)) {
@@ -150,7 +148,7 @@ KnnGraph RefreshKnnGraph(const KnnGraph& previous, const Provider& provider,
   }
 
   KnnGraph graph = lists.Finalize();
-  RecordBuildStats(stats, timer, computations, 1 + config.refine_iterations);
+  RecordBuildStats(stats, timer, computations, 1 + kRefreshRefineIterations);
   return graph;
 }
 

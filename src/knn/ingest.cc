@@ -7,6 +7,14 @@
 
 namespace gf {
 
+namespace {
+
+// Events drained per DrainOnce (bounds the latency of a publish behind
+// a deep queue).
+constexpr std::size_t kMaxApplyBatch = 4096;
+
+}  // namespace
+
 IngestService::IngestService(VersionedStore* store, Options options,
                              const obs::PipelineContext* obs)
     : store_(store),
@@ -15,7 +23,6 @@ IngestService::IngestService(VersionedStore* store, Options options,
       clock_(obs != nullptr ? obs->EffectiveClock() : Clock::System()),
       queue_(options.max_queue == 0 ? 1 : options.max_queue) {
   if (options_.publish_every == 0) options_.publish_every = 1;
-  if (options_.max_apply_batch == 0) options_.max_apply_batch = 1;
   if (obs != nullptr && obs->HasMetrics()) {
     events_ = obs->metrics->GetCounter("ingest.events");
     rejected_ = obs->metrics->GetCounter("ingest.rejected");
@@ -70,11 +77,10 @@ void IngestService::PublishEpoch() {
   // must reflect the new data, per RefreshKnnGraph's contract. Without
   // a graph (store-only serving) the epoch publishes store-only.
   std::shared_ptr<const KnnGraph> graph = store_->Acquire()->graph();
-  if (options_.repair_graph && graph != nullptr && !staged.dirty.empty()) {
+  if (graph != nullptr && !staged.dirty.empty()) {
     if (refresh_users_ != nullptr) refresh_users_->Add(staged.dirty.size());
-    graph = std::make_shared<const KnnGraph>(
-        RefreshKnnGraph(*graph, GoldFingerProvider(staged.store),
-                        staged.dirty, options_.refresh));
+    graph = std::make_shared<const KnnGraph>(RefreshKnnGraph(
+        *graph, GoldFingerProvider(staged.store), staged.dirty));
   }
 
   SnapshotPtr snap = store_->Commit(std::move(staged), std::move(graph));
@@ -103,30 +109,20 @@ void IngestService::WorkerLoop() {
     if (!event.has_value()) break;  // closed and drained
     ApplyOne(*event);
     if (since_publish_ >= options_.publish_every) PublishEpoch();
-    std::size_t taken = 1;
-    while (taken < options_.max_apply_batch) {
-      std::optional<RatingEvent> more = queue_.TryPop();
-      if (!more.has_value()) break;
-      ApplyOne(*more);
-      ++taken;
-      // The cadence holds even against a deep queue: a backlog drains
-      // as publish_every-sized epochs, not one giant one.
-      if (since_publish_ >= options_.publish_every) PublishEpoch();
-    }
-    if (depth_gauge_ != nullptr) {
-      depth_gauge_->Set(static_cast<double>(queue_.size()));
-    }
+    DrainOnce();  // whatever queued up behind it
   }
   PublishEpoch();  // the final partial epoch
 }
 
 std::size_t IngestService::DrainOnce() {
   std::size_t taken = 0;
-  while (taken < options_.max_apply_batch) {
+  while (taken < kMaxApplyBatch) {
     std::optional<RatingEvent> event = queue_.TryPop();
     if (!event.has_value()) break;
     ApplyOne(*event);
     ++taken;
+    // The cadence holds even against a deep queue: a backlog drains as
+    // publish_every-sized epochs, not one giant one.
     if (since_publish_ >= options_.publish_every) PublishEpoch();
   }
   if (depth_gauge_ != nullptr) {

@@ -15,13 +15,14 @@
 // (publish time minus event submission time, per event) makes the
 // trade measurable.
 //
-// Repair policy: when the current epoch carries a graph and
-// Options::repair_graph is set, the worker runs RefreshKnnGraph over
-// the staged store with the dirty users as the changed set — the
-// graph-locality argument (Cluster-and-Conquer, PAPERS.md): an update
-// can only move edges in neighborhoods it can reach, so repair cost
-// scales with churn, not with the graph. Store-only deployments leave
-// the graph nullptr and skip repair entirely.
+// Repair policy: whenever the current epoch carries a graph, the
+// worker runs RefreshKnnGraph over the staged store with the dirty
+// users as the changed set — the graph-locality argument
+// (Cluster-and-Conquer, PAPERS.md): an update can only move edges in
+// neighborhoods it can reach, so repair cost scales with churn, not
+// with the graph. Store-only deployments leave the graph nullptr and
+// skip repair entirely. The repair's probes, passes and seed are the
+// constants of knn/incremental.h.
 //
 // Metrics: ingest.events, ingest.rejected, ingest.noops, ingest.epoch
 // (gauge), ingest.refresh_users, ingest.publishes,
@@ -63,17 +64,9 @@ class IngestService {
     std::size_t max_queue = 65536;
     /// Applied events per published epoch.
     std::size_t publish_every = 1024;
-    /// Repair the epoch's KNN graph around the touched users (no-op
-    /// when the store publishes no graph).
-    bool repair_graph = true;
-    /// Incremental repair knobs (probes, refinement passes, seed).
-    RefreshConfig refresh;
     /// Spawn the worker thread. false = stepping mode: the test (or a
     /// single-threaded embedding) pumps DrainOnce() itself.
     bool start_worker = true;
-    /// Max events drained per DrainOnce / worker wake (bounds the
-    /// latency of a publish behind a deep queue).
-    std::size_t max_apply_batch = 4096;
   };
 
   /// `store`, and `obs` when given, must outlive the service. The
@@ -91,9 +84,10 @@ class IngestService {
   /// shut down.
   Status Submit(RatingEvent event);
 
-  /// Stepping mode: drains up to max_apply_batch queued events,
-  /// applies them, publishes if the cadence threshold is crossed.
-  /// Returns the number of events taken off the queue.
+  /// Stepping mode (the worker runs it too, after each blocking pop):
+  /// drains up to 4,096 queued events (kMaxApplyBatch), applies them,
+  /// and publishes each time the cadence threshold is crossed. Returns
+  /// the number of events taken off the queue.
   std::size_t DrainOnce();
 
   /// Publishes any applied-but-unpublished events as a new epoch now.

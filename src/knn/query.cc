@@ -13,24 +13,6 @@ namespace gf {
 
 namespace {
 
-obs::Histogram* HistogramOrNull(const obs::PipelineContext* obs,
-                                std::string_view name,
-                                std::span<const double> boundaries) {
-  return obs != nullptr && obs->HasMetrics()
-             ? obs->metrics->GetHistogram(name, boundaries)
-             : nullptr;
-}
-
-obs::Counter* CounterOrNull(const obs::PipelineContext* obs,
-                            std::string_view name) {
-  return obs != nullptr && obs->HasMetrics() ? obs->metrics->GetCounter(name)
-                                             : nullptr;
-}
-
-Clock* ClockOrNull(const obs::PipelineContext* obs) {
-  return obs != nullptr ? obs->EffectiveClock() : nullptr;
-}
-
 // A plain store or snapshot as a one-shard view: zero-copy, and the
 // view co-owns the snapshot.
 std::shared_ptr<const ShardedFingerprintStore> WholeStore(
@@ -103,14 +85,15 @@ ScanQueryEngine::ScanQueryEngine(
     const obs::PipelineContext* obs)
     : store_(std::move(store)),
       pool_(pool),
-      latency_(HistogramOrNull(obs, "query.latency",
+      latency_(obs::HistogramOrNull(obs, "query.latency",
+                                    obs::kLatencyBucketBoundariesMicros)),
+      partition_scan_(
+          obs::HistogramOrNull(obs, "query.shard.scan_micros",
                                obs::kLatencyBucketBoundariesMicros)),
-      partition_scan_(HistogramOrNull(obs, "query.shard.scan_micros",
-                                      obs::kLatencyBucketBoundariesMicros)),
-      candidates_(CounterOrNull(obs, "query.candidates")),
-      batches_(CounterOrNull(obs, "query.batches")),
-      queries_(CounterOrNull(obs, "query.sharded.queries")),
-      clock_(ClockOrNull(obs)) {}
+      candidates_(obs::CounterOrNull(obs, "query.candidates")),
+      batches_(obs::CounterOrNull(obs, "query.batches")),
+      queries_(obs::CounterOrNull(obs, "query.sharded.queries")),
+      clock_(obs::ClockOrNull(obs)) {}
 
 Result<std::vector<Neighbor>> ScanQueryEngine::Query(const Shf& query,
                                                      std::size_t k) const {
@@ -287,14 +270,14 @@ CandidateRescorer::CandidateRescorer(ThreadPool* pool,
                                      const obs::PipelineContext* obs,
                                      std::string_view prefix)
     : pool_(pool),
-      queries_(CounterOrNull(obs, std::string(prefix) + ".queries")),
-      candidates_(CounterOrNull(obs, "query.candidates")),
-      candidate_sizes_(HistogramOrNull(
+      queries_(obs::CounterOrNull(obs, std::string(prefix) + ".queries")),
+      candidates_(obs::CounterOrNull(obs, "query.candidates")),
+      candidate_sizes_(obs::HistogramOrNull(
           obs, std::string(prefix) + ".candidate_set_size",
           obs::kSizeBucketBoundaries)),
-      latency_(HistogramOrNull(obs, "query.latency",
-                               obs::kLatencyBucketBoundariesMicros)),
-      clock_(ClockOrNull(obs)) {}
+      latency_(obs::HistogramOrNull(obs, "query.latency",
+                                    obs::kLatencyBucketBoundariesMicros)),
+      clock_(obs::ClockOrNull(obs)) {}
 
 Result<std::vector<std::vector<Neighbor>>> CandidateRescorer::QueryBatch(
     const FingerprintStore& store, std::span<const Shf> queries,

@@ -9,14 +9,6 @@ namespace gf {
 
 namespace {
 
-obs::Counter* PrefixedCounter(const obs::PipelineContext* obs,
-                              const std::string& prefix,
-                              std::string_view name) {
-  return obs != nullptr && obs->HasMetrics()
-             ? obs->metrics->GetCounter(prefix + "." + std::string(name))
-             : nullptr;
-}
-
 void Bump(std::atomic<uint64_t>& local, obs::Counter* mirrored,
           uint64_t n = 1) {
   local.fetch_add(n, std::memory_order_relaxed);
@@ -40,12 +32,12 @@ ServingCache::ServingCache(Options options, const obs::PipelineContext* obs)
   if (obs != nullptr) {
     clock_ = obs->EffectiveClock();
     const std::string& p = options.metric_prefix;
-    obs_hits_ = PrefixedCounter(obs, p, "hits");
-    obs_misses_ = PrefixedCounter(obs, p, "misses");
-    obs_inserts_ = PrefixedCounter(obs, p, "inserts");
-    obs_evictions_ = PrefixedCounter(obs, p, "evictions");
-    obs_stale_ = PrefixedCounter(obs, p, "stale_epoch_evictions");
-    obs_collisions_ = PrefixedCounter(obs, p, "collisions");
+    obs_hits_ = obs::CounterOrNull(obs, p + ".hits");
+    obs_misses_ = obs::CounterOrNull(obs, p + ".misses");
+    obs_inserts_ = obs::CounterOrNull(obs, p + ".inserts");
+    obs_evictions_ = obs::CounterOrNull(obs, p + ".evictions");
+    obs_stale_ = obs::CounterOrNull(obs, p + ".stale_epoch_evictions");
+    obs_collisions_ = obs::CounterOrNull(obs, p + ".collisions");
     if (obs->HasMetrics()) {
       obs_size_ = obs->metrics->GetGauge(p + ".size");
       obs_hit_latency_ = obs->metrics->GetHistogram(

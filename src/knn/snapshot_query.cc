@@ -6,6 +6,15 @@
 
 namespace gf {
 
+namespace {
+
+// Candidate mode: recently answered queries remembered as
+// graph-locality seeds, and the fallback pool of the popularity source.
+constexpr std::size_t kRecentAnswers = 256;
+constexpr std::size_t kPopularityCount = 128;
+
+}  // namespace
+
 SnapshotQueryEngine::SnapshotQueryEngine(const SnapshotSource* source,
                                          ThreadPool* pool,
                                          const obs::PipelineContext* obs)
@@ -22,7 +31,7 @@ SnapshotQueryEngine::SnapshotQueryEngine(const SnapshotSource* source,
     cache_ = std::make_unique<ServingCache>(std::move(cache_options), obs);
   }
   if (options_.use_candidate_sources) {
-    recent_ = std::make_unique<RecentAnswers>(options_.recent_answers);
+    recent_ = std::make_unique<RecentAnswers>(kRecentAnswers);
   }
   if (obs != nullptr && obs->HasMetrics()) {
     epoch_gauge_ = obs->metrics->GetGauge("query.epoch");
@@ -52,24 +61,23 @@ SnapshotQueryEngine::AcquirePinned() const {
       std::make_shared<const ShardedFingerprintStore>(std::move(view).value()),
       pool_, obs_);
   if (options_.use_candidate_sources) {
-    auto banded =
-        BandedShfQueryEngine::Build(snap, options_.banded, pool_, obs_);
+    auto banded = BandedShfQueryEngine::Build(
+        snap, BandedShfQueryEngine::Options{}, pool_, obs_);
     if (!banded.ok()) return banded.status();
     pinned->banded =
         std::make_unique<BandedShfQueryEngine>(std::move(banded).value());
     pinned->sources.push_back(
         std::make_unique<BandedCandidateSource>(pinned->banded.get()));
     pinned->sources.push_back(std::make_unique<GraphNeighborsSource>(
-        recent_.get(), snap->graph(), snap->store().num_users(),
-        options_.graph_source));
+        recent_.get(), snap->graph(), snap->store().num_users()));
     pinned->sources.push_back(std::make_unique<PopularityCandidateSource>(
-        snap->store(), options_.popularity_count));
+        snap->store(), kPopularityCount));
     std::vector<const CandidateSource*> sources;
     sources.reserve(pinned->sources.size());
     for (const auto& source : pinned->sources) sources.push_back(source.get());
     pinned->candidates = std::make_unique<CandidateQueryEngine>(
-        &pinned->snapshot->store(), std::move(sources), options_.candidates,
-        pool_, obs_);
+        &pinned->snapshot->store(), std::move(sources),
+        CandidateQueryEngine::Options{}, pool_, obs_);
   }
   cached_ = pinned;
   if (epoch_gauge_ != nullptr) {

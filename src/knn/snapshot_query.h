@@ -31,7 +31,11 @@
 // part of the key). With Options::use_candidate_sources, misses run
 // through the L2 candidate stack (banded LSH + graph locality +
 // popularity fallback, knn/candidate_source.h) instead of the
-// exhaustive scan — approximate, so it is opt-in.
+// exhaustive scan — approximate, so it is opt-in. The stack runs at
+// its defaults: BandedShfQueryEngine::Options{},
+// CandidateQueryEngine::Options{}, a 256-entry recent-answers seed
+// table and a 128-user popularity pool (constants in
+// snapshot_query.cc).
 
 #ifndef GF_KNN_SNAPSHOT_QUERY_H_
 #define GF_KNN_SNAPSHOT_QUERY_H_
@@ -71,14 +75,6 @@ class SnapshotQueryEngine {
     /// so it is opt-in; the cache itself stays exact either way (it
     /// only replays what the active engine answered).
     bool use_candidate_sources = false;
-    /// Candidate-mode knobs (ignored unless use_candidate_sources).
-    BandedShfQueryEngine::Options banded;
-    CandidateQueryEngine::Options candidates;
-    GraphNeighborsSource::Options graph_source;
-    /// Fallback pool size of the popularity source.
-    std::size_t popularity_count = 128;
-    /// Recently answered queries remembered as graph-locality seeds.
-    std::size_t recent_answers = 256;
   };
 
   /// `source`, `pool` and `obs` must outlive the engine. No snapshot

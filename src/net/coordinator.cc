@@ -15,12 +15,6 @@ namespace {
 
 constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
 
-obs::Counter* CounterOrNull(const obs::PipelineContext* obs,
-                            std::string_view name) {
-  return obs != nullptr && obs->HasMetrics() ? obs->metrics->GetCounter(name)
-                                             : nullptr;
-}
-
 }  // namespace
 
 /// One scatter's shared mutable state. Completion callbacks own it via
@@ -78,16 +72,16 @@ struct ClusterCoordinator::Core
       : config(std::move(config_in)),
         transport(transport_in),
         options(options_in),
-        requests(CounterOrNull(obs, "net.requests")),
-        batches(CounterOrNull(obs, "net.batches")),
-        hedges(CounterOrNull(obs, "net.hedges")),
-        failovers(CounterOrNull(obs, "net.failovers")),
-        corrupt_frames(CounterOrNull(obs, "net.corrupt_frames")),
-        duplicates_ignored(CounterOrNull(obs, "net.duplicates_ignored")),
-        partial_responses(CounterOrNull(obs, "net.partial_responses")),
-        deadline_exceeded(CounterOrNull(obs, "net.deadline_exceeded")),
-        health(options_in.health,
-               CounterOrNull(obs, "net.replica_unhealthy")) {
+        requests(obs::CounterOrNull(obs, "net.requests")),
+        batches(obs::CounterOrNull(obs, "net.batches")),
+        hedges(obs::CounterOrNull(obs, "net.hedges")),
+        failovers(obs::CounterOrNull(obs, "net.failovers")),
+        corrupt_frames(obs::CounterOrNull(obs, "net.corrupt_frames")),
+        duplicates_ignored(obs::CounterOrNull(obs, "net.duplicates_ignored")),
+        partial_responses(obs::CounterOrNull(obs, "net.partial_responses")),
+        deadline_exceeded(obs::CounterOrNull(obs, "net.deadline_exceeded")),
+        health(HealthTracker::Options{},
+               obs::CounterOrNull(obs, "net.replica_unhealthy")) {
     if (options.cache_capacity > 0) {
       ServingCache::Options cache_options;
       cache_options.capacity = options.cache_capacity;
@@ -384,10 +378,6 @@ Result<ClusterCoordinator::ClusterAnswer> ClusterCoordinator::ScatterBatch(
     return first_error.ok()
                ? Status::Unavailable("no shard answered the scatter")
                : first_error;
-  }
-  if (!core_->options.allow_partial &&
-      answer.shards_answered < answer.shards_total) {
-    return first_error;
   }
   if (answer.shards_answered < answer.shards_total &&
       core_->partial_responses != nullptr) {

@@ -23,11 +23,14 @@
 //              (net.deadline_exceeded) without leaking the in-flight
 //              slot — late completions land in the still-alive scatter
 //              state and are dropped.
-//   partial    with `allow_partial`, a batch whose quorum survives
-//              degrades gracefully: the merged answer covers the
-//              answering shards' rows and ClusterAnswer reports which
-//              shards are missing (net.partial_responses). Zero
-//              answering shards is always an error.
+//   partial    a batch that at least one shard answers degrades
+//              gracefully: the merged answer covers the answering
+//              shards' rows and ClusterAnswer reports which shards are
+//              missing (net.partial_responses). Zero answering shards
+//              is an error.
+//   health     replica health comes from HealthTracker::Options{}: an
+//              address is quarantined for 100 ms after 3 consecutive
+//              failures (net.replica_unhealthy).
 //
 // Shutdown safety: completion callbacks capture shared state (never the
 // coordinator), so destroying the coordinator — or returning from
@@ -61,10 +64,6 @@ class ClusterCoordinator {
     uint64_t hedge_delay_micros = 0;
     /// Total attempts (primary + hedges + failovers) per shard.
     std::size_t max_attempts_per_shard = 3;
-    /// Serve from the surviving shards when some fail (vs failing the
-    /// whole batch with the first shard's error).
-    bool allow_partial = true;
-    HealthTracker::Options health;
     /// Coordinator-side mirror of the L1 serving cache (DESIGN.md
     /// §17): merged COMPLETE answers are cached under the current
     /// cache epoch (`net.cache.*` metrics) so repeat queries skip the
@@ -92,7 +91,8 @@ class ClusterCoordinator {
   /// QueryBatch call. (No `= {}` default for `options`: a nested
   /// struct with member initializers cannot be a brace default
   /// argument inside its enclosing class — same quirk as
-  /// ScanQueryEngine::Options. The two-arg overload covers defaults.)
+  /// SnapshotQueryEngine::Options. The two-arg overload covers
+  /// defaults.)
   ClusterCoordinator(ClusterConfig config, Transport* transport,
                      Options options,
                      const obs::PipelineContext* obs = nullptr);

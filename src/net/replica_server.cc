@@ -8,12 +8,6 @@ namespace gf::net {
 
 namespace {
 
-obs::Counter* CounterOrNull(const obs::PipelineContext* obs,
-                            std::string_view name) {
-  return obs != nullptr && obs->HasMetrics() ? obs->metrics->GetCounter(name)
-                                             : nullptr;
-}
-
 std::string ErrorResponse(uint64_t request_id, Status status) {
   QueryBatchResponse response;
   response.request_id = request_id;
@@ -28,8 +22,8 @@ ReplicaServer::ReplicaServer(const FingerprintStore& store, UserId user_base,
                              const obs::PipelineContext* obs)
     : user_base_(user_base),
       engine_(store, pool, obs),
-      requests_(CounterOrNull(obs, "net.server.requests")),
-      bad_frames_(CounterOrNull(obs, "net.server.bad_frames")) {}
+      requests_(obs::CounterOrNull(obs, "net.server.requests")),
+      bad_frames_(obs::CounterOrNull(obs, "net.server.bad_frames")) {}
 
 std::string ReplicaServer::Handle(std::string_view request_frame) const {
   if (requests_ != nullptr) requests_->Add(1);

@@ -67,6 +67,28 @@ struct PipelineContext {
   }
 };
 
+/// Instrument lookups for components that cache their instruments at
+/// construction: the named instrument, or nullptr when `obs` is null or
+/// carries no metrics sink.
+inline Counter* CounterOrNull(const PipelineContext* obs,
+                              std::string_view name) {
+  return obs != nullptr && obs->HasMetrics() ? obs->metrics->GetCounter(name)
+                                             : nullptr;
+}
+
+inline Histogram* HistogramOrNull(const PipelineContext* obs,
+                                  std::string_view name,
+                                  std::span<const double> boundaries) {
+  return obs != nullptr && obs->HasMetrics()
+             ? obs->metrics->GetHistogram(name, boundaries)
+             : nullptr;
+}
+
+/// The context's clock, or nullptr without a context.
+inline Clock* ClockOrNull(const PipelineContext* obs) {
+  return obs != nullptr ? obs->EffectiveClock() : nullptr;
+}
+
 /// Shared power-of-two bucket boundaries for size-shaped histograms
 /// (candidate-set sizes, per-iteration updates). Upper-inclusive.
 inline constexpr double kSizeBucketBoundaries[] = {

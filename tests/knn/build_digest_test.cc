@@ -163,8 +163,7 @@ TEST(BuildDigestTest, RefreshKnnGraph) {
   auto expect = [&](const auto& provider, const Pinned& want,
                     const std::string& label) {
     KnnBuildStats stats;
-    const KnnGraph graph =
-        RefreshKnnGraph(previous, provider, changed, {}, &stats);
+    const KnnGraph graph = RefreshKnnGraph(previous, provider, changed, &stats);
     const uint64_t digest = Fnv1a64(io::SerializeKnnGraph(graph));
     EXPECT_EQ(digest, want.digest)
         << label << " repaired {0x" << std::hex << digest << std::dec

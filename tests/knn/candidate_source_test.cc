@@ -174,6 +174,58 @@ TEST(CandidateSourceTest, GraphSourceExpandsSeedsOneHop) {
   EXPECT_EQ(std::find(out.begin(), out.end(), UserId{3}), out.end());
 }
 
+TEST(CandidateSourceTest, GraphSourceSeedsFromSimilarAnswersAndCapsSeeds) {
+  // Seeds come only from an answer whose query estimates >= 0.05
+  // similar: against a recorded 40-bit query, a 20-bit probe sharing 3
+  // bits estimates 3/57 ~ 0.053, one sharing 2 bits 2/58 ~ 0.034.
+  RecentAnswers recent(4);
+  auto recorded = Shf::Create(128);
+  ASSERT_TRUE(recorded.ok());
+  for (std::size_t bit = 0; bit < 40; ++bit) recorded->SetBit(bit);
+  const std::vector<Neighbor> answer = {{UserId{1}, 0.5f}, {UserId{2}, 0.5f}};
+  recent.Record(*recorded, answer);
+  auto probe = [](std::size_t shared) {
+    Shf shf = Shf::Create(128).value();
+    for (std::size_t bit = 0; bit < shared; ++bit) shf.SetBit(bit);
+    for (std::size_t bit = 40; bit < 60 - shared; ++bit) shf.SetBit(bit);
+    return shf;
+  };
+  const std::size_t n = 40;
+  GraphNeighborsSource source(&recent, nullptr, n);
+  std::vector<UserId> out;
+  source.Collect(probe(3), 5, &out);
+  EXPECT_EQ(out, (std::vector<UserId>{1, 2}));
+  out.clear();
+  source.Collect(probe(2), 5, &out);
+  EXPECT_TRUE(out.empty());
+
+  // Only the first 16 ids of the nearest answer are expanded. Graph:
+  // u -> {u + 20} for every u < 20.
+  RecentAnswers long_answer(4);
+  auto query = Shf::Create(128);
+  ASSERT_TRUE(query.ok());
+  query->SetBit(5);
+  std::vector<Neighbor> ids;
+  for (UserId u = 0; u < 20; ++u) ids.push_back({u, 0.5f});
+  long_answer.Record(*query, ids);
+  std::vector<Neighbor> edges(n);
+  std::vector<uint32_t> counts(n, 0);
+  for (UserId u = 0; u < 20; ++u) {
+    edges[u] = {static_cast<UserId>(u + 20), 0.9f};
+    counts[u] = 1;
+  }
+  auto graph = std::make_shared<const KnnGraph>(n, 1, std::move(edges),
+                                                std::move(counts));
+  GraphNeighborsSource capped(&long_answer, graph, n);
+  out.clear();
+  capped.Collect(*query, 5, &out);
+  std::sort(out.begin(), out.end());
+  std::vector<UserId> expected;
+  for (UserId u = 0; u < 16; ++u) expected.push_back(u);
+  for (UserId u = 20; u < 36; ++u) expected.push_back(u);
+  EXPECT_EQ(out, expected);
+}
+
 TEST(CandidateSourceTest, EngineWithExhaustiveSourceMatchesScan) {
   Rng rng(0xC0DE03);
   const auto store = RandomStore(50, 128, rng);

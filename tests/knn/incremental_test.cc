@@ -35,7 +35,7 @@ TEST(IncrementalTest, NoChangesIsIdentity) {
   const KnnGraph original = BruteForceKnn(provider, 8).value();
   KnnBuildStats stats;
   const KnnGraph refreshed =
-      RefreshKnnGraph(original, provider, {}, {}, &stats);
+      RefreshKnnGraph(original, provider, {}, &stats);
   EXPECT_EQ(stats.similarity_computations, 0u);
   for (UserId u = 0; u < d.NumUsers(); ++u) {
     const auto a = original.NeighborsOf(u);
@@ -69,8 +69,8 @@ TEST(IncrementalTest, RepairsAfterProfileChanges) {
 
   // Refresh vs full rebuild.
   KnnBuildStats refresh_stats;
-  const KnnGraph refreshed = RefreshKnnGraph(original, new_provider,
-                                             changed, {}, &refresh_stats);
+  const KnnGraph refreshed =
+      RefreshKnnGraph(original, new_provider, changed, &refresh_stats);
   const KnnGraph rebuilt = BruteForceKnn(new_provider, 10).value();
 
   const double rebuilt_avg = AverageExactSimilarity(rebuilt, mutated);
@@ -117,8 +117,8 @@ TEST(IncrementalTest, DuplicateChangedUsersAreDeduplicated) {
   ExactJaccardProvider provider(d);
   const KnnGraph original = BruteForceKnn(provider, 5).value();
   KnnBuildStats once, twice;
-  RefreshKnnGraph(original, provider, {4}, {}, &once);
-  RefreshKnnGraph(original, provider, {4, 4, 4}, {}, &twice);
+  RefreshKnnGraph(original, provider, {4}, &once);
+  RefreshKnnGraph(original, provider, {4, 4, 4}, &twice);
   EXPECT_EQ(once.similarity_computations, twice.similarity_computations);
 }
 

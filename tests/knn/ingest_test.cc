@@ -69,7 +69,6 @@ TEST(IngestServiceTest, SteppingModePublishesOnCadenceWithFreshnessLag) {
   IngestService::Options options;
   options.publish_every = 4;
   options.start_worker = false;
-  options.repair_graph = false;
   IngestService service(&store, options, &obs);
 
   // Three events at t=100 are below the cadence: applied, unpublished.
@@ -193,8 +192,8 @@ TEST(IngestServiceTest, PublishedGraphMatchesReferenceRefresh) {
   const auto ref_provider = [&expected_store](UserId a, UserId b) {
     return expected_store.EstimateJaccard(a, b);
   };
-  const KnnGraph expected = RefreshKnnGraph(
-      *graph0, ref_provider, {3, 5, 17, 23}, options.refresh);
+  const KnnGraph expected =
+      RefreshKnnGraph(*graph0, ref_provider, {3, 5, 17, 23});
   ExpectGraphsIdentical(*snap->graph(), expected);
   EXPECT_EQ(registry.FindCounter("ingest.refresh_users")->value(), 4u);
 }
@@ -210,7 +209,6 @@ TEST(IngestServiceTest, WorkerModeDrainsAndShutdownPublishesTail) {
 
   IngestService::Options options;
   options.publish_every = 16;
-  options.repair_graph = false;
   IngestService service(&store, options);
 
   std::vector<RatingEvent> events;
@@ -339,7 +337,6 @@ TEST(IngestServiceTest, ConcurrentIngestAndPinnedReadersStayBitExact) {
 
   IngestService::Options ingest_options;
   ingest_options.publish_every = 64;  // heavy epoch churn
-  ingest_options.repair_graph = false;
   IngestService service(&store, ingest_options, &obs);
 
   SnapshotQueryEngine::Options query_options;

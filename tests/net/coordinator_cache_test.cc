@@ -123,7 +123,7 @@ TEST(CoordinatorCacheTest, PartialAnswersAreNeverCached) {
   obs::PipelineContext obs{.metrics = &registry};
   constexpr std::size_t kShards = 3;
   TestCluster cluster(store, kShards, 1, &clock);
-  // Shard 2 is dead from the start; allow_partial keeps batches alive.
+  // Shard 2 is dead from the start; partial answers keep batches alive.
   cluster.transport.UnregisterHandler(ReplicaAddress(2, 0));
   ClusterCoordinator coordinator(cluster.config, &cluster.transport,
                                  CachedOptions(), &obs);

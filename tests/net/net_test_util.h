@@ -1,7 +1,7 @@
-// Shared fixtures for the distributed-serving tests: random stores,
-// shard carving that mirrors ShardedFingerprintStore's balanced
-// contiguous cut, and an in-process cluster (FakeClock + FakeTransport
-// + one ReplicaServer per shard) every failure-matrix case starts from.
+// Shared fixtures for the distributed-serving tests: random stores and
+// an in-process cluster (FakeClock + FakeTransport + one ReplicaServer
+// per shard, carved by ShardedFingerprintStore's balanced cut) every
+// failure-matrix case starts from.
 
 #ifndef GF_TESTS_NET_NET_TEST_UTIL_H_
 #define GF_TESTS_NET_NET_TEST_UTIL_H_
@@ -19,6 +19,7 @@
 #include "common/clock.h"
 #include "common/random.h"
 #include "core/fingerprint_store.h"
+#include "core/sharded_store.h"
 #include "net/cluster.h"
 #include "net/fake_transport.h"
 #include "net/replica_server.h"
@@ -43,35 +44,6 @@ inline FingerprintStore RandomStore(std::size_t users, std::size_t bits,
       .value();
 }
 
-/// Rows [begin, end) of `store` as their own store (what a replica of
-/// that shard holds).
-inline FingerprintStore SliceStore(const FingerprintStore& store,
-                                   UserId begin, UserId end) {
-  const std::size_t words_per_shf = store.words_per_shf();
-  std::vector<uint64_t> words;
-  words.reserve(static_cast<std::size_t>(end - begin) * words_per_shf);
-  std::vector<uint32_t> cards;
-  cards.reserve(end - begin);
-  for (UserId u = begin; u < end; ++u) {
-    const auto row = store.WordsOf(u);
-    words.insert(words.end(), row.begin(), row.end());
-    cards.push_back(store.CardinalityOf(u));
-  }
-  return FingerprintStore::FromRaw(store.config(), end - begin,
-                                   std::move(words), std::move(cards))
-      .value();
-}
-
-/// The balanced contiguous carve (sizes differ by at most one user).
-inline std::vector<UserId> BalancedBegins(std::size_t users,
-                                          std::size_t shards) {
-  std::vector<UserId> begins(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    begins[s] = static_cast<UserId>(users * s / shards);
-  }
-  return begins;
-}
-
 /// Replica address "s<shard>r<replica>".
 inline std::string ReplicaAddress(std::size_t shard, std::size_t replica) {
   std::string address = "s";
@@ -83,31 +55,30 @@ inline std::string ReplicaAddress(std::size_t shard, std::size_t replica) {
 
 /// An in-process cluster: `shards` shards x `replicas` replicas, every
 /// replica of a shard backed by the same ReplicaServer over that
-/// shard's row slice, all reachable through one FakeTransport.
+/// shard's zero-copy view of `full`, all reachable through one
+/// FakeTransport. `full` must outlive the cluster.
 struct TestCluster {
   FakeClock* clock;
   FakeTransport transport;
-  std::vector<std::unique_ptr<FingerprintStore>> shard_stores;
+  ShardedFingerprintStore view;
   std::vector<std::unique_ptr<ReplicaServer>> servers;
   ClusterConfig config;
 
   TestCluster(const FingerprintStore& full, std::size_t shards,
               std::size_t replicas, FakeClock* clock_in,
               const obs::PipelineContext* obs = nullptr)
-      : clock(clock_in), transport(clock_in) {
-    const auto begins = BalancedBegins(full.num_users(), shards);
+      : clock(clock_in),
+        transport(clock_in),
+        view(ShardedFingerprintStore::ViewOf(
+                 full, ShardedFingerprintStore::BalancedBegins(
+                           full.num_users(), shards))
+                 .value()) {
     config.num_users = static_cast<UserId>(full.num_users());
-    config.shard_begins = begins;
     config.replicas.resize(shards);
     for (std::size_t s = 0; s < shards; ++s) {
-      const UserId begin = begins[s];
-      const UserId end = s + 1 < shards
-                             ? begins[s + 1]
-                             : static_cast<UserId>(full.num_users());
-      shard_stores.push_back(
-          std::make_unique<FingerprintStore>(SliceStore(full, begin, end)));
+      config.shard_begins.push_back(view.ShardBegin(s));
       servers.push_back(std::make_unique<ReplicaServer>(
-          *shard_stores.back(), begin, nullptr, obs));
+          view.shard(s), view.ShardBegin(s), nullptr, obs));
       ReplicaServer* server = servers.back().get();
       for (std::size_t r = 0; r < replicas; ++r) {
         const std::string address = ReplicaAddress(s, r);

@@ -17,6 +17,7 @@
 
 #include "common/clock.h"
 #include "common/random.h"
+#include "core/sharded_store.h"
 #include "knn/query.h"
 #include "net/coordinator.h"
 #include "net/net_test_util.h"
@@ -168,10 +169,11 @@ TEST(PosixRoundTripTest, NonFrameResponseIsCorruption) {
 TEST(PosixRoundTripTest, TwoShardCoordinatorOverRealSocketsIsBitExact) {
   Rng rng(0x2B0CE55);
   const auto store = RandomStore(30, 128, rng);
-  const auto shard0 = SliceStore(store, 0, 15);
-  const auto shard1 = SliceStore(store, 15, 30);
-  const ReplicaServer replica0(shard0, /*user_base=*/0);
-  const ReplicaServer replica1(shard1, /*user_base=*/15);
+  const auto view = ShardedFingerprintStore::ViewOf(
+                        store, ShardedFingerprintStore::BalancedBegins(30, 2))
+                        .value();
+  const ReplicaServer replica0(view.shard(0), view.ShardBegin(0));
+  const ReplicaServer replica1(view.shard(1), view.ShardBegin(1));
   PosixServer server0(
       [&replica0](std::string_view frame) { return replica0.Handle(frame); });
   PosixServer server1(
