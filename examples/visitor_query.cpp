@@ -3,12 +3,10 @@
 // *queries*; a deployed service needs both. This example simulates a
 // burst of anonymous visitors who each rated a handful of items: every
 // visitor ships only a 1024-bit SHF (the privacy story of §2.5 applies
-// to queries too), and the service answers the whole burst three ways —
-// (a) a sequential per-pair scan (the reference), (b) the batched,
-// SIMD-tiled, multi-threaded QueryBatch scan, and (c) a banded LSH
-// index built from the stored fingerprints themselves. (a) and (b)
-// return bit-identical neighbors; (c) trades a little recall for a
-// sublinear candidate set. Finally the first visitor gets item
+// to queries too), and the service answers the whole burst two ways —
+// (a) a sequential per-pair scan (the reference) and (b) the batched,
+// SIMD-tiled, multi-threaded QueryBatch scan, which returns
+// bit-identical neighbors. Finally the first visitor gets item
 // recommendations pooled from their neighbors' profiles.
 //
 // Run:  ./visitor_query
@@ -30,17 +28,12 @@ int main() {
   std::printf("catalog: %zu registered users, %zu items\n\n",
               dataset->NumUsers(), dataset->NumItems());
 
-  // The service's indexes (built once) and its serving thread pool.
+  // The service's store (built once) and its serving thread pool.
   gf::ThreadPool pool(4);
   gf::FingerprintConfig config;  // 1024-bit SHFs
   auto store = gf::FingerprintStore::Build(*dataset, config, &pool);
   if (!store.ok()) return 1;
   gf::ScanQueryEngine scan(*store, &pool);
-  auto banded = gf::BandedShfQueryEngine::Build(
-      *store, gf::BandedShfQueryEngine::Options{}, &pool);
-  if (!banded.ok()) return 1;
-  std::printf("banded index: %zu bands, %zu bucket entries\n\n",
-              banded->num_bands(), banded->IndexedEntries());
 
   // A burst of 64 visitors. Visitor i liked 12 items sampled from user
   // 5i's taste (so we know what "good" neighbors look like), and
@@ -74,12 +67,6 @@ int main() {
   const double batch_ms = batch_timer.ElapsedMillis();
   if (!batch_hits.ok()) return 1;
 
-  // (c) Banded LSH over the fingerprints: sublinear candidates.
-  gf::WallTimer banded_timer;
-  auto banded_hits = banded->QueryBatch(batch, 10);
-  const double banded_ms = banded_timer.ElapsedMillis();
-  if (!banded_hits.ok()) return 1;
-
   bool exact = true;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto& a = (*batch_hits)[i];
@@ -92,16 +79,6 @@ int main() {
   std::printf("sequential scan   %7.2f ms for the burst\n", seq_ms);
   std::printf("QueryBatch        %7.2f ms  (%.1fx, bit-exact: %s)\n",
               batch_ms, seq_ms / batch_ms, exact ? "yes" : "NO");
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!(*banded_hits)[i].empty() && !seq_hits[i].empty() &&
-        (*banded_hits)[i][0].id == seq_hits[i][0].id) {
-      ++agree;
-    }
-  }
-  std::printf("banded LSH        %7.2f ms  (%.1fx, top-1 agreement "
-              "%zu/%zu)\n",
-              banded_ms, seq_ms / banded_ms, agree, batch.size());
 
   // Recommend for visitor 0 by pooling their scan neighbors' items.
   const auto& visitor = profiles[0];

@@ -19,9 +19,8 @@
 //   AndPopCountTile      — one query against a contiguous range of rows
 //                          (BruteForceKnn's cache-blocked scan);
 //   AndPopCountBatch     — one query against an arbitrary id list
-//                          gathered from a common base (Hyrec /
-//                          NNDescent candidate sets, banded-LSH query
-//                          candidates);
+//                          gathered from a common base (Hyrec,
+//                          NNDescent and banded-LSH candidate sets);
 //   AndPopCountTileMulti — a batch of queries against one contiguous
 //                          tile (the serving engine's batched scan):
 //                          the tile is streamed once per PAIR of

@@ -88,13 +88,6 @@ void FingerprintStore::EstimateCosineTile(UserId u, UserId first,
                 cards_data_[u], first, count, out, &CosineFromCounts);
 }
 
-void FingerprintStore::EstimateJaccardBatchExternal(
-    std::span<const uint64_t> query_words, uint32_t query_cardinality,
-    std::span<const UserId> candidates, std::span<double> out) const {
-  ScoreBatchImpl(query_words.data(), query_cardinality, candidates, out,
-                 &JaccardFromCounts);
-}
-
 Result<FingerprintStore> FingerprintStore::Build(
     const Dataset& dataset, const FingerprintConfig& config,
     ThreadPool* pool, const obs::PipelineContext* obs) {

@@ -132,17 +132,6 @@ class FingerprintStore {
   void EstimateCosineTile(UserId u, UserId first, std::size_t count,
                           std::span<double> out) const;
 
-  /// External-query gather kernel: scores a caller-supplied
-  /// fingerprint — `query_words` must hold words_per_shf() words,
-  /// `query_cardinality` its popcount — against an arbitrary candidate
-  /// id list (banded-LSH query candidates). Bit-exact with extracting
-  /// each candidate and calling Shf::EstimateJaccard pair by pair.
-  /// out must hold candidates.size().
-  void EstimateJaccardBatchExternal(std::span<const uint64_t> query_words,
-                                    uint32_t query_cardinality,
-                                    std::span<const UserId> candidates,
-                                    std::span<double> out) const;
-
   /// Cosine analogue of EstimateJaccard (same kernel, CosineFromCounts).
   double EstimateCosine(UserId a, UserId b) const {
     const uint64_t* wa = WordsOf(a).data();
@@ -165,8 +154,7 @@ class FingerprintStore {
  private:
   // Shared bodies of the batch entry points (defined in the .cc,
   // instantiated there for JaccardFromCounts / CosineFromCounts). The
-  // query is a raw (words, cardinality) pair so the same bodies serve
-  // stored users and external query fingerprints.
+  // query is a stored user's raw (words, cardinality) pair.
   template <typename CountsToSim>
   void ScoreBatchImpl(const uint64_t* query, uint32_t query_card,
                       std::span<const UserId> candidates,

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <string_view>
 
 #include "common/bit_util.h"
 #include "io/container.h"
@@ -105,10 +106,6 @@ Status WriteGfixIndex(const FingerprintStore& store, const std::string& path,
     PutU64(bounds, begins.size());
     for (UserId begin : begins) PutU32(bounds, begin);
     sections.push_back({GfixSection::kShardBounds, std::move(bounds)});
-  }
-  if (options.bands != nullptr) {
-    sections.push_back(
-        {GfixSection::kBands, options.bands->SerializeIndexPayload()});
   }
 
   // Layout: header, TOC, then each section on a 64-byte boundary,
@@ -277,8 +274,7 @@ Result<MappedFingerprintStore> MappedFingerprintStore::Open(
 
   // TOC entries: bounds, alignment, duplicates. Unknown section ids are
   // ignored (forward compatibility) but still covered by the footer.
-  std::optional<TocEntry> meta_entry, cards_entry, words_entry, bounds_entry,
-      bands_entry;
+  std::optional<TocEntry> meta_entry, cards_entry, words_entry, bounds_entry;
   {
     Reader toc_reader(toc);
     for (uint32_t s = 0; s < section_count; ++s) {
@@ -309,8 +305,7 @@ Result<MappedFingerprintStore> MappedFingerprintStore::Open(
         case GfixSection::kCardinalities: slot = &cards_entry; break;
         case GfixSection::kWords: slot = &words_entry; break;
         case GfixSection::kShardBounds: slot = &bounds_entry; break;
-        case GfixSection::kBands: slot = &bands_entry; break;
-        default: continue;  // future section: skip
+        default: continue;  // retired or future section: skip
       }
       if (slot->has_value()) {
         return Status::Corruption("duplicate GFIX section " +
@@ -422,15 +417,9 @@ Result<MappedFingerprintStore> MappedFingerprintStore::Open(
     if (!valid.ok()) return Status::Corruption(valid.message());
   }
 
-  std::string_view bands_payload;
-  if (bands_entry) {
-    bands_payload =
-        std::string_view(base + bands_entry->offset, bands_entry->bytes);
-  }
   return MappedFingerprintStore(std::move(region),
                                 std::move(borrowed).value(),
-                                std::move(shard_begins), bands_payload,
-                                bands_entry.has_value());
+                                std::move(shard_begins));
 }
 
 }  // namespace gf::io

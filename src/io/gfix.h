@@ -38,12 +38,12 @@
 //
 // Sections: 1 = Meta (FingerprintConfig + user count), 2 =
 // Cardinalities (num_users u32), 3 = Words (num_users * words_per_shf
-// u64, row-major), 4 = ShardBounds (shard begin ids), 5 = Bands
-// (BandedShfQueryEngine::SerializeIndexPayload, optional). Readers
-// ignore section ids they do not know, so future sections are
-// backward-compatible; a version bump is reserved for layout changes
-// existing readers would misparse, and readers refuse versions newer
-// than their own.
+// u64, row-major), 4 = ShardBounds (shard begin ids). Id 5 is retired:
+// earlier writers put an optional banded-LSH query index there, which
+// today's readers skip. Readers ignore section ids they do not know, so
+// future sections are backward-compatible; a version bump is reserved
+// for layout changes existing readers would misparse, and readers
+// refuse versions newer than their own.
 //
 // Verification: opening always checks the header CRC, the TOC CRC and
 // the footer (GfixVerify::kStructure — O(sections), no data read).
@@ -59,14 +59,12 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "core/fingerprint_store.h"
 #include "core/sharded_store.h"
 #include "io/env.h"
-#include "knn/query.h"
 #include "obs/pipeline_context.h"
 
 namespace gf::io {
@@ -78,23 +76,21 @@ enum class GfixSection : uint32_t {
   kCardinalities = 2,
   kWords = 3,
   kShardBounds = 4,
-  kBands = 5,
+  // 5 held the retired banded-LSH index. Files written before its
+  // removal still carry it and open fine (readers skip it, and kFull
+  // still checks its CRC); never give the id a new meaning.
+  kRetiredBands = 5,
 };
 
 struct GfixWriteOptions {
   /// Shard boundaries to persist (first must be 0, non-decreasing,
   /// within the store). Empty means one shard covering every user.
   std::vector<UserId> shard_begins;
-  /// When non-null, the engine's banded-LSH buckets are persisted so
-  /// serving hydrates them instead of re-hashing every fingerprint.
-  /// Must have been built over (a bit-identical twin of) `store`.
-  const BandedShfQueryEngine* bands = nullptr;
 };
 
-/// Writes `store` (and optionally shard bounds + banded buckets) as a
-/// GFIX index at `path` through the Env's atomic
-/// write-tmp-fsync-rename path. Little-endian hosts only
-/// (Unimplemented otherwise).
+/// Writes `store` (and optionally shard bounds) as a GFIX index at
+/// `path` through the Env's atomic write-tmp-fsync-rename path.
+/// Little-endian hosts only (Unimplemented otherwise).
 Status WriteGfixIndex(const FingerprintStore& store, const std::string& path,
                       const GfixWriteOptions& options = {},
                       Env* env = nullptr);
@@ -138,8 +134,8 @@ class MappedFingerprintStore {
   MappedFingerprintStore& operator=(const MappedFingerprintStore&) = delete;
 
   /// The borrowed store over the mapped arenas. Valid exactly as long
-  /// as this object; hand it to ScanQueryEngine / BandedShfQueryEngine
-  /// / ShardedFingerprintStore like any other store.
+  /// as this object; hand it to ScanQueryEngine /
+  /// ShardedFingerprintStore like any other store.
   const FingerprintStore& store() const { return store_; }
 
   std::size_t num_users() const { return store_.num_users(); }
@@ -162,40 +158,18 @@ class MappedFingerprintStore {
     return ShardedFingerprintStore::ViewOf(store_, shard_begins_, obs);
   }
 
-  /// True when the file carries a Bands section.
-  bool has_bands() const { return has_bands_; }
-
-  /// Hydrates the persisted banded-LSH engine over the mapped store
-  /// (BandedShfQueryEngine::FromSerialized — table fill only, no
-  /// fingerprint re-hashing). NotFound when the file has no Bands
-  /// section. The engine borrows this object's store: keep both alive.
-  Result<BandedShfQueryEngine> Bands(
-      ThreadPool* pool = nullptr,
-      const obs::PipelineContext* obs = nullptr) const {
-    if (!has_bands_) {
-      return Status::NotFound("index carries no Bands section");
-    }
-    return BandedShfQueryEngine::FromSerialized(store_, bands_payload_, pool,
-                                                obs);
-  }
-
  private:
   MappedFingerprintStore(MappedRegion region, FingerprintStore store,
-                         std::vector<UserId> shard_begins,
-                         std::string_view bands_payload, bool has_bands)
+                         std::vector<UserId> shard_begins)
       : region_(std::move(region)),
         store_(std::move(store)),
-        shard_begins_(std::move(shard_begins)),
-        bands_payload_(bands_payload),
-        has_bands_(has_bands) {}
+        shard_begins_(std::move(shard_begins)) {}
 
   MappedRegion region_;
   // Borrowed views into region_ — stable across moves (the mapped /
   // heap buffer address never changes).
   FingerprintStore store_;
   std::vector<UserId> shard_begins_;
-  std::string_view bands_payload_;
-  bool has_bands_ = false;
 };
 
 }  // namespace gf::io

@@ -119,11 +119,8 @@ KnnGraph BandedLshKnn(const Dataset& dataset, const Provider& provider,
   }
 
   obs::ScopedPhase scoring(obs, "bandedlsh.scoring");
-  obs::Histogram* candidate_sizes =
-      obs != nullptr && obs->HasMetrics()
-          ? obs->metrics->GetHistogram("bandedlsh.candidate_set_size",
-                                       obs::kSizeBucketBoundaries)
-          : nullptr;
+  obs::Histogram* candidate_sizes = obs::HistogramOrNull(
+      obs, "bandedlsh.candidate_set_size", obs::kSizeBucketBoundaries);
   ParallelFor(pool, n, [&](std::size_t begin, std::size_t end) {
     CandidateSet marked(n);
     std::vector<UserId> candidates;

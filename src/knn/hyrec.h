@@ -77,11 +77,8 @@ bool HyrecStep(const Provider& provider, const GreedyConfig& config,
                        "hyrec.iteration");
   // Candidate-set size distribution: pointer fetched once per step so
   // the per-user Observe is a lone atomic add (nothing when no sink).
-  obs::Histogram* candidate_sizes =
-      obs != nullptr && obs->HasMetrics()
-          ? obs->metrics->GetHistogram("hyrec.candidate_set_size",
-                                       obs::kSizeBucketBoundaries)
-          : nullptr;
+  obs::Histogram* candidate_sizes = obs::HistogramOrNull(
+      obs, "hyrec.candidate_set_size", obs::kSizeBucketBoundaries);
   const std::size_t n = state.lists.num_users();
   const std::size_t k = state.lists.k();
   NeighborLists& lists = state.lists;

@@ -70,11 +70,8 @@ KnnGraph Run(const Dataset& dataset, const KiffConfig& config,
   std::atomic<uint64_t> computations{0};
 
   obs::ScopedPhase scan_phase(obs, "kiff.scan");
-  obs::Histogram* candidate_sizes =
-      obs != nullptr && obs->HasMetrics()
-          ? obs->metrics->GetHistogram("kiff.candidate_set_size",
-                                       obs::kSizeBucketBoundaries)
-          : nullptr;
+  obs::Histogram* candidate_sizes = obs::HistogramOrNull(
+      obs, "kiff.candidate_set_size", obs::kSizeBucketBoundaries);
   ParallelFor(pool, n, [&](std::size_t begin, std::size_t end) {
     // Dense per-chunk scratch: co-occurrence count per candidate user.
     std::vector<uint32_t> counts(n, 0);

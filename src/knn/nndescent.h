@@ -74,11 +74,8 @@ bool NNDescentStep(const Provider& provider, const GreedyConfig& config,
                    const obs::PipelineContext* obs = nullptr) {
   obs::ScopedSpan span(obs != nullptr ? obs->tracer : nullptr,
                        "nndescent.iteration");
-  obs::Histogram* join_sizes =
-      obs != nullptr && obs->HasMetrics()
-          ? obs->metrics->GetHistogram("nndescent.join_partners",
-                                       obs::kSizeBucketBoundaries)
-          : nullptr;
+  obs::Histogram* join_sizes = obs::HistogramOrNull(
+      obs, "nndescent.join_partners", obs::kSizeBucketBoundaries);
   const std::size_t n = state.lists.num_users();
   const std::size_t k = state.lists.k();
   NeighborLists& lists = state.lists;

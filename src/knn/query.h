@@ -5,28 +5,23 @@
 // queries". Downstream users need both: once a service holds a
 // fingerprint store, a fresh client can ship its own SHF and ask for
 // its k nearest users without joining the graph. Every answer is the
-// Eq. 4 SHF estimate over some set of rows followed by a total-order
+// Eq. 4 SHF estimate over every stored row followed by a total-order
 // top-k, and this header holds that computation once:
 //
-//  * ScanQueryEngine — the one exhaustive engine, over a plain store,
-//    an epoch snapshot or a sharded store. QueryBatch scores a batch of
-//    B query SHFs tile by tile through the multi-query SIMD kernel
-//    (each 256-row tile streams through cache once per batch), one task
-//    per partition — row chunks of a one-shard store (a plain store or
+//  * ScanQueryEngine — the one engine, over a plain store, an epoch
+//    snapshot or a sharded store. QueryBatch scores a batch of B query
+//    SHFs tile by tile through the multi-query SIMD kernel (each
+//    256-row tile streams through cache once per batch), one task per
+//    partition — row chunks of a one-shard store (a plain store or
 //    snapshot is one), shards of a store with several — and joins the
-//    partitions' top-k lists with MergeTopK. Query() is the
-//    sequential per-pair reference scan the exactness tests compare
-//    against.
+//    partitions' top-k lists with MergeTopK. Query() is the sequential
+//    per-pair reference scan the exactness tests compare against.
 //  * MergeTopK — the one merge of partial top-k lists. The scan's
 //    partitions, the sharded store's shards and the distributed tier's
 //    replicas (net/coordinator.h) all meet here.
-//  * BandedShfQueryEngine — a banded LSH index built from the SHFs
-//    themselves (the bands x rows construction of knn/banded_lsh.h,
-//    applied to fingerprint bit-chunks instead of MinHash values):
-//    sublinear candidate generation from band collisions. It and
-//    CandidateQueryEngine (knn/candidate_source.h) share
-//    CandidateRescorer, the gather -> batched Eq. 4 rescore -> top-k
-//    path.
+//
+// Serving is exact-only: no approximate index measured so far was both
+// faster than this scan and at recall@10 >= 0.9 (DESIGN.md §11).
 //
 // Bit-exactness: the kernels sum integer popcounts, so a (query, user)
 // pair's double score does not depend on which partition, shard or
@@ -35,24 +30,19 @@
 // Hence QueryBatch is bit-identical to per-pair Query over every input
 // type, partitioning and pool.
 //
-// Observability: engines accept an obs::PipelineContext and export a
-// shared `query.latency` histogram (microseconds) plus
-// `query.candidates` counters, alongside per-engine instruments (the
-// scan's `query.batches`, `query.sharded.queries` and per-partition
-// `query.shard.scan_micros`; `query.banded.queries`, ...). The context
-// must outlive the engine (instrument pointers are cached at
-// construction).
+// Observability: the engine accepts an obs::PipelineContext and exports
+// a `query.latency` histogram (microseconds), the `query.candidates`,
+// `query.batches` and `query.sharded.queries` counters and the
+// per-partition `query.shard.scan_micros` histogram. The context must
+// outlive the engine (instrument pointers are cached at construction).
 
 #ifndef GF_KNN_QUERY_H_
 #define GF_KNN_QUERY_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -162,8 +152,8 @@ ScoredLists MergeTopK(std::span<const ScoredLists> partials,
 /// TopKSelector::Take applies.
 std::vector<std::vector<Neighbor>> ToNeighbors(const ScoredLists& scored);
 
-/// The one argument check of every engine and of the serving front
-/// ends (QueryService, SnapshotQueryEngine): k >= 1, and a query of
+/// The one argument check of the scan and of the serving front ends
+/// (QueryService, SnapshotQueryEngine): k >= 1, and a query of
 /// `query_bits` bits against a store of `num_bits`. InvalidArgument
 /// otherwise.
 Status CheckQuery(std::size_t num_bits, std::size_t query_bits,
@@ -250,132 +240,6 @@ class ScanQueryEngine {
   obs::Counter* queries_ = nullptr;
   Clock* clock_ = nullptr;
 };
-
-/// The candidate engines' shared query path (BandedShfQueryEngine,
-/// CandidateQueryEngine): check the batch, gather each query's
-/// candidate ids, rescore them with the batched Eq. 4 kernel and keep
-/// the total-order top k — in parallel across queries on the pool.
-/// Exports `<prefix>.queries` and `<prefix>.candidate_set_size` next to
-/// the shared `query.candidates` / `query.latency`.
-class CandidateRescorer {
- public:
-  /// Appends `query`'s candidate ids to `out`, deduplicated (the
-  /// rescore scores each entry once).
-  using Gather = std::function<void(const Shf& query, std::size_t k,
-                                    std::vector<UserId>* out)>;
-
-  CandidateRescorer(ThreadPool* pool, const obs::PipelineContext* obs,
-                    std::string_view prefix);
-
-  /// result[i] answers queries[i] from `store`'s rows.
-  Result<std::vector<std::vector<Neighbor>>> QueryBatch(
-      const FingerprintStore& store, std::span<const Shf> queries,
-      std::size_t k, const Gather& gather) const;
-
- private:
-  ThreadPool* pool_;
-  obs::Counter* queries_ = nullptr;
-  obs::Counter* candidates_ = nullptr;
-  obs::Histogram* candidate_sizes_ = nullptr;
-  obs::Histogram* latency_ = nullptr;
-  Clock* clock_ = nullptr;
-};
-
-/// Answers queries from a banded LSH index over the stored SHFs
-/// themselves (§3.2.5 extended with the bands x rows amplification of
-/// knn/banded_lsh.h). Each fingerprint's b bits are cut into
-/// b / band_bits contiguous chunks; a non-zero chunk value is one
-/// bucket key, and a stored user becomes a candidate when ANY band
-/// chunk matches the query's. Smaller band_bits boosts recall (more,
-/// easier-to-match bands), larger band_bits sharpens precision —
-/// candidates are then rescored exactly (w.r.t. the estimator) with
-/// the batched Eq. 4 kernel, so precision only affects cost, never
-/// correctness of the returned ranking over the candidate set.
-class BandedShfQueryEngine {
- public:
-  struct Options {
-    /// Bits per band; must divide 64. The index holds
-    /// store.num_bits() / band_bits tables.
-    std::size_t band_bits = 32;
-    uint64_t seed = 0xB4D5;
-  };
-
-  /// Indexes the snapshot's store and co-owns the snapshot, so band
-  /// candidates and rescoring both read the pinned epoch (DESIGN.md
-  /// §15). Band keys are computed in parallel when `pool` is non-null;
-  /// the same pool parallelizes QueryBatch across queries. `obs` must
-  /// outlive the engine.
-  static Result<BandedShfQueryEngine> Build(
-      SnapshotPtr snapshot, const Options& options, ThreadPool* pool = nullptr,
-      const obs::PipelineContext* obs = nullptr);
-
-  /// Borrows `store`, which must outlive the engine: the Build above
-  /// over StoreSnapshot::Borrow(store). The one-arg overload (below the
-  /// class) uses default Options.
-  static Result<BandedShfQueryEngine> Build(
-      const FingerprintStore& store, const Options& options,
-      ThreadPool* pool = nullptr, const obs::PipelineContext* obs = nullptr);
-  static Result<BandedShfQueryEngine> Build(const FingerprintStore& store);
-
-  /// The k most similar stored users among the band-collision
-  /// candidates of `query`. May return fewer than k (even zero — a
-  /// zero-cardinality query has no non-zero bands) when few candidates
-  /// collide.
-  Result<std::vector<Neighbor>> Query(const Shf& query, std::size_t k) const;
-
-  /// Batched Query, parallel across queries when the engine holds a
-  /// pool. result[i] is bit-exact with Query(queries[i], k).
-  Result<std::vector<std::vector<Neighbor>>> QueryBatch(
-      std::span<const Shf> queries, std::size_t k) const;
-
-  /// Deterministic wire form of the index: band geometry followed by
-  /// every bucket, bucket keys sorted within each band, bucket members
-  /// in ascending user id — byte-identical across runs for the same
-  /// store and options. This is the Bands section payload of a GFIX
-  /// index file (io/gfix.h).
-  std::string SerializeIndexPayload() const;
-
-  /// Rebuilds an engine over `store` (borrowed, so it must outlive the
-  /// engine) from SerializeIndexPayload bytes without re-hashing a
-  /// single fingerprint (the mmap hydration path: O(indexed entries)
-  /// table fill instead of O(users x bands) chunk computation).
-  /// Mismatched geometry, out-of-range user ids and counts that exceed
-  /// the payload are rejected as Corruption before any proportional
-  /// allocation.
-  static Result<BandedShfQueryEngine> FromSerialized(
-      const FingerprintStore& store, std::string_view payload,
-      ThreadPool* pool = nullptr, const obs::PipelineContext* obs = nullptr);
-
-  /// Appends the band-collision candidates of `query` — deduplicated,
-  /// ascending id, NOT rescored. This is the index's contribution to
-  /// the CandidateSource seam (knn/candidate_source.h): Query() is
-  /// exactly this gather followed by the batched Eq. 4 rescore.
-  void CollectBandCandidates(const Shf& query, std::vector<UserId>* out) const;
-
-  /// Total bucket entries across all band tables (diagnostics).
-  std::size_t IndexedEntries() const;
-
-  std::size_t num_bands() const { return bands_; }
-
- private:
-  BandedShfQueryEngine(SnapshotPtr snapshot, const Options& options,
-                       ThreadPool* pool, const obs::PipelineContext* obs);
-
-  uint64_t BandKey(std::size_t band, uint64_t chunk) const;
-  uint64_t ChunkOf(std::span<const uint64_t> words, std::size_t band) const;
-
-  SnapshotPtr snapshot_;
-  std::size_t band_bits_;
-  std::size_t bands_;
-  uint64_t seed_;
-  std::vector<std::unordered_map<uint64_t, std::vector<UserId>>> tables_;
-  CandidateRescorer rescorer_;
-};
-
-inline Result<BandedShfQueryEngine> BandedShfQueryEngine::Build(
-    const FingerprintStore& store) {
-  return Build(store, Options{});
-}
 
 }  // namespace gf
 

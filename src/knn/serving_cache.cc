@@ -31,17 +31,16 @@ ServingCache::ServingCache(Options options, const obs::PipelineContext* obs)
   }
   if (obs != nullptr) {
     clock_ = obs->EffectiveClock();
-    const std::string& p = options.metric_prefix;
-    obs_hits_ = obs::CounterOrNull(obs, p + ".hits");
-    obs_misses_ = obs::CounterOrNull(obs, p + ".misses");
-    obs_inserts_ = obs::CounterOrNull(obs, p + ".inserts");
-    obs_evictions_ = obs::CounterOrNull(obs, p + ".evictions");
-    obs_stale_ = obs::CounterOrNull(obs, p + ".stale_epoch_evictions");
-    obs_collisions_ = obs::CounterOrNull(obs, p + ".collisions");
+    obs_hits_ = obs::CounterOrNull(obs, "cache.hits");
+    obs_misses_ = obs::CounterOrNull(obs, "cache.misses");
+    obs_inserts_ = obs::CounterOrNull(obs, "cache.inserts");
+    obs_evictions_ = obs::CounterOrNull(obs, "cache.evictions");
+    obs_stale_ = obs::CounterOrNull(obs, "cache.stale_epoch_evictions");
+    obs_collisions_ = obs::CounterOrNull(obs, "cache.collisions");
     if (obs->HasMetrics()) {
-      obs_size_ = obs->metrics->GetGauge(p + ".size");
+      obs_size_ = obs->metrics->GetGauge("cache.size");
       obs_hit_latency_ = obs->metrics->GetHistogram(
-          p + ".hit_latency", obs::kLatencyBucketBoundariesMicros);
+          "cache.hit_latency", obs::kLatencyBucketBoundariesMicros);
     }
   }
 }
@@ -152,15 +151,14 @@ Result<std::vector<std::vector<Neighbor>>> ServingCache::Serve(
     }
   }
   if (misses.empty()) return results;
-  bool cacheable = true;
-  auto computed = compute(misses, &cacheable);
+  auto computed = compute(misses);
   if (!computed.ok()) return computed.status();
   // Misses fill the cache on batch completion: every entry is the
   // engine's own answer at this epoch, so a later hit replays it bit
   // for bit.
   for (std::size_t j = 0; j < miss_at.size(); ++j) {
     results[miss_at[j]] = std::move((*computed)[j]);
-    if (cacheable) Insert(misses[j], k, epoch, results[miss_at[j]]);
+    Insert(misses[j], k, epoch, results[miss_at[j]]);
   }
   return results;
 }

@@ -1,6 +1,6 @@
-// ServingCache — the L1 of the serving cache hierarchy (DESIGN.md
-// §17): a sharded, lock-striped, fixed-capacity exact-result cache in
-// front of the query engines. Rating workloads are Zipf-skewed, so a
+// ServingCache — the one serving cache (DESIGN.md §17): a sharded,
+// lock-striped, fixed-capacity exact-result cache in front of
+// SnapshotQueryEngine's scan. Rating workloads are Zipf-skewed, so a
 // small cache absorbs most of the arrival stream; a hit returns the
 // stored top-k without touching the store at all.
 //
@@ -10,10 +10,10 @@
 // query compares EQUAL to the probe (full word-for-word SHF equality,
 // same k, same epoch) — the hash routes, equality decides — so a hash
 // collision can cost a miss but can never surface another query's
-// result. Because entries are only ever filled from the engines'
-// bit-exact batch path, a hit is bit-identical to what the engine
-// would have answered for that (query, k, epoch): the cache introduces
-// no approximation anywhere.
+// result. Because entries are only ever filled from the scan's
+// bit-exact batch path, a hit is bit-identical to what the scan would
+// have answered for that (query, k, epoch): the cache introduces no
+// approximation anywhere.
 //
 // Epoch consistency. The epoch is part of the match, not of the hash:
 // after a snapshot publish, the very next probe for a cached query
@@ -40,7 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -61,10 +60,6 @@ class ServingCache {
     /// Lock stripes; probes for different shards never contend.
     /// Clamped to [1, capacity].
     std::size_t shards = 8;
-    /// Metric namespace ("cache" => cache.hits, ...). The coordinator
-    /// mirror uses "net.cache" so the two tiers stay distinguishable
-    /// in one registry.
-    std::string metric_prefix = "cache";
     /// Test seam: overrides the canonical key hash so collision
     /// behavior (same hash, different SHF) is reachable
     /// deterministically. Production code leaves this unset.
@@ -90,18 +85,16 @@ class ServingCache {
               std::vector<Neighbor>* out, bool count_miss = true);
 
   /// Computes the answers of a batch's cache misses (one per miss, in
-  /// order). Clearing `*cacheable` keeps them out of the cache — a
-  /// partial cluster merge is missing rows and must never be replayed
-  /// as exact.
+  /// order).
   using MissFn = std::function<Result<std::vector<std::vector<Neighbor>>>(
-      std::span<const Shf> misses, bool* cacheable)>;
+      std::span<const Shf> misses)>;
 
-  /// The probe / compute-the-misses / fill loop of both serving tiers
-  /// (SnapshotQueryEngine, ClusterCoordinator): probes every query at
-  /// `epoch`, hands the misses to `compute` in one call (none when
-  /// every query hits), fills the cache from its answers and returns
-  /// all answers in query order. Each query counts once: as a hit
-  /// where the cache answers it, as a miss where `compute` does.
+  /// The probe / compute-the-misses / fill loop of SnapshotQueryEngine:
+  /// probes every query at `epoch`, hands the misses to `compute` in
+  /// one call (none when every query hits), fills the cache from its
+  /// answers and returns all answers in query order. Each query counts
+  /// once: as a hit where the cache answers it, as a miss where
+  /// `compute` does.
   Result<std::vector<std::vector<Neighbor>>> Serve(
       std::span<const Shf> queries, std::size_t k, uint64_t epoch,
       const MissFn& compute);
@@ -120,7 +113,7 @@ class ServingCache {
   std::size_t capacity() const { return capacity_; }
   std::size_t num_shards() const { return shards_.size(); }
 
-  /// Monotonic statistics (also mirrored as `<prefix>.hits`, ...).
+  /// Monotonic statistics (also mirrored as `cache.hits`, ...).
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;

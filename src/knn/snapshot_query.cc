@@ -2,18 +2,7 @@
 
 #include <utility>
 
-#include "knn/query.h"
-
 namespace gf {
-
-namespace {
-
-// Candidate mode: recently answered queries remembered as
-// graph-locality seeds, and the fallback pool of the popularity source.
-constexpr std::size_t kRecentAnswers = 256;
-constexpr std::size_t kPopularityCount = 128;
-
-}  // namespace
 
 SnapshotQueryEngine::SnapshotQueryEngine(const SnapshotSource* source,
                                          ThreadPool* pool,
@@ -29,9 +18,6 @@ SnapshotQueryEngine::SnapshotQueryEngine(const SnapshotSource* source,
     ServingCache::Options cache_options;
     cache_options.capacity = options_.cache_capacity;
     cache_ = std::make_unique<ServingCache>(std::move(cache_options), obs);
-  }
-  if (options_.use_candidate_sources) {
-    recent_ = std::make_unique<RecentAnswers>(kRecentAnswers);
   }
   if (obs != nullptr && obs->HasMetrics()) {
     epoch_gauge_ = obs->metrics->GetGauge("query.epoch");
@@ -60,39 +46,12 @@ SnapshotQueryEngine::AcquirePinned() const {
   pinned->engine = std::make_unique<ScanQueryEngine>(
       std::make_shared<const ShardedFingerprintStore>(std::move(view).value()),
       pool_, obs_);
-  if (options_.use_candidate_sources) {
-    auto banded = BandedShfQueryEngine::Build(
-        snap, BandedShfQueryEngine::Options{}, pool_, obs_);
-    if (!banded.ok()) return banded.status();
-    pinned->banded =
-        std::make_unique<BandedShfQueryEngine>(std::move(banded).value());
-    pinned->sources.push_back(
-        std::make_unique<BandedCandidateSource>(pinned->banded.get()));
-    pinned->sources.push_back(std::make_unique<GraphNeighborsSource>(
-        recent_.get(), snap->graph(), snap->store().num_users()));
-    pinned->sources.push_back(std::make_unique<PopularityCandidateSource>(
-        snap->store(), kPopularityCount));
-    std::vector<const CandidateSource*> sources;
-    sources.reserve(pinned->sources.size());
-    for (const auto& source : pinned->sources) sources.push_back(source.get());
-    pinned->candidates = std::make_unique<CandidateQueryEngine>(
-        &pinned->snapshot->store(), std::move(sources),
-        CandidateQueryEngine::Options{}, pool_, obs_);
-  }
   cached_ = pinned;
   if (epoch_gauge_ != nullptr) {
     epoch_gauge_->Set(static_cast<double>(snap->epoch()));
   }
   if (rebuilds_ != nullptr) rebuilds_->Add(1);
   return std::shared_ptr<const Pinned>(std::move(pinned));
-}
-
-Result<std::vector<std::vector<Neighbor>>> SnapshotQueryEngine::RunEngine(
-    const Pinned& pinned, std::span<const Shf> pending, std::size_t k) const {
-  if (pinned.candidates != nullptr) {
-    return pinned.candidates->QueryBatch(pending, k);
-  }
-  return pinned.engine->QueryBatch(pending, k);
 }
 
 Result<SnapshotQueryEngine::PinnedResults>
@@ -103,23 +62,13 @@ SnapshotQueryEngine::QueryBatchPinned(std::span<const Shf> queries,
   GF_RETURN_IF_ERROR(
       CheckQueries(pinned->snapshot->store().num_bits(), queries, k));
 
-  auto compute = [&](std::span<const Shf> batch)
-      -> Result<std::vector<std::vector<Neighbor>>> {
-    auto results = RunEngine(*pinned, batch, k);
-    if (results.ok() && recent_ != nullptr) {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        recent_->Record(batch[i], (*results)[i]);
-      }
-    }
-    return results;
-  };
-  // With the L1, only the misses at the pinned epoch pay the engine.
+  // With the L1, only the misses at the pinned epoch pay the scan.
   auto results =
       cache_ == nullptr
-          ? compute(queries)
+          ? pinned->engine->QueryBatch(queries, k)
           : cache_->Serve(queries, k, pinned->snapshot->epoch(),
-                          [&](std::span<const Shf> misses, bool*) {
-                            return compute(misses);
+                          [&](std::span<const Shf> misses) {
+                            return pinned->engine->QueryBatch(misses, k);
                           });
   if (!results.ok()) return results.status();
   return PinnedResults{pinned->snapshot, std::move(results).value()};

@@ -22,20 +22,12 @@
 // engine construction — no fingerprint bytes are copied, so epoch
 // churn at ingest rates leaves the read path allocation-light.
 //
-// Serving cache hierarchy (DESIGN.md §17). With Options::cache_capacity
-// set, an L1 ServingCache fronts the engine: each batch probes the
-// cache at the pinned epoch, scans only the misses, and fills the cache
-// from the batch's own answers — so a hit replays exactly what the
-// engine answered for that (query, k, epoch) and stays bit-identical to
-// the scan. Publication invalidates everything at once (the epoch is
-// part of the key). With Options::use_candidate_sources, misses run
-// through the L2 candidate stack (banded LSH + graph locality +
-// popularity fallback, knn/candidate_source.h) instead of the
-// exhaustive scan — approximate, so it is opt-in. The stack runs at
-// its defaults: BandedShfQueryEngine::Options{},
-// CandidateQueryEngine::Options{}, a 256-entry recent-answers seed
-// table and a 128-user popularity pool (constants in
-// snapshot_query.cc).
+// Serving cache (DESIGN.md §17). With Options::cache_capacity set, an
+// L1 ServingCache fronts the engine: each batch probes the cache at the
+// pinned epoch, scans only the misses, and fills the cache from the
+// batch's own answers — so a hit replays exactly what the scan answered
+// for that (query, k, epoch) and stays bit-identical to it. Publication
+// invalidates everything at once (the epoch is part of the key).
 
 #ifndef GF_KNN_SNAPSHOT_QUERY_H_
 #define GF_KNN_SNAPSHOT_QUERY_H_
@@ -49,8 +41,8 @@
 #include "common/thread_pool.h"
 #include "core/sharded_store.h"
 #include "core/store_snapshot.h"
-#include "knn/candidate_source.h"
 #include "knn/graph.h"
+#include "knn/query.h"
 #include "knn/query_service.h"
 #include "knn/serving_cache.h"
 #include "obs/pipeline_context.h"
@@ -69,12 +61,6 @@ class SnapshotQueryEngine {
     /// to the pinned epoch, so a snapshot publish invalidates every
     /// cached answer at once; hits bypass the engine entirely.
     std::size_t cache_capacity = 0;
-    /// Serve cache misses from the candidate-source stack (banded LSH
-    /// + graph locality + popularity fallback) instead of the
-    /// exhaustive scan. Approximate — recall may dip below 1 —
-    /// so it is opt-in; the cache itself stays exact either way (it
-    /// only replays what the active engine answered).
-    bool use_candidate_sources = false;
   };
 
   /// `source`, `pool` and `obs` must outlive the engine. No snapshot
@@ -95,8 +81,7 @@ class SnapshotQueryEngine {
 
   /// Acquires the current epoch, answers the whole batch against it,
   /// and returns both. Bit-exact with ScanQueryEngine::QueryBatch over
-  /// `snapshot->store()` (the scatter/merge guarantee) unless
-  /// use_candidate_sources trades recall for speed. Cache hits are
+  /// `snapshot->store()` (the scatter/merge guarantee). Cache hits are
   /// replayed answers of the same engine at the same epoch, so they
   /// never change a result, only its cost.
   Result<PinnedResults> QueryBatchPinned(std::span<const Shf> queries,
@@ -136,21 +121,9 @@ class SnapshotQueryEngine {
   struct Pinned {
     SnapshotPtr snapshot;
     std::unique_ptr<ScanQueryEngine> engine;  // co-owns the epoch's view
-    // Candidate-mode stack (null in exhaustive mode). The banded index
-    // and sources are rebuilt per epoch — candidates must come from
-    // the pinned bytes — while the recent-answers seed table persists
-    // across epochs (see knn/candidate_source.h).
-    std::unique_ptr<BandedShfQueryEngine> banded;
-    std::vector<std::unique_ptr<CandidateSource>> sources;
-    std::unique_ptr<CandidateQueryEngine> candidates;
   };
 
   Result<std::shared_ptr<const Pinned>> AcquirePinned() const;
-  // The active engine for `pending` at this epoch: candidate stack
-  // when enabled, exhaustive scan otherwise.
-  Result<std::vector<std::vector<Neighbor>>> RunEngine(
-      const Pinned& pinned, std::span<const Shf> pending,
-      std::size_t k) const;
 
   const SnapshotSource* source_;
   Options options_;
@@ -159,7 +132,6 @@ class SnapshotQueryEngine {
   mutable std::mutex mu_;
   mutable std::shared_ptr<const Pinned> cached_;  // guarded by mu_
   std::unique_ptr<ServingCache> cache_;           // null when disabled
-  std::unique_ptr<RecentAnswers> recent_;         // candidate mode only
   obs::Gauge* epoch_gauge_ = nullptr;
   obs::Counter* rebuilds_ = nullptr;
 };

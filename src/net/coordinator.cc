@@ -62,10 +62,6 @@ struct ClusterCoordinator::Core
   obs::Counter* deadline_exceeded;
   HealthTracker health;
   std::atomic<uint64_t> next_request_id{1};
-  /// Coordinator-side L1 mirror (null when disabled): merged complete
-  /// answers keyed by (SHF, k, cache_epoch). `net.cache.*` metrics.
-  std::unique_ptr<ServingCache> cache;
-  std::atomic<uint64_t> cache_epoch{0};
 
   Core(ClusterConfig config_in, Transport* transport_in, Options options_in,
        const obs::PipelineContext* obs)
@@ -81,14 +77,7 @@ struct ClusterCoordinator::Core
         partial_responses(obs::CounterOrNull(obs, "net.partial_responses")),
         deadline_exceeded(obs::CounterOrNull(obs, "net.deadline_exceeded")),
         health(HealthTracker::Options{},
-               obs::CounterOrNull(obs, "net.replica_unhealthy")) {
-    if (options.cache_capacity > 0) {
-      ServingCache::Options cache_options;
-      cache_options.capacity = options.cache_capacity;
-      cache_options.metric_prefix = "net.cache";
-      cache = std::make_unique<ServingCache>(std::move(cache_options), obs);
-    }
-  }
+               obs::CounterOrNull(obs, "net.replica_unhealthy")) {}
 
   // Lock order everywhere: ScatterState::mu first, then whatever the
   // transport takes inside CallAsync. Callbacks take ScatterState::mu
@@ -251,53 +240,7 @@ bool ClusterCoordinator::ReplicaHealthy(const std::string& address) const {
                                  core_->transport->clock()->NowMicros());
 }
 
-void ClusterCoordinator::SetCacheEpoch(uint64_t epoch) {
-  core_->cache_epoch.store(epoch, std::memory_order_release);
-}
-
-uint64_t ClusterCoordinator::cache_epoch() const {
-  return core_->cache_epoch.load(std::memory_order_acquire);
-}
-
-const ServingCache* ClusterCoordinator::cache() const {
-  return core_->cache.get();
-}
-
 Result<ClusterCoordinator::ClusterAnswer> ClusterCoordinator::QueryBatch(
-    std::span<const Shf> queries, std::size_t k) {
-  if (core_->cache == nullptr) return ScatterBatch(queries, k);
-
-  // Probe the coordinator cache at the declared epoch; only misses pay
-  // the scatter. A replayed row came from a COMPLETE merged answer, so
-  // it covers the full user range regardless of what this batch's
-  // scatter achieves.
-  ClusterAnswer answer;
-  answer.shards_total = core_->config.num_shards();
-  answer.shards_answered = answer.shards_total;
-  answer.shard_status.resize(answer.shards_total);
-  bool scattered = false;
-  auto results = core_->cache->Serve(
-      queries, k, core_->cache_epoch.load(std::memory_order_acquire),
-      [&](std::span<const Shf> misses, bool* cacheable)
-          -> Result<std::vector<std::vector<Neighbor>>> {
-        auto scatter = ScatterBatch(misses, k);
-        if (!scatter.ok()) return scatter.status();
-        scattered = true;
-        answer.shards_answered = scatter->shards_answered;
-        answer.shard_status = std::move(scatter->shard_status);
-        // Only complete merges are cached: a partial answer is missing
-        // rows from the failed shards and must never be replayed as
-        // exact.
-        *cacheable = scatter->complete();
-        return std::move(scatter->results);
-      });
-  if (!results.ok()) return results.status();
-  answer.results = std::move(results).value();
-  if (!scattered && core_->batches != nullptr) core_->batches->Add(1);
-  return answer;
-}
-
-Result<ClusterCoordinator::ClusterAnswer> ClusterCoordinator::ScatterBatch(
     std::span<const Shf> queries, std::size_t k) {
   GF_RETURN_IF_ERROR(core_->config.Validate());
   QueryBatchRequest request;

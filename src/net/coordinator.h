@@ -32,6 +32,11 @@
 //              address is quarantined for 100 ms after 3 consecutive
 //              failures (net.replica_unhealthy).
 //
+// The coordinator caches no answers. Replicas carry no epoch the
+// coordinator could key a cache on, so only the single-box serving path
+// (SnapshotQueryEngine) fronts its scan with the exact ServingCache
+// (DESIGN.md §17).
+//
 // Shutdown safety: completion callbacks capture shared state (never the
 // coordinator), so destroying the coordinator — or returning from
 // QueryBatch — with scatters still in flight is safe; whatever fires
@@ -43,12 +48,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "core/shf.h"
 #include "knn/graph.h"
-#include "knn/serving_cache.h"
 #include "net/cluster.h"
 #include "net/transport.h"
 #include "obs/pipeline_context.h"
@@ -64,14 +69,6 @@ class ClusterCoordinator {
     uint64_t hedge_delay_micros = 0;
     /// Total attempts (primary + hedges + failovers) per shard.
     std::size_t max_attempts_per_shard = 3;
-    /// Coordinator-side mirror of the L1 serving cache (DESIGN.md
-    /// §17): merged COMPLETE answers are cached under the current
-    /// cache epoch (`net.cache.*` metrics) so repeat queries skip the
-    /// scatter entirely; 0 disables. Partial answers are never cached.
-    /// The coordinator has no snapshot source, so the serving tier
-    /// bumps the epoch explicitly via SetCacheEpoch when the replicas
-    /// publish a new store epoch.
-    std::size_t cache_capacity = 0;
   };
 
   /// One batch's outcome. `results[q]` answers query q from the union
@@ -113,24 +110,9 @@ class ClusterCoordinator {
   /// Health introspection (tests and the gfk CLI).
   bool ReplicaHealthy(const std::string& address) const;
 
-  /// Declares the epoch the replicas now serve. Cached answers from
-  /// older epochs are lazily evicted on their next probe — exactly the
-  /// SnapshotQueryEngine invalidation story, driven explicitly because
-  /// epochs cross process boundaries here.
-  void SetCacheEpoch(uint64_t epoch);
-  uint64_t cache_epoch() const;
-
-  /// The coordinator cache, or nullptr when Options::cache_capacity
-  /// was 0.
-  const ServingCache* cache() const;
-
  private:
   struct Core;
   struct ScatterState;
-
-  /// The uncached scatter/gather (the whole pre-cache QueryBatch).
-  Result<ClusterAnswer> ScatterBatch(std::span<const Shf> queries,
-                                     std::size_t k);
 
   std::shared_ptr<Core> core_;
 };

@@ -161,25 +161,5 @@ TEST(FingerprintStoreTest, BatchCountsSameModelledTrafficAsPerPair) {
   AccessCounter::Instance().Reset();
 }
 
-TEST(FingerprintStoreTest, ExternalTileAndBatchEqualStoredUserKernels) {
-  // An external query that IS a stored user's fingerprint must score
-  // exactly like the UserId entry points (same kernels, same counts).
-  const Dataset d = testing::SmallSynthetic(90);
-  auto store = FingerprintStore::Build(d, Config(512));
-  ASSERT_TRUE(store.ok());
-  const std::size_t n = store->num_users();
-  std::vector<UserId> everyone(n);
-  for (UserId v = 0; v < n; ++v) everyone[v] = v;
-
-  for (UserId u : {UserId{0}, UserId{17}, UserId{89}}) {
-    const Shf query = store->Extract(u);
-    std::vector<double> want(n), got(n);
-    store->EstimateJaccardBatch(u, everyone, want);
-    store->EstimateJaccardBatchExternal(query.words(), query.cardinality(),
-                                        everyone, got);
-    EXPECT_EQ(want, got) << "batch, user " << u;
-  }
-}
-
 }  // namespace
 }  // namespace gf

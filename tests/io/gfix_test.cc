@@ -18,6 +18,7 @@
 #include "io/container.h"
 #include "io/crc32.h"
 #include "io/fault_env.h"
+#include "knn/query.h"
 #include "testing/test_util.h"
 
 namespace gf::io {
@@ -127,16 +128,14 @@ std::string WritePath(const std::string& name) {
          "_" + std::to_string(++g_file_seq) + ".gfix";
 }
 
-// A written index (with shard bounds + bands) read back as raw bytes.
-std::string ValidIndexBytes(const FingerprintStore& store,
-                            const BandedShfQueryEngine* bands = nullptr) {
+// A written index (with shard bounds) read back as raw bytes.
+std::string ValidIndexBytes(const FingerprintStore& store) {
   PosixEnv env;
   const std::string path = WritePath("valid");
   GfixWriteOptions options;
   options.shard_begins = {0, static_cast<UserId>(store.num_users() / 3),
                           static_cast<UserId>(2 * store.num_users() / 3)};
   if (store.num_users() == 0) options.shard_begins = {0};
-  options.bands = bands;
   EXPECT_TRUE(WriteGfixIndex(store, path, options, &env).ok());
   return env.ReadFile(path).value();
 }
@@ -157,16 +156,11 @@ TEST(GfixTest, MappedStoreIsBitExactWithInMemoryStore) {
   const Dataset d = gf::testing::SmallSynthetic(120);
   const FingerprintStore store =
       FingerprintStore::Build(d, TestConfig()).value();
-  BandedShfQueryEngine::Options band_options;
-  band_options.band_bits = 16;
-  const BandedShfQueryEngine bands =
-      BandedShfQueryEngine::Build(store, band_options).value();
 
   PosixEnv env;
   const std::string path = WritePath("bitexact");
   GfixWriteOptions write_options;
   write_options.shard_begins = {0, 40, 80};
-  write_options.bands = &bands;
   ASSERT_TRUE(WriteGfixIndex(store, path, write_options, &env).ok());
 
   auto mapped = MappedFingerprintStore::Open(path, &env);
@@ -216,23 +210,6 @@ TEST(GfixTest, MappedStoreIsBitExactWithInMemoryStore) {
     }
   }
 
-  // Banded hydration: identical buckets (byte-identical re-serialization)
-  // and identical query answers, without re-hashing any fingerprint.
-  ASSERT_TRUE(mapped->has_bands());
-  auto hydrated = mapped->Bands();
-  ASSERT_TRUE(hydrated.ok()) << hydrated.status().ToString();
-  EXPECT_EQ(hydrated->IndexedEntries(), bands.IndexedEntries());
-  EXPECT_EQ(hydrated->SerializeIndexPayload(), bands.SerializeIndexPayload());
-  for (const Shf& q : queries) {
-    const auto expect = bands.Query(q, 5).value();
-    const auto got = hydrated->Query(q, 5).value();
-    ASSERT_EQ(got.size(), expect.size());
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(got[i].id, expect[i].id);
-      EXPECT_EQ(got[i].similarity, expect[i].similarity);
-    }
-  }
-
   // Zero-copy shard views hold exactly the source rows.
   ASSERT_EQ(mapped->shard_begins().size(), 3u);
   auto shards = mapped->Shards();
@@ -268,7 +245,6 @@ TEST(GfixTest, EmptyStoreRoundTrips) {
   auto mapped = MappedFingerprintStore::Open(path, &env);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_EQ(mapped->num_users(), 0u);
-  EXPECT_FALSE(mapped->has_bands());
   auto shards = mapped->Shards();
   ASSERT_TRUE(shards.ok());
   EXPECT_EQ(shards->num_shards(), 1u);
@@ -280,17 +256,76 @@ TEST(GfixTest, MissingFileIsNotFound) {
   EXPECT_EQ(mapped.status().code(), StatusCode::kNotFound);
 }
 
-TEST(GfixTest, BandsAbsentIsNotFound) {
-  const Dataset d = gf::testing::SmallSynthetic(40);
+// ---- files from before the banded index was retired -------------------
+
+// index_with_bands_v1.gfix is the golden index as written while section
+// 5 still held a banded-LSH query index: TinyDataset at 64 bits, seed
+// 42, shards {0, 2}, and 16-bit bands. Readers now skip id 5, so the
+// file must open under both verify levels and serve exactly what the
+// in-memory store answers, while full verify still checks section 5's
+// CRC.
+TEST(GfixTest, IndexWithRetiredBandsSectionStillServes) {
+  FingerprintConfig config;
+  config.num_bits = 64;
+  config.seed = 42;
   const FingerprintStore store =
-      FingerprintStore::Build(d, TestConfig()).value();
+      FingerprintStore::Build(gf::testing::TinyDataset(), config).value();
   PosixEnv env;
-  const std::string path = WritePath("nobands");
-  ASSERT_TRUE(WriteGfixIndex(store, path, {}, &env).ok());
-  auto mapped = MappedFingerprintStore::Open(path, &env);
-  ASSERT_TRUE(mapped.ok());
-  EXPECT_FALSE(mapped->has_bands());
-  EXPECT_EQ(mapped->Bands().status().code(), StatusCode::kNotFound);
+  const std::string path =
+      std::string(GF_IO_TESTDATA_DIR) + "/index_with_bands_v1.gfix";
+  const std::string bytes = env.ReadFile(path).value();
+  const TocEntry retired = FindSection(bytes, GfixSection::kRetiredBands);
+  ASSERT_GT(retired.bytes, 0u);
+
+  std::vector<Shf> queries;
+  for (UserId u = 0; u < store.num_users(); ++u) {
+    queries.push_back(store.Extract(u));
+  }
+  const std::vector<ItemId> novel = {1, 4, 7};
+  queries.push_back(Fingerprinter::Create(config).value().Fingerprint(novel));
+  const ScanQueryEngine memory_scan(store);
+  const auto want = memory_scan.QueryBatch(queries, 3).value();
+
+  for (const GfixVerify verify : {GfixVerify::kStructure, GfixVerify::kFull}) {
+    auto mapped = MappedFingerprintStore::Open(
+        path, MappedFingerprintStore::OpenOptions{verify}, &env);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    ASSERT_EQ(mapped->num_users(), store.num_users());
+    EXPECT_EQ(mapped->shard_begins().size(), 2u);
+    const ScanQueryEngine mapped_scan(mapped->store());
+    const auto got = mapped_scan.QueryBatch(queries, 3).value();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t q = 0; q < want.size(); ++q) {
+      const auto single = mapped_scan.Query(queries[q], 3).value();
+      ASSERT_EQ(got[q].size(), want[q].size());
+      ASSERT_EQ(single.size(), want[q].size());
+      for (std::size_t i = 0; i < want[q].size(); ++i) {
+        EXPECT_EQ(got[q][i].id, want[q][i].id);
+        EXPECT_EQ(got[q][i].similarity, want[q][i].similarity);
+        EXPECT_EQ(single[i].id, want[q][i].id);
+        EXPECT_EQ(single[i].similarity, want[q][i].similarity);
+      }
+    }
+  }
+
+  // A flip inside section 5 goes unread under kStructure and fails its
+  // CRC under kFull.
+  std::string mutated = bytes;
+  const std::size_t pos = retired.offset + retired.bytes / 2;
+  mutated[pos] = static_cast<char>(static_cast<unsigned char>(mutated[pos]) ^
+                                   0x10u);
+  EXPECT_TRUE(OpenBytes(mutated, GfixVerify::kStructure).ok());
+  EXPECT_EQ(OpenBytes(mutated, GfixVerify::kFull).code(),
+            StatusCode::kCorruption);
+
+  // Today's writer emits no section 5.
+  GfixWriteOptions options;
+  options.shard_begins = {0, 2};
+  const std::string fresh_path = WritePath("fresh");
+  ASSERT_TRUE(WriteGfixIndex(store, fresh_path, options, &env).ok());
+  for (const TocEntry& e : ParseToc(env.ReadFile(fresh_path).value())) {
+    EXPECT_NE(e.id, static_cast<uint32_t>(GfixSection::kRetiredBands));
+  }
 }
 
 // ---- corruption fuzzing -------------------------------------------------
@@ -299,11 +334,7 @@ TEST(GfixFuzzTest, EveryTruncationIsCorruption) {
   const Dataset d = gf::testing::SmallSynthetic(50);
   const FingerprintStore store =
       FingerprintStore::Build(d, TestConfig()).value();
-  BandedShfQueryEngine::Options band_options;
-  band_options.band_bits = 16;
-  const BandedShfQueryEngine bands =
-      BandedShfQueryEngine::Build(store, band_options).value();
-  const std::string bytes = ValidIndexBytes(store, &bands);
+  const std::string bytes = ValidIndexBytes(store);
 
   PosixEnv base;
   const std::string path = WritePath("trunc");
@@ -362,11 +393,7 @@ TEST(GfixFuzzTest, SectionBitFlipsAreDetectedUnderFullVerify) {
   const Dataset d = gf::testing::SmallSynthetic(40);
   const FingerprintStore store =
       FingerprintStore::Build(d, TestConfig()).value();
-  BandedShfQueryEngine::Options band_options;
-  band_options.band_bits = 16;
-  const BandedShfQueryEngine bands =
-      BandedShfQueryEngine::Build(store, band_options).value();
-  const std::string bytes = ValidIndexBytes(store, &bands);
+  const std::string bytes = ValidIndexBytes(store);
 
   Rng rng(20260807);
   const auto toc = ParseToc(bytes);
@@ -522,87 +549,6 @@ TEST_F(GfixCraftedTest, NonMonotonicShardBoundsAreRejected) {
   SetU32(file, bounds.offset + 8, 5);  // begins[0] != 0
   ResealSection(file, GfixSection::kShardBounds);
   ExpectCorruption(file, "first shard not at 0");
-}
-
-// ---- banded payload hardening (the Bands section's parser) -------------
-
-TEST(GfixBandsTest, HydrationRejectsHostilePayloads) {
-  const Dataset d = gf::testing::TinyDataset();
-  FingerprintConfig config;
-  config.num_bits = 64;
-  const FingerprintStore store =
-      FingerprintStore::Build(d, config).value();
-
-  // Geometry that does not match the store.
-  {
-    std::string p;
-    PutU64(p, 7);  // band_bits not dividing 64
-    PutU64(p, 0);
-    PutU64(p, 4);
-    EXPECT_EQ(BandedShfQueryEngine::FromSerialized(store, p).status().code(),
-              StatusCode::kCorruption);
-  }
-  {
-    std::string p;
-    PutU64(p, 16);
-    PutU64(p, 0);
-    PutU64(p, 3);  // store of 64 bits has 4 bands of 16
-    EXPECT_EQ(BandedShfQueryEngine::FromSerialized(store, p).status().code(),
-              StatusCode::kCorruption);
-  }
-  // Bucket count far beyond the payload.
-  {
-    std::string p;
-    PutU64(p, 16);
-    PutU64(p, 0);
-    PutU64(p, 4);
-    PutU64(p, uint64_t{1} << 40);
-    EXPECT_EQ(BandedShfQueryEngine::FromSerialized(store, p).status().code(),
-              StatusCode::kCorruption);
-  }
-  // Bucket size far beyond the payload.
-  {
-    std::string p;
-    PutU64(p, 16);
-    PutU64(p, 0);
-    PutU64(p, 4);
-    PutU64(p, 1);
-    PutU64(p, 0x1234);
-    PutU32(p, 0xFFFFFFFF);
-    EXPECT_EQ(BandedShfQueryEngine::FromSerialized(store, p).status().code(),
-              StatusCode::kCorruption);
-  }
-  // Member id outside the store.
-  {
-    std::string p;
-    PutU64(p, 16);
-    PutU64(p, 0);
-    PutU64(p, 4);
-    PutU64(p, 1);
-    PutU64(p, 0x1234);
-    PutU32(p, 1);
-    PutU32(p, 999);  // 4 users
-    for (int band = 1; band < 4; ++band) PutU64(p, 0);
-    EXPECT_EQ(BandedShfQueryEngine::FromSerialized(store, p).status().code(),
-              StatusCode::kCorruption);
-  }
-  // Trailing bytes.
-  {
-    const BandedShfQueryEngine engine =
-        BandedShfQueryEngine::Build(store).value();
-    std::string p = engine.SerializeIndexPayload() + "x";
-    EXPECT_EQ(BandedShfQueryEngine::FromSerialized(store, p).status().code(),
-              StatusCode::kCorruption);
-  }
-  // Control: the untampered payload hydrates.
-  {
-    const BandedShfQueryEngine engine =
-        BandedShfQueryEngine::Build(store).value();
-    auto hydrated = BandedShfQueryEngine::FromSerialized(
-        store, engine.SerializeIndexPayload());
-    ASSERT_TRUE(hydrated.ok()) << hydrated.status().ToString();
-    EXPECT_EQ(hydrated->IndexedEntries(), engine.IndexedEntries());
-  }
 }
 
 }  // namespace

@@ -6,8 +6,7 @@
 // (it rewrites tests/io/testdata/ in the source tree).
 //
 // All inputs are fully deterministic: TinyDataset, sequential
-// (pool-less) fingerprint builds, hand-written graphs/checkpoints, and
-// the banded index's sorted serialization.
+// (pool-less) fingerprint builds and hand-written graphs/checkpoints.
 
 #include <gtest/gtest.h>
 
@@ -105,13 +104,8 @@ TEST(GoldenFileTest, GfixIndex) {
   const FingerprintStore store =
       FingerprintStore::Build(gf::testing::TinyDataset(), GoldenConfig())
           .value();
-  BandedShfQueryEngine::Options band_options;
-  band_options.band_bits = 16;
-  const BandedShfQueryEngine bands =
-      BandedShfQueryEngine::Build(store, band_options).value();
   GfixWriteOptions options;
   options.shard_begins = {0, 2};
-  options.bands = &bands;
 
   Env* env = Env::Default();
   const std::string tmp =
@@ -127,7 +121,6 @@ TEST(GoldenFileTest, GfixIndex) {
       MappedFingerprintStore::OpenOptions{GfixVerify::kFull}, env);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_EQ(mapped->num_users(), 4u);
-  EXPECT_TRUE(mapped->has_bands());
 }
 
 }  // namespace

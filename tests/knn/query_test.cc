@@ -209,40 +209,6 @@ TEST(ScanQueryTest, KAtSizeMaxMatchesKEqualsN) {
     ExpectIdentical({single}, {want[0]});
     EXPECT_EQ(single.size(), users);
   }
-  auto banded = BandedShfQueryEngine::Build(store);
-  ASSERT_TRUE(banded.ok());
-  ExpectIdentical(banded->QueryBatch(queries, SIZE_MAX).value(),
-                  banded->QueryBatch(queries, users).value());
-}
-
-TEST(BandedQueryTest, PinnedSnapshotBuildMatchesRawReference) {
-  Rng rng(0x9E52);
-  const FingerprintStore store = RandomStore(80, 256, rng);
-  std::vector<Shf> queries;
-  for (std::size_t q = 0; q < 6; ++q) {
-    queries.push_back(store.Extract(static_cast<UserId>(rng.Below(80))));
-  }
-  auto raw = BandedShfQueryEngine::Build(store);
-  ASSERT_TRUE(raw.ok());
-  auto want = raw->QueryBatch(queries, 4);
-  ASSERT_TRUE(want.ok());
-
-  SnapshotPtr snapshot = StoreSnapshot::Own(FingerprintStore(store), 3);
-  const std::weak_ptr<const StoreSnapshot> epoch = snapshot;
-  auto pinned = BandedShfQueryEngine::Build(std::move(snapshot),
-                                            BandedShfQueryEngine::Options{});
-  ASSERT_TRUE(pinned.ok());
-  EXPECT_FALSE(epoch.expired());  // the engine alone keeps it alive
-  auto got = pinned->QueryBatch(queries, 4);
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->size(), want->size());
-  for (std::size_t q = 0; q < want->size(); ++q) {
-    ASSERT_EQ((*got)[q].size(), (*want)[q].size());
-    for (std::size_t i = 0; i < (*want)[q].size(); ++i) {
-      EXPECT_EQ((*got)[q][i].id, (*want)[q][i].id);
-      EXPECT_EQ((*got)[q][i].similarity, (*want)[q][i].similarity);
-    }
-  }
 }
 
 TEST(ScanQueryTest, QueryBatchValidatesArguments) {
@@ -294,125 +260,6 @@ TEST(ScanQueryTest, ZeroCardinalityQueryScoresZeroEverywhere) {
   }
 }
 
-TEST(BandedShfQueryTest, BuildValidatesBandBits) {
-  const Dataset d = testing::TinyDataset();
-  const auto store = BuildStore(d, 128);
-  BandedShfQueryEngine::Options options;
-  options.band_bits = 0;
-  EXPECT_FALSE(BandedShfQueryEngine::Build(store, options).ok());
-  options.band_bits = 7;  // does not divide 64
-  EXPECT_FALSE(BandedShfQueryEngine::Build(store, options).ok());
-  options.band_bits = 16;
-  auto engine = BandedShfQueryEngine::Build(store, options);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(engine->num_bands(), 128u / 16u);
-}
-
-TEST(BandedShfQueryTest, ValidatesArguments) {
-  const Dataset d = testing::TinyDataset();
-  const auto store = BuildStore(d, 128);
-  auto engine = BandedShfQueryEngine::Build(store);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_FALSE(engine->Query(*Shf::Create(64), 3).ok());
-  EXPECT_FALSE(engine->Query(*Shf::Create(128), 0).ok());
-  std::vector<Shf> wrong;
-  wrong.push_back(*Shf::Create(64));
-  EXPECT_FALSE(engine->QueryBatch(wrong, 3).ok());
-}
-
-TEST(BandedShfQueryTest, FindsIdenticalUserThroughBands) {
-  const Dataset d = testing::SmallSynthetic(150);
-  const auto store = BuildStore(d);
-  auto engine = BandedShfQueryEngine::Build(store);
-  ASSERT_TRUE(engine.ok());
-  // A stored user's own fingerprint collides with itself in every
-  // non-zero band, so the user must come back on top with estimate 1.
-  for (UserId u : {UserId{0}, UserId{42}, UserId{149}}) {
-    auto result = engine->Query(store.Extract(u), 3);
-    ASSERT_TRUE(result.ok());
-    ASSERT_GE(result->size(), 1u);
-    EXPECT_EQ((*result)[0].id, u);
-    EXPECT_FLOAT_EQ((*result)[0].similarity, 1.0f);
-  }
-}
-
-TEST(BandedShfQueryTest, AgreesWithScanTopHitAtSmallBands) {
-  const Dataset d = testing::SmallSynthetic(200, 13);
-  const auto store = BuildStore(d);
-  const ScanQueryEngine scan(store);
-  BandedShfQueryEngine::Options options;
-  options.band_bits = 16;  // high recall
-  auto banded = BandedShfQueryEngine::Build(store, options);
-  ASSERT_TRUE(banded.ok());
-
-  int agreements = 0;
-  for (UserId u = 0; u < 30; ++u) {
-    const Shf query = store.Extract(u);
-    auto s = scan.Query(query, 1);
-    auto b = banded->Query(query, 1);
-    ASSERT_TRUE(s.ok() && b.ok());
-    ASSERT_FALSE(s->empty());
-    if (!b->empty() && (*s)[0].id == (*b)[0].id) ++agreements;
-  }
-  EXPECT_GT(agreements, 24);  // sublinear index, near-exhaustive recall
-}
-
-TEST(BandedShfQueryTest, QueryBatchMatchesQuery) {
-  Rng rng(31);
-  const FingerprintStore store = RandomStore(80, 256, rng);
-  ThreadPool pool(3);
-  auto engine = BandedShfQueryEngine::Build(
-      store, BandedShfQueryEngine::Options{}, &pool);
-  ASSERT_TRUE(engine.ok());
-  std::vector<Shf> queries;
-  for (std::size_t q = 0; q < 9; ++q) {
-    queries.push_back(store.Extract(static_cast<UserId>(rng.Below(80))));
-  }
-  auto batch = engine->QueryBatch(queries, 4);
-  ASSERT_TRUE(batch.ok());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    auto single = engine->Query(queries[q], 4);
-    ASSERT_TRUE(single.ok());
-    ASSERT_EQ((*batch)[q].size(), single->size());
-    for (std::size_t i = 0; i < single->size(); ++i) {
-      EXPECT_EQ((*batch)[q][i].id, (*single)[i].id);
-      EXPECT_EQ((*batch)[q][i].similarity, (*single)[i].similarity);
-    }
-  }
-}
-
-TEST(BandedShfQueryTest, ZeroCardinalityQueryHasNoCandidates) {
-  const Dataset d = testing::SmallSynthetic(60);
-  const auto store = BuildStore(d, 256);
-  auto engine = BandedShfQueryEngine::Build(store);
-  ASSERT_TRUE(engine.ok());
-  // Every band chunk of the all-zeros SHF is zero, so no table lookup
-  // happens and the candidate set is empty.
-  auto result = engine->Query(*Shf::Create(256), 5);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->empty());
-}
-
-TEST(BandedShfQueryTest, IndexedEntriesCountNonZeroChunks) {
-  const Dataset d = testing::SmallSynthetic(50);
-  const auto store = BuildStore(d, 256);
-  BandedShfQueryEngine::Options options;
-  options.band_bits = 32;
-  auto engine = BandedShfQueryEngine::Build(store, options);
-  ASSERT_TRUE(engine.ok());
-  // Exactly one entry per (user, band) whose chunk is non-zero.
-  std::size_t want = 0;
-  for (UserId u = 0; u < store.num_users(); ++u) {
-    const auto words = store.WordsOf(u);
-    for (std::size_t band = 0; band < engine->num_bands(); ++band) {
-      const std::size_t bit = band * 32;
-      if (((words[bit / 64] >> (bit % 64)) & 0xFFFFFFFFull) != 0) ++want;
-    }
-  }
-  EXPECT_EQ(engine->IndexedEntries(), want);
-  EXPECT_GT(engine->IndexedEntries(), 0u);
-}
-
 TEST(QueryMetricsTest, EnginesExportLatencyAndCandidateMetrics) {
   const Dataset d = testing::SmallSynthetic(60);
   const auto store = BuildStore(d, 256);
@@ -427,27 +274,16 @@ TEST(QueryMetricsTest, EnginesExportLatencyAndCandidateMetrics) {
   ASSERT_TRUE(scan.Query(queries[0], 3).ok());
   ASSERT_TRUE(scan.QueryBatch(queries, 3).ok());
 
-  auto banded = BandedShfQueryEngine::Build(
-      store, BandedShfQueryEngine::Options{}, nullptr, &ctx);
-  ASSERT_TRUE(banded.ok());
-  ASSERT_TRUE(banded->Query(queries[0], 3).ok());
-
-  // Counters: 1 sequential + 2 batched scan queries, 1 banded query;
-  // the scan visits all 60 users per query.
+  // Counters: 1 sequential + 2 batched scan queries; the scan visits
+  // all 60 users per query.
   EXPECT_EQ(registry.GetCounter("query.sharded.queries")->value(), 3u);
-  EXPECT_EQ(registry.GetCounter("query.banded.queries")->value(), 1u);
   EXPECT_EQ(registry.GetCounter("query.batches")->value(), 1u);
   EXPECT_GE(registry.GetCounter("query.candidates")->value(), 3u * 60u);
 
-  // Latency histogram: one observation per query, shared across
-  // engines; candidate-set sizes recorded for the banded engine.
+  // Latency histogram: one observation per query.
   const obs::Histogram* latency = registry.FindHistogram("query.latency");
   ASSERT_NE(latency, nullptr);
-  EXPECT_EQ(latency->count(), 4u);
-  const obs::Histogram* sizes =
-      registry.FindHistogram("query.banded.candidate_set_size");
-  ASSERT_NE(sizes, nullptr);
-  EXPECT_EQ(sizes->count(), 1u);
+  EXPECT_EQ(latency->count(), 3u);
   // The batch's partition scans (one: the engine has no pool).
   const obs::Histogram* scans =
       registry.FindHistogram("query.shard.scan_micros");

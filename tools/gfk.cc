@@ -90,8 +90,7 @@ int Usage() {
       "  calibrate --in ds.gfsz [--reference 0.25] [--competitor 0.17]\n"
       "            [--max-misordering 0.02]\n"
       "  index write --in ds.gfsz|--store fp.gfsz --out index.gfix\n"
-      "            [--bits 1024] [--seed N] [--shards 1] [--band-bits 32]\n"
-      "            [--threads N]\n"
+      "            [--bits 1024] [--seed N] [--shards 1] [--threads N]\n"
       "  index info --in index.gfix [--full]\n"
       "  serve     --index index.gfix [--requests 1024] [--clients 4]\n"
       "            [--k 10] [--max-queue 1024] [--max-batch 64]\n"
@@ -440,31 +439,14 @@ int CmdIndexWrite(const Flags& flags) {
   options.shard_begins =
       ShardedFingerprintStore::BalancedBegins(store->num_users(), shards);
 
-  // --band-bits 0 skips the Bands section (serving then rebuilds or
-  // scans); any other value persists the banded-LSH buckets.
-  std::optional<BandedShfQueryEngine> bands;
-  const int band_bits = flags.GetInt("band-bits", 32);
-  if (band_bits > 0) {
-    BandedShfQueryEngine::Options band_options;
-    band_options.band_bits = static_cast<std::size_t>(band_bits);
-    auto built = BandedShfQueryEngine::Build(*store, band_options, pool_ptr);
-    if (!built.ok()) return Fail(built.status());
-    bands.emplace(std::move(*built));
-    options.bands = &*bands;
-  }
-
   WallTimer timer;
   if (const Status status = io::WriteGfixIndex(*store, out, options);
       !status.ok()) {
     return Fail(status);
   }
-  const std::string bands_note =
-      bands ? std::to_string(bands->IndexedEntries()) + " banded entries"
-            : std::string("no bands");
-  std::printf(
-      "wrote %s in %.1f ms: %zu users x %zu bits, %zu shard(s), %s\n",
-      out.c_str(), timer.ElapsedSeconds() * 1e3, store->num_users(),
-      store->num_bits(), options.shard_begins.size(), bands_note.c_str());
+  std::printf("wrote %s in %.1f ms: %zu users x %zu bits, %zu shard(s)\n",
+              out.c_str(), timer.ElapsedSeconds() * 1e3, store->num_users(),
+              store->num_bits(), options.shard_begins.size());
   return 0;
 }
 
@@ -487,14 +469,6 @@ int CmdIndexInfo(const Flags& flags) {
     std::printf(" %u", begin);
   }
   std::printf("\n");
-  if (mapped->has_bands()) {
-    auto bands = mapped->Bands();
-    if (!bands.ok()) return Fail(bands.status());
-    std::printf("  bands: %zu tables, %zu entries\n", bands->num_bands(),
-                bands->IndexedEntries());
-  } else {
-    std::printf("  bands: none\n");
-  }
   return 0;
 }
 

@@ -1,5 +1,5 @@
 # Round-trip smoke test of the persistent index path, run by ctest:
-# generate a dataset, write a GFIX index (sharded, with bands), inspect
+# generate a dataset, write a sharded GFIX index, inspect
 # it under full verification, then serve queries from the mapped file.
 # Invoked as: cmake -DGFK=<path-to-gfk> -DWORK=<scratch-dir> -P this-file
 
@@ -21,9 +21,9 @@ run_gfk(index write --in ${DS} --bits 256 --shards 3 --out ${INDEX})
 run_gfk(index info --in ${INDEX} --full)
 run_gfk(serve --index ${INDEX} --requests 128 --clients 2 --k 5)
 
-# The --store path: index a pre-built fingerprint store, without bands.
+# The --store path: index a pre-built fingerprint store.
 run_gfk(fingerprint --in ${DS} --bits 256 --out ${FP})
-run_gfk(index write --store ${FP} --band-bits 0 --out ${INDEX})
+run_gfk(index write --store ${FP} --out ${INDEX})
 run_gfk(serve --index ${INDEX} --requests 64 --clients 2 --k 5)
 
 # Error paths must fail cleanly (non-zero exit, no crash).
