@@ -50,14 +50,13 @@ inline uint32_t PopCount(std::span<const uint64_t> words) {
 /// popcount(a AND b) over two equal-length word spans. This is the hot
 /// kernel of the whole library: one AND and one popcount per word
 /// (Eq. 4 of the paper needs exactly this plus two cached cardinalities).
-inline uint32_t AndPopCount(const uint64_t* a, const uint64_t* b,
-                            std::size_t n_words) {
-  uint32_t total = 0;
-  for (std::size_t i = 0; i < n_words; ++i) {
-    total += static_cast<uint32_t>(std::popcount(a[i] & b[i]));
-  }
-  return total;
-}
+/// Defined in simd_popcount.cc: the tree is built for baseline x86-64,
+/// where std::popcount is a libgcc call per word, so the per-pair
+/// kernel is picked at run time, like the batched ones, and runs the
+/// POPCNT instruction where the CPU has it. Every choice returns the
+/// same count.
+uint32_t AndPopCount(const uint64_t* a, const uint64_t* b,
+                     std::size_t n_words);
 
 /// popcount(a OR b) over two equal-length word spans (û in the paper's
 /// Theorem-1 notation).

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <bit>
 
-// The AVX2 and AVX-512 backends are compiled with per-function target
-// attributes (no global -mavx2 / -mavx512f), so the library still runs
-// on machines without them: the dispatcher simply never takes those
-// branches there. Non-x86 builds compile only the scalar backend.
+#include "common/bit_util.h"
+
+// The AVX2, AVX-512 and POPCNT kernels are compiled with per-function
+// target attributes (no global -mavx2 / -mavx512f / -mpopcnt), so the
+// library still runs on machines without them: the dispatcher simply
+// never takes those branches there. Non-x86 builds compile only the
+// scalar backend.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define GF_SIMD_X86 1
 #include <immintrin.h>
@@ -29,6 +32,11 @@ inline uint32_t AndPopCountRowScalar(const uint64_t* a, const uint64_t* b,
 }
 
 }  // namespace
+
+uint32_t AndPopCountScalar(const uint64_t* a, const uint64_t* b,
+                           std::size_t n_words) {
+  return AndPopCountRowScalar(a, b, n_words);
+}
 
 void AndPopCountTileScalar(const uint64_t* query, const uint64_t* tile,
                            std::size_t n_rows, std::size_t words_per_row,
@@ -61,6 +69,13 @@ void AndPopCountTileMultiScalar(const uint64_t* queries,
 }
 
 #if GF_SIMD_X86
+
+// The scalar loop, inlined where std::popcount becomes one POPCNT per
+// word instead of a libgcc call.
+__attribute__((target("popcnt"))) uint32_t AndPopCountPopcnt(
+    const uint64_t* a, const uint64_t* b, std::size_t n_words) {
+  return AndPopCountRowScalar(a, b, n_words);
+}
 
 namespace {
 
@@ -346,6 +361,34 @@ GF_INLINE_AVX512 void AndPopCountRowsAvx512(const uint64_t* query,
 
 }  // namespace
 
+// One pair: vpopcntq over eight words at a time, the tail through
+// zero-masked loads. Rows under eight words gain nothing from a vector
+// and run POPCNT.
+GF_TARGET_AVX512 uint32_t AndPopCountAvx512(const uint64_t* a,
+                                            const uint64_t* b,
+                                            std::size_t n_words) {
+  if (n_words < 8) return AndPopCountPopcnt(a, b, n_words);
+  __m512i acc = _mm512_setzero_si512();
+  std::size_t w = 0;
+  for (; w + 8 <= n_words; w += 8) {
+    acc = _mm512_add_epi64(
+        acc, _mm512_popcnt_epi64(_mm512_and_si512(_mm512_loadu_si512(a + w),
+                                                  _mm512_loadu_si512(b + w))));
+  }
+  if (w < n_words) {
+    const auto tail = static_cast<__mmask8>((1u << (n_words - w)) - 1);
+    acc = _mm512_add_epi64(
+        acc, _mm512_popcnt_epi64(
+                 _mm512_and_si512(_mm512_maskz_loadu_epi64(tail, a + w),
+                                  _mm512_maskz_loadu_epi64(tail, b + w))));
+  }
+  uint64_t lanes[8];
+  _mm512_storeu_si512(lanes, acc);
+  uint64_t total = 0;
+  for (const uint64_t lane : lanes) total += lane;
+  return static_cast<uint32_t>(total);
+}
+
 // One-word rows (b = 64) run the AVX2 backend's code, which scores four
 // rows per vector; a 512-bit vector per one-word row would be mostly
 // mask. Every wider row runs the eight-pair block kernel.
@@ -413,6 +456,16 @@ GF_TARGET_AVX512 void AndPopCountBatchAvx512(
 
 #else  // !GF_SIMD_X86
 
+uint32_t AndPopCountPopcnt(const uint64_t* a, const uint64_t* b,
+                           std::size_t n_words) {
+  return AndPopCountRowScalar(a, b, n_words);
+}
+
+uint32_t AndPopCountAvx512(const uint64_t* a, const uint64_t* b,
+                           std::size_t n_words) {
+  return AndPopCountRowScalar(a, b, n_words);
+}
+
 void AndPopCountTileAvx2(const uint64_t* query, const uint64_t* tile,
                          std::size_t n_rows, std::size_t words_per_row,
                          uint32_t* out_counts) {
@@ -468,6 +521,14 @@ bool Avx2Available() {
 #endif
 }
 
+bool PopcntAvailable() {
+#if GF_SIMD_X86
+  return __builtin_cpu_supports("popcnt");
+#else
+  return false;
+#endif
+}
+
 bool Avx512Available() {
 #if GF_SIMD_X86
   return __builtin_cpu_supports("avx512f") &&
@@ -479,6 +540,7 @@ bool Avx512Available() {
 
 namespace {
 
+using PairFn = uint32_t (*)(const uint64_t*, const uint64_t*, std::size_t);
 using TileFn = void (*)(const uint64_t*, const uint64_t*, std::size_t,
                         std::size_t, uint32_t*);
 using BatchFn = void (*)(const uint64_t*, const uint64_t*, std::size_t,
@@ -491,26 +553,32 @@ struct Dispatch {
   TileFn tile;
   BatchFn batch;
   TileMultiFn tile_multi;
+  // Below AVX-512 the per-pair kernel follows POPCNT alone: every AVX2
+  // CPU has it, and a scalar-backend CPU may.
+  PairFn pair;
 };
 
 // Resolved once (thread-safe static init) from CPUID; every later call
 // is one indirect jump.
 const Dispatch& ActiveDispatch() {
   static const Dispatch dispatch = [] {
+    const PairFn pair = PopcntAvailable() ? &detail::AndPopCountPopcnt
+                                          : &detail::AndPopCountScalar;
     if (Avx512Available()) {
       return Dispatch{PopcountBackend::kAvx512,
                       &detail::AndPopCountTileAvx512,
                       &detail::AndPopCountBatchAvx512,
-                      &detail::AndPopCountTileMultiAvx512};
+                      &detail::AndPopCountTileMultiAvx512,
+                      &detail::AndPopCountAvx512};
     }
     if (Avx2Available()) {
       return Dispatch{PopcountBackend::kAvx2, &detail::AndPopCountTileAvx2,
                       &detail::AndPopCountBatchAvx2,
-                      &detail::AndPopCountTileMultiAvx2};
+                      &detail::AndPopCountTileMultiAvx2, pair};
     }
     return Dispatch{PopcountBackend::kScalar, &detail::AndPopCountTileScalar,
                     &detail::AndPopCountBatchScalar,
-                    &detail::AndPopCountTileMultiScalar};
+                    &detail::AndPopCountTileMultiScalar, pair};
   }();
   return dispatch;
 }
@@ -529,6 +597,11 @@ const char* PopcountBackendName(PopcountBackend backend) {
       return "avx512";
   }
   return "unknown";
+}
+
+uint32_t AndPopCount(const uint64_t* a, const uint64_t* b,
+                     std::size_t n_words) {
+  return ActiveDispatch().pair(a, b, n_words);
 }
 
 void AndPopCountTile(const uint64_t* query, const uint64_t* tile,

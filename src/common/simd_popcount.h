@@ -1,5 +1,6 @@
 // Batched AND+popcount kernels — the vectorized form of the Eq. 4 hot
-// path. Where bit_util.h scores one fingerprint pair at a time, these
+// path. Where bits::AndPopCount (bit_util.h; defined and dispatched
+// here too) scores one fingerprint pair at a time, these
 // kernels score one query fingerprint against many candidate rows laid
 // out the way FingerprintStore stores them (row-major, words_per_row
 // contiguous uint64_t words per candidate). Batching amortizes call
@@ -77,11 +78,24 @@ void AndPopCountTileMulti(const uint64_t* queries, std::size_t n_queries,
                           const uint64_t* tile, std::size_t n_rows,
                           std::size_t words_per_row, uint32_t* out_counts);
 
+/// True when the CPU (and compiler) have the POPCNT instruction. The
+/// per-pair bits::AndPopCount runs on it, or, on the AVX-512 backend,
+/// on vpopcntq for rows of 8 words or more.
+bool PopcntAvailable();
+
 // Fixed-backend implementations, exposed so tests can assert that every
 // backend agrees bit-exactly and benches can compare them. The Avx2
-// variants require Avx2Available() and the Avx512 ones
-// Avx512Available(); on non-x86 builds both are the scalar code.
+// variants require Avx2Available(), the Avx512 ones Avx512Available()
+// and the Popcnt one PopcntAvailable(); on non-x86 builds all are the
+// scalar code.
 namespace detail {
+
+uint32_t AndPopCountScalar(const uint64_t* a, const uint64_t* b,
+                           std::size_t n_words);
+uint32_t AndPopCountPopcnt(const uint64_t* a, const uint64_t* b,
+                           std::size_t n_words);
+uint32_t AndPopCountAvx512(const uint64_t* a, const uint64_t* b,
+                           std::size_t n_words);
 
 void AndPopCountTileScalar(const uint64_t* query, const uint64_t* tile,
                            std::size_t n_rows, std::size_t words_per_row,

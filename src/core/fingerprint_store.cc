@@ -67,6 +67,15 @@ void FingerprintStore::EstimateJaccardBatch(UserId u,
                  cards_data_[u], candidates, out, &JaccardFromCounts);
 }
 
+void FingerprintStore::CountBatch(UserId u,
+                                  std::span<const UserId> candidates,
+                                  std::span<uint32_t> counts) const {
+  bits::AndPopCountBatch(
+      words_data_ + static_cast<std::size_t>(u) * words_per_shf_, words_data_,
+      words_per_shf_, candidates.data(), candidates.size(), counts.data());
+  CountLoads(candidates.size() * (2 * words_per_shf_ + 2));
+}
+
 void FingerprintStore::EstimateCosineBatch(UserId u,
                                            std::span<const UserId> candidates,
                                            std::span<double> out) const {
@@ -144,10 +153,11 @@ Result<FingerprintStore> FingerprintStore::FromRaw(
           " does not match its bit array");
     }
   }
-  FingerprintStore store(config, num_users);
-  store.words_ = std::move(words);
+  FingerprintStore store(config, 0);
+  store.num_users_ = num_users;
+  store.adopted_words_ = std::move(words);
   store.cardinalities_ = std::move(cardinalities);
-  store.words_data_ = store.words_.data();
+  store.words_data_ = store.adopted_words_.data();
   store.cards_data_ = store.cardinalities_.data();
   return store;
 }
@@ -175,9 +185,16 @@ FingerprintStore& FingerprintStore::operator=(const FingerprintStore& other) {
   words_per_shf_ = other.words_per_shf_;
   num_users_ = other.num_users_;
   borrowed_ = other.borrowed_;
-  words_ = other.words_;
+  adopted_words_ = {};
+  if (borrowed_) {
+    words_ = {};
+    words_data_ = other.words_data_;
+  } else {
+    const std::span<const uint64_t> arena = other.WordsArena();
+    words_.assign(arena.begin(), arena.end());
+    words_data_ = words_.data();
+  }
   cardinalities_ = other.cardinalities_;
-  words_data_ = borrowed_ ? other.words_data_ : words_.data();
   cards_data_ = borrowed_ ? other.cards_data_ : cardinalities_.data();
   return *this;
 }

@@ -9,7 +9,9 @@
 // view over memory someone else keeps alive, e.g. a mmap-ed GFIX index,
 // io/gfix.h). Both flavors expose the identical read surface; every
 // kernel runs off raw pointers, so a borrowed store is bit-exact with an
-// owning one over the same bytes.
+// owning one over the same bytes. The word arena that Build allocates,
+// and the one an owning store's copy makes, starts on a 64-byte cache
+// line; FromRaw adopts its caller's vector wherever it starts.
 
 #ifndef GF_CORE_FINGERPRINT_STORE_H_
 #define GF_CORE_FINGERPRINT_STORE_H_
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "common/access_counter.h"
+#include "common/aligned_allocator.h"
 #include "common/bit_util.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
@@ -44,7 +47,8 @@ class FingerprintStore {
   /// Reassembles a store from raw parts (the deserialization path).
   /// Validates the bit length and that `words` / `cardinalities` have
   /// the sizes implied by config and num_users, and that each stored
-  /// cardinality matches its bit array.
+  /// cardinality matches its bit array. Adopts both vectors without
+  /// copying them.
   static Result<FingerprintStore> FromRaw(
       const FingerprintConfig& config, std::size_t num_users,
       std::vector<uint64_t> words, std::vector<uint32_t> cardinalities);
@@ -61,7 +65,8 @@ class FingerprintStore {
       const uint64_t* words, const uint32_t* cardinalities);
 
   /// Copies re-derive the arena pointers: copying an owning store deep-
-  /// copies its arenas, copying a borrowed view copies the pointers.
+  /// copies its arenas (the words into a cache-line-aligned arena),
+  /// copying a borrowed view copies the pointers.
   FingerprintStore(const FingerprintStore& other) { *this = other; }
   FingerprintStore& operator=(const FingerprintStore& other);
   // Moves keep pointers valid: a moved std::vector's heap buffer (and
@@ -116,6 +121,14 @@ class FingerprintStore {
   /// out[i] scores candidates[i]; out must hold candidates.size().
   void EstimateJaccardBatch(UserId u, std::span<const UserId> candidates,
                             std::span<double> out) const;
+
+  /// The integer parts of EstimateJaccardBatch: counts[i] =
+  /// popcount(u AND candidates[i]), so the estimate of that pair is
+  /// JaccardFromCounts(CardinalityOf(u), CardinalityOf(candidates[i]),
+  /// counts[i]). Same kernel and same modelled traffic per pair.
+  /// counts must hold candidates.size().
+  void CountBatch(UserId u, std::span<const UserId> candidates,
+                  std::span<uint32_t> counts) const;
 
   /// Cosine analogue of EstimateJaccardBatch.
   void EstimateCosineBatch(UserId u, std::span<const UserId> candidates,
@@ -179,8 +192,11 @@ class FingerprintStore {
   std::size_t words_per_shf_ = 0;
   std::size_t num_users_ = 0;
   bool borrowed_ = false;
-  // Owned arenas; empty in a borrowed view.
-  std::vector<uint64_t> words_;
+  // Owned arenas; empty in a borrowed view. The words live in words_
+  // (Build, copies) or, adopted from FromRaw's caller, in
+  // adopted_words_; the other one is empty.
+  std::vector<uint64_t, CacheLineAllocator<uint64_t>> words_;
+  std::vector<uint64_t> adopted_words_;
   std::vector<uint32_t> cardinalities_;
   // The arenas every accessor and kernel actually reads: either the
   // owned vectors' buffers or the borrowed caller memory.

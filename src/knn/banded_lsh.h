@@ -148,7 +148,7 @@ KnnGraph BandedLshKnn(const Dataset& dataset, const Provider& provider,
     }
   });
 
-  KnnGraph graph = lists.Finalize();
+  KnnGraph graph = lists.Finalize(pool);
   RecordBuildStats(stats, timer, computations.load(), 1);
   return graph;
 }

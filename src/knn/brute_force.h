@@ -136,7 +136,7 @@ Result<KnnGraph> BruteForceKnn(const Provider& provider, std::size_t k,
         }));
   }
 
-  KnnGraph graph = lists.Finalize();
+  KnnGraph graph = lists.Finalize(pool);
   RecordBuildStats(stats, timer,
                    n < 2 ? 0 : static_cast<uint64_t>(n) * (n - 1), 1);
   return graph;

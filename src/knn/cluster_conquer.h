@@ -155,10 +155,11 @@ namespace internal {
 
 /// Presents one cluster's members as a dense provider over local ids
 /// [0, |cluster|): the inner algorithms run unchanged. Forwards the
-/// outer provider's batched kernel when it has one — a local
-/// contiguous tile maps to a (gather-)batch over the member ids, so
-/// the per-cluster brute force stays cache-blocked. Used by a single
-/// cluster task at a time (the scratch buffer is not thread-safe).
+/// outer provider's batched kernel and counts when it has them — a
+/// local contiguous tile maps to a (gather-)batch over the member ids,
+/// so the per-cluster brute force stays cache-blocked. Used by a
+/// single cluster task at a time (the scratch buffer is not
+/// thread-safe).
 template <typename Provider>
 class ClusterProviderView {
  public:
@@ -176,11 +177,20 @@ class ClusterProviderView {
                   std::span<double> out) const
     requires BatchSimilarityProvider<Provider>
   {
-    scratch_.resize(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      scratch_[i] = members_[candidates[i]];
-    }
-    provider_.ScoreBatch(members_[u], scratch_, out);
+    provider_.ScoreBatch(members_[u], MapToMembers(candidates), out);
+  }
+
+  void CountBatch(UserId u, std::span<const UserId> candidates,
+                  std::span<uint32_t> counts) const
+    requires IntersectionCountProvider<Provider>
+  {
+    provider_.CountBatch(members_[u], MapToMembers(candidates), counts);
+  }
+
+  uint32_t Cardinality(UserId u) const
+    requires IntersectionCountProvider<Provider>
+  {
+    return provider_.Cardinality(members_[u]);
   }
 
   void ScoreTile(UserId u, UserId first, std::size_t count,
@@ -191,6 +201,16 @@ class ClusterProviderView {
   }
 
  private:
+  // The global ids of local `candidates`, in the scratch buffer.
+  std::span<const UserId> MapToMembers(
+      std::span<const UserId> candidates) const {
+    scratch_.resize(candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      scratch_[i] = members_[candidates[i]];
+    }
+    return scratch_;
+  }
+
   const Provider& provider_;
   std::span<const UserId> members_;
   mutable std::vector<UserId> scratch_;
@@ -404,8 +424,8 @@ Result<KnnGraph> ClusterConquerKnn(const Dataset& dataset,
     }
   }
 
-  KnnGraph graph = refine.has_value() ? refine->lists.Finalize()
-                                      : merged.Finalize();
+  KnnGraph graph = refine.has_value() ? refine->lists.Finalize(pool)
+                                      : merged.Finalize(pool);
   RecordBuildStats(stats, timer, total_computations, 1 + refine_iterations,
                    std::move(refine_updates));
   return graph;

@@ -93,21 +93,26 @@ bool NeighborLists::InsertLocked(UserId u, UserId v, double sim) {
   return changed;
 }
 
-KnnGraph NeighborLists::Finalize() const {
+KnnGraph NeighborLists::Finalize(ThreadPool* pool) const {
   std::vector<Neighbor> edges(num_users_ * k_);
   std::vector<uint32_t> counts(num_users_, 0);
-  std::vector<Neighbor> row;
-  for (UserId u = 0; u < num_users_; ++u) {
-    row.clear();
-    for (const Entry& e : Of(u)) row.push_back({e.id, e.similarity});
-    std::sort(row.begin(), row.end(), [](const Neighbor& a, const Neighbor& b) {
-      if (a.similarity != b.similarity) return a.similarity > b.similarity;
-      return a.id < b.id;  // deterministic tie-break
-    });
-    std::copy(row.begin(), row.end(),
-              edges.begin() + static_cast<std::size_t>(u) * k_);
-    counts[u] = static_cast<uint32_t>(row.size());
-  }
+  ParallelFor(pool, num_users_, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t u = begin; u < end; ++u) {
+      const auto entries = Of(static_cast<UserId>(u));
+      Neighbor* row = edges.data() + u * k_;
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        row[i] = {entries[i].id, entries[i].similarity};
+      }
+      std::sort(row, row + entries.size(),
+                [](const Neighbor& a, const Neighbor& b) {
+                  if (a.similarity != b.similarity) {
+                    return a.similarity > b.similarity;
+                  }
+                  return a.id < b.id;  // deterministic tie-break
+                });
+      counts[u] = static_cast<uint32_t>(entries.size());
+    }
+  });
   return KnnGraph(num_users_, k_, std::move(edges), std::move(counts));
 }
 

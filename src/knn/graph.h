@@ -8,11 +8,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "core/shf.h"
 #include "dataset/types.h"
 #include "knn/candidate_set.h"
 #include "knn/provider_concepts.h"
@@ -114,6 +116,15 @@ class NeighborLists {
   /// Insert() under u's spinlock.
   bool InsertLocked(UserId u, UserId v, double sim);
 
+  /// The floor Insert tests offers against: Insert(u, v, sim) returns
+  /// false, changing nothing, whenever float(sim) <= Floor(u). That is
+  /// the worst similarity of a full row, and -infinity while u's row
+  /// has room. Not thread-safe against writers of u's row.
+  float Floor(UserId u) const {
+    return sizes_[u] == k_ ? worst_sims_[u]
+                           : -std::numeric_limits<float>::infinity();
+  }
+
   /// Empties u's list (incremental maintenance: a user whose profile
   /// changed re-scores its neighborhood from scratch).
   void ClearRow(UserId u) {
@@ -171,7 +182,8 @@ class NeighborLists {
   }
 
   /// Sorts each list by decreasing similarity and freezes the result.
-  KnnGraph Finalize() const;
+  /// Rows are sorted independently, on `pool` when non-null.
+  KnnGraph Finalize(ThreadPool* pool = nullptr) const;
 
  private:
   /// Sentinel floor for a row that is not full yet (above any real
@@ -186,6 +198,91 @@ class NeighborLists {
                                                   // until the row fills
   std::vector<std::atomic_flag> locks_;           // per-user spinlocks
 };
+
+/// Which rows OfferCandidates offers a pair (u, v) to.
+enum class OfferRows {
+  kOwn,   // u's row only (Hyrec, C&C's inner Hyrec)
+  kBoth,  // u's row, then v's (the incremental repair)
+};
+
+/// Per-thread scratch of OfferCandidates, reused across calls.
+struct OfferScratch {
+  std::vector<uint32_t> counts;
+  std::vector<double> sims;
+};
+
+/// Unions below this bound make floor * union exact in a double: a
+/// float's 24-bit significand times a 29-bit integer fits in 53 bits.
+/// A union is at most the fingerprint's bit count, so every real one
+/// is far below it.
+inline constexpr uint32_t kExactUnionBound = uint32_t{1} << 29;
+
+/// True when a pair with Eq. 4 parts (inter, uni) cannot enter a row
+/// whose NeighborLists::Floor is `floor`: inter <= floor * uni. Exact:
+/// with uni below kExactUnionBound the product is exact in a double,
+/// so the test is the real-number one. When it holds, inter / uni <=
+/// floor, so the rounded quotient, and its rounding to float, are <=
+/// floor too, and Insert would reject the pair. A union of 0 scores 0,
+/// at or below any floor >= 0. No negative floor prunes: -infinity (a
+/// row with room) and any floor below 0 admit every pair.
+inline bool BelowFloor(uint32_t inter, uint32_t uni, float floor) {
+  return floor >= 0.0f && uni < kExactUnionBound &&
+         static_cast<double>(inter) <=
+             static_cast<double>(floor) * static_cast<double>(uni);
+}
+
+/// Scores u against `candidates` and offers the pairs in order:
+/// lists.Insert(u, v, sim) for each candidate v, then, with
+/// OfferRows::kBoth, lists.Insert(v, u, sim). Returns how many of
+/// those inserts changed a row; the rows and the count are those of
+/// that score-then-insert loop.
+///
+/// A provider with counts (IntersectionCountProvider) takes the fused
+/// path: one CountBatch, then each pair is tested against the floor of
+/// the row it is offered to (BelowFloor) and only the survivors are
+/// divided and inserted. A skipped pair is one Insert would have
+/// rejected without a side effect, and only an Insert that changes u's
+/// row moves u's floor, so u's floor is re-read only after those. Every
+/// other provider scores all pairs first (ScoreCandidates).
+template <typename Provider>
+uint64_t OfferCandidates(const Provider& provider, UserId u,
+                         std::span<const UserId> candidates,
+                         NeighborLists& lists, OfferScratch& scratch,
+                         OfferRows rows = OfferRows::kOwn) {
+  uint64_t updates = 0;
+  if constexpr (IntersectionCountProvider<Provider>) {
+    scratch.counts.resize(candidates.size());
+    provider.CountBatch(u, candidates, scratch.counts);
+    const uint32_t card_u = provider.Cardinality(u);
+    float floor_u = lists.Floor(u);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const UserId v = candidates[i];
+      const uint32_t inter = scratch.counts[i];
+      const uint32_t card_v = provider.Cardinality(v);
+      const uint32_t uni = card_u + card_v - inter;
+      const bool to_u = !BelowFloor(inter, uni, floor_u);
+      const bool to_v =
+          rows == OfferRows::kBoth && !BelowFloor(inter, uni, lists.Floor(v));
+      if (!to_u && !to_v) continue;
+      const double sim = JaccardFromCounts(card_u, card_v, inter);
+      if (to_u && lists.Insert(u, v, sim)) {
+        ++updates;
+        floor_u = lists.Floor(u);
+      }
+      if (to_v) updates += lists.Insert(v, u, sim);
+    }
+  } else {
+    scratch.sims.resize(candidates.size());
+    ScoreCandidates(provider, u, candidates, scratch.sims);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      updates += lists.Insert(u, candidates[i], scratch.sims[i]);
+      if (rows == OfferRows::kBoth) {
+        updates += lists.Insert(candidates[i], u, scratch.sims[i]);
+      }
+    }
+  }
+  return updates;
+}
 
 }  // namespace gf
 

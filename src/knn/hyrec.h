@@ -12,12 +12,16 @@
 // exactly the remaining iterations.
 //
 // A step reads a snapshot of the lists and writes only u's own row, so
-// any pool size builds the sequential graph. u's neighbors-of-neighbors
-// are marked in a CandidateSet (knn/candidate_set.h); u and its own
+// any pool size, and any order of users, builds the sequential graph.
+// Each pool thread claims blocks of kHyrecBlockUsers users from a
+// shared counter until none are left. u's neighbors-of-neighbors are
+// marked in a CandidateSet (knn/candidate_set.h), with the snapshot
+// rows the next user marks from prefetched meanwhile; u and its own
 // snapshot neighbors are erased, and the rest drain in ascending id
-// order into one ScoreBatch call, then into u's row in that order. The
-// init draws the random graph in Rng order and scores it row by row on
-// the pool (NeighborLists::InitRandom).
+// order into OfferCandidates (knn/graph.h), which scores them in one
+// batch and offers them to u's row in that order. The init draws the
+// random graph in Rng order and scores it row by row on the pool
+// (NeighborLists::InitRandom).
 
 #ifndef GF_KNN_HYREC_H_
 #define GF_KNN_HYREC_H_
@@ -33,7 +37,6 @@
 #include "knn/checkpoint.h"
 #include "knn/graph.h"
 #include "knn/greedy_config.h"
-#include "knn/provider_concepts.h"
 #include "knn/stats.h"
 #include "obs/pipeline_context.h"
 
@@ -57,6 +60,10 @@ struct HyrecState {
         snap_ids(num_users * k),
         snap_sizes(num_users) {}
 };
+
+/// Users a HyrecStep task claims at a time: small enough that the
+/// threads finish together, large enough that the claims cost nothing.
+inline constexpr std::size_t kHyrecBlockUsers = 64;
 
 /// Random-graph initialization (iteration 0), scored on `pool`.
 template <typename Provider>
@@ -88,50 +95,78 @@ bool HyrecStep(const Provider& provider, const GreedyConfig& config,
   ++state.iterations;
   // Snapshot of neighbor ids read during the iteration while live
   // lists are updated (each thread writes only its own rows).
-  for (UserId u = 0; u < n; ++u) {
-    const auto row = lists.Of(u);
-    snap_sizes[u] = static_cast<uint32_t>(row.size());
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      snap_ids[static_cast<std::size_t>(u) * k + i] = row[i].id;
+  ParallelFor(pool, n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t u = begin; u < end; ++u) {
+      const auto row = lists.Of(static_cast<UserId>(u));
+      snap_sizes[u] = static_cast<uint32_t>(row.size());
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        snap_ids[u * k + i] = row[i].id;
+      }
     }
-  }
+  });
 
+  // The snapshot rows user w marks from: random rows of k ids that no
+  // hardware prefetcher predicts. Hinting them one user ahead hides
+  // their misses behind the current user's work.
+  const auto prefetch_marking = [&](std::size_t w) {
+    constexpr std::size_t kLine = 64;
+    const std::size_t row_bytes = k * sizeof(UserId);
+    for (std::size_t i = 0; i < snap_sizes[w]; ++i) {
+      const auto* row = reinterpret_cast<const char*>(
+          snap_ids.data() + static_cast<std::size_t>(snap_ids[w * k + i]) * k);
+      for (std::size_t offset = 0; offset < row_bytes; offset += kLine) {
+        __builtin_prefetch(row + offset);
+      }
+      __builtin_prefetch(row + row_bytes - 1);
+    }
+  };
+
+  std::atomic<std::size_t> next_block{0};
   std::atomic<uint64_t> updates{0};
   std::atomic<uint64_t> computations{0};
-  ParallelFor(pool, n, [&](std::size_t begin, std::size_t end) {
+  // One task per pool thread, each claiming blocks of users until none
+  // are left: a thread that drew cheap users takes more of them.
+  const std::size_t tasks = pool != nullptr ? pool->num_threads() : 1;
+  ParallelFor(pool, tasks, [&](std::size_t, std::size_t) {
     CandidateSet marked(n);
     std::vector<UserId> to_score;
-    std::vector<double> sims;
-    for (std::size_t uu = begin; uu < end; ++uu) {
-      const auto u = static_cast<UserId>(uu);
-      const std::size_t base = uu * k;
-      for (std::size_t i = 0; i < snap_sizes[uu]; ++i) {
-        const UserId v = snap_ids[base + i];
-        const std::size_t vbase = static_cast<std::size_t>(v) * k;
-        for (std::size_t j = 0; j < snap_sizes[v]; ++j) {
-          marked.Insert(snap_ids[vbase + j]);
+    OfferScratch scratch;
+    uint64_t local_updates = 0;
+    uint64_t local_computations = 0;
+    for (;;) {
+      const std::size_t begin =
+          next_block.fetch_add(kHyrecBlockUsers, std::memory_order_relaxed);
+      if (begin >= n) break;
+      const std::size_t end = std::min(n, begin + kHyrecBlockUsers);
+      for (std::size_t uu = begin; uu < end; ++uu) {
+        if (uu + 1 < end) prefetch_marking(uu + 1);
+        const auto u = static_cast<UserId>(uu);
+        const std::size_t base = uu * k;
+        for (std::size_t i = 0; i < snap_sizes[uu]; ++i) {
+          const UserId v = snap_ids[base + i];
+          const std::size_t vbase = static_cast<std::size_t>(v) * k;
+          for (std::size_t j = 0; j < snap_sizes[v]; ++j) {
+            marked.Insert(snap_ids[vbase + j]);
+          }
         }
-      }
-      // u and its snapshot neighbors already have a stored similarity.
-      marked.Erase(u);
-      for (std::size_t i = 0; i < snap_sizes[uu]; ++i) {
-        marked.Erase(snap_ids[base + i]);
-      }
-      to_score.clear();
-      marked.Drain(to_score);
+        // u and its snapshot neighbors already have a stored similarity.
+        marked.Erase(u);
+        for (std::size_t i = 0; i < snap_sizes[uu]; ++i) {
+          marked.Erase(snap_ids[base + i]);
+        }
+        to_score.clear();
+        marked.Drain(to_score);
 
-      if (candidate_sizes != nullptr) {
-        candidate_sizes->Observe(static_cast<double>(to_score.size()));
+        if (candidate_sizes != nullptr) {
+          candidate_sizes->Observe(static_cast<double>(to_score.size()));
+        }
+        local_updates +=
+            OfferCandidates(provider, u, to_score, lists, scratch);
+        local_computations += to_score.size();
       }
-      sims.resize(to_score.size());
-      ScoreCandidates(provider, u, to_score, sims);
-      uint64_t local_updates = 0;
-      for (std::size_t i = 0; i < to_score.size(); ++i) {
-        if (lists.Insert(u, to_score[i], sims[i])) ++local_updates;
-      }
-      updates.fetch_add(local_updates, std::memory_order_relaxed);
-      computations.fetch_add(to_score.size(), std::memory_order_relaxed);
     }
+    updates.fetch_add(local_updates, std::memory_order_relaxed);
+    computations.fetch_add(local_computations, std::memory_order_relaxed);
   });
 
   state.computations += computations.load();
@@ -174,7 +209,7 @@ Result<KnnGraph> HyrecKnn(const Provider& provider,
         [&](BuildCheckpoint& snapshot) { CaptureProgress(state, &snapshot); }));
   }
 
-  KnnGraph graph = state.lists.Finalize();
+  KnnGraph graph = state.lists.Finalize(pool);
   RecordBuildStats(stats, timer, state.computations, state.iterations,
                    std::move(state.updates_per_iteration));
   return graph;

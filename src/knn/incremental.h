@@ -21,8 +21,9 @@
 //
 // A changed user's candidates (steps 1 and 3, and each refinement pass)
 // are marked in one CandidateSet (knn/candidate_set.h) and drained in
-// ascending id order into one ScoreBatch call when the provider has
-// one; the pairs are then offered in that order.
+// ascending id order into OfferCandidates (knn/graph.h), which scores
+// them in one batch and offers each pair both ways in that order; with
+// a counting provider a pair that cannot enter a row is not divided.
 
 #ifndef GF_KNN_INCREMENTAL_H_
 #define GF_KNN_INCREMENTAL_H_
@@ -33,7 +34,6 @@
 #include "common/timer.h"
 #include "knn/candidate_set.h"
 #include "knn/graph.h"
-#include "knn/provider_concepts.h"
 #include "knn/stats.h"
 
 namespace gf {
@@ -95,19 +95,13 @@ KnnGraph RefreshKnnGraph(const KnnGraph& previous, const Provider& provider,
   // ways (step 3: u may now belong in v's neighborhood). Returns how
   // many offers changed a row.
   std::vector<UserId> candidates;
-  std::vector<double> sims;
+  OfferScratch scratch;
   auto score_and_offer = [&](UserId u) {
     candidates.clear();
     marked.Drain(candidates);
-    sims.resize(candidates.size());
-    ScoreCandidates(provider, u, candidates, sims);
     computations += candidates.size();
-    uint64_t updates = 0;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      updates += lists.Insert(u, candidates[i], sims[i]);
-      updates += lists.Insert(candidates[i], u, sims[i]);
-    }
-    return updates;
+    return OfferCandidates(provider, u, candidates, lists, scratch,
+                           OfferRows::kBoth);
   };
 
   Rng rng(kRefreshSeed);

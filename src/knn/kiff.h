@@ -96,7 +96,7 @@ KnnGraph Run(const Dataset& dataset, const KiffConfig& config,
     }
   });
 
-  KnnGraph graph = lists.Finalize();
+  KnnGraph graph = lists.Finalize(pool);
   RecordBuildStats(stats, timer, computations.load(), 1);
   return graph;
 }

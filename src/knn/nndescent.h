@@ -237,7 +237,7 @@ Result<KnnGraph> NNDescentKnn(const Provider& provider,
         }));
   }
 
-  KnnGraph graph = state.lists.Finalize();
+  KnnGraph graph = state.lists.Finalize(pool);
   RecordBuildStats(stats, timer, state.computations, state.iterations,
                    std::move(state.updates_per_iteration));
   return graph;

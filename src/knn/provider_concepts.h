@@ -11,17 +11,27 @@
 //       out[i] = sim(u, first + i) — contiguous ranges (BruteForceKnn's
 //       cache-blocked scan).
 //
-// Both must be bit-exact with the per-pair operator: the KNN algorithms
+//   void CountBatch(UserId u, std::span<const UserId> candidates,
+//                   std::span<uint32_t> counts) const;
+//   uint32_t Cardinality(UserId u) const;
+//       Eq. 4's integer parts, for providers whose similarity is
+//       JaccardFromCounts(Cardinality(u), Cardinality(v), count):
+//       counts[i] = |u ∩ candidates[i]|. OfferCandidates (knn/graph.h)
+//       skips the division for pairs that cannot enter a row.
+//
+// All must be bit-exact with the per-pair operator: the KNN algorithms
 // pick the batch path purely by `if constexpr` on these concepts
-// (ScoreCandidates below), and the produced graphs must not depend on
-// which path ran. Kept in this small header (not similarity_provider.h)
+// (ScoreCandidates below, OfferCandidates), and the produced graphs
+// must not depend on which path ran. Kept in this small header (not similarity_provider.h)
 // so the algorithm headers can test for the interface without pulling
 // in every provider's dependencies.
 
 #ifndef GF_KNN_PROVIDER_CONCEPTS_H_
 #define GF_KNN_PROVIDER_CONCEPTS_H_
 
+#include <concepts>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "dataset/types.h"
@@ -42,6 +52,15 @@ concept TiledSimilarityProvider =
     requires(const P& p, UserId u, UserId first, std::size_t count,
              std::span<double> out) {
       p.ScoreTile(u, first, count, out);
+    };
+
+/// Provider exposing Eq. 4's integer parts (see the file comment).
+template <typename P>
+concept IntersectionCountProvider =
+    requires(const P& p, UserId u, std::span<const UserId> candidates,
+             std::span<uint32_t> counts) {
+      p.CountBatch(u, candidates, counts);
+      { p.Cardinality(u) } -> std::same_as<uint32_t>;
     };
 
 /// out[i] = sim(u, candidates[i]): one ScoreBatch call when the

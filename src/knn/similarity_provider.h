@@ -12,7 +12,8 @@
 // knn/provider_concepts.h (ScoreBatch / ScoreTile); the fingerprint
 // providers do, routing through FingerprintStore's SIMD-dispatched
 // kernels, and the KNN algorithms then score candidate batches in one
-// call instead of one pair at a time.
+// call instead of one pair at a time. The Jaccard one also exposes the
+// integer counts behind its scores (CountBatch / Cardinality).
 
 #ifndef GF_KNN_SIMILARITY_PROVIDER_H_
 #define GF_KNN_SIMILARITY_PROVIDER_H_
@@ -77,6 +78,11 @@ class GoldFingerProvider {
                  std::span<double> out) const {
     store_->EstimateJaccardTile(u, first, count, out);
   }
+  void CountBatch(UserId u, std::span<const UserId> candidates,
+                  std::span<uint32_t> counts) const {
+    store_->CountBatch(u, candidates, counts);
+  }
+  uint32_t Cardinality(UserId u) const { return store_->CardinalityOf(u); }
 
  private:
   const FingerprintStore* store_;
@@ -141,9 +147,9 @@ class CountingProvider {
     return (*inner_)(a, b);
   }
 
-  // The batch interface is forwarded (and counted per pair) only when
-  // the wrapped provider has it, so wrapping never changes which path
-  // the KNN algorithms take.
+  // The batch and count interfaces are forwarded (and counted per
+  // pair) only when the wrapped provider has them, so wrapping never
+  // changes which path the KNN algorithms take.
   void ScoreBatch(UserId u, std::span<const UserId> candidates,
                   std::span<double> out) const
     requires BatchSimilarityProvider<Provider>
@@ -157,6 +163,18 @@ class CountingProvider {
   {
     count_->Add(count);
     inner_->ScoreTile(u, first, count, out);
+  }
+  void CountBatch(UserId u, std::span<const UserId> candidates,
+                  std::span<uint32_t> counts) const
+    requires IntersectionCountProvider<Provider>
+  {
+    count_->Add(candidates.size());
+    inner_->CountBatch(u, candidates, counts);
+  }
+  uint32_t Cardinality(UserId u) const
+    requires IntersectionCountProvider<Provider>
+  {
+    return inner_->Cardinality(u);
   }
 
   uint64_t count() const { return count_->value(); }

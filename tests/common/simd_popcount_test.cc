@@ -1,5 +1,6 @@
 #include "common/simd_popcount.h"
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -37,6 +38,30 @@ KernelInput RandomInput(std::size_t n_rows, std::size_t words, Rng& rng) {
 // chunking of FingerprintStore.
 constexpr std::size_t kWordSizes[] = {1, 2, 3, 4, 5, 7, 8, 16, 17, 64, 130};
 constexpr std::size_t kRowCounts[] = {1, 2, 3, 4, 5, 31, 64, 255, 256, 257};
+
+// The per-pair entry point dispatches to the AVX-512 or the POPCNT
+// kernel where the CPU has them; every kernel returns the portable
+// loop's counts.
+TEST(SimdPopcountTest, PerPairKernelsAgreeBitExactly) {
+  Rng rng(10);
+  for (std::size_t words : kWordSizes) {
+    const KernelInput in = RandomInput(2, words, rng);
+    const uint64_t* a = in.rows.data();
+    const uint64_t* b = a + words;
+    uint32_t want = 0;
+    for (std::size_t i = 0; i < words; ++i) {
+      want += static_cast<uint32_t>(std::popcount(a[i] & b[i]));
+    }
+    EXPECT_EQ(detail::AndPopCountScalar(a, b, words), want) << words;
+    EXPECT_EQ(AndPopCount(a, b, words), want) << words;
+    if (PopcntAvailable()) {
+      EXPECT_EQ(detail::AndPopCountPopcnt(a, b, words), want) << words;
+    }
+    if (Avx512Available()) {
+      EXPECT_EQ(detail::AndPopCountAvx512(a, b, words), want) << words;
+    }
+  }
+}
 
 TEST(SimdPopcountTest, ScalarTileMatchesPerPairKernel) {
   Rng rng(11);

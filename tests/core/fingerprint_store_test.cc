@@ -1,5 +1,8 @@
 #include "core/fingerprint_store.h"
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "testing/test_util.h"
@@ -159,6 +162,67 @@ TEST(FingerprintStoreTest, BatchCountsSameModelledTrafficAsPerPair) {
   // Same 2 * words + 2 model per pair as EstimateJaccard.
   EXPECT_EQ(AccessCounter::Instance().loads(), 3u * 34u);
   AccessCounter::Instance().Reset();
+}
+
+// CountBatch is the integer half of EstimateJaccardBatch: the counts
+// rebuild its estimates exactly, at the same modelled traffic.
+TEST(FingerprintStoreTest, CountBatchRebuildsBatchEstimates) {
+  const Dataset d = testing::SmallSynthetic(60);
+  auto store = FingerprintStore::Build(d, Config(1024));
+  ASSERT_TRUE(store.ok());
+  std::vector<UserId> candidates;
+  for (UserId v = 0; v < d.NumUsers(); v += 3) candidates.push_back(v);
+  std::vector<double> sims(candidates.size());
+  std::vector<uint32_t> counts(candidates.size());
+  for (const UserId u : {UserId{0}, UserId{17}, UserId{59}}) {
+    store->EstimateJaccardBatch(u, candidates, sims);
+    AccessCounter::Instance().Reset();
+    AccessCounter::Enable(true);
+    store->CountBatch(u, candidates, counts);
+    AccessCounter::Enable(false);
+    EXPECT_EQ(AccessCounter::Instance().loads(), candidates.size() * 34u);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      EXPECT_EQ(JaccardFromCounts(store->CardinalityOf(u),
+                                  store->CardinalityOf(candidates[i]),
+                                  counts[i]),
+                sims[i])
+          << "pair " << u << "," << candidates[i];
+    }
+  }
+  AccessCounter::Instance().Reset();
+}
+
+// Build's arena, and the arena an owning copy makes, start on a cache
+// line, so each row of a multiple of 8 words covers whole lines. FromRaw
+// adopts its caller's vector as it is.
+TEST(FingerprintStoreTest, OwnedArenasStartOnACacheLine) {
+  const Dataset d = testing::SmallSynthetic(40);
+  for (const std::size_t bits : {64, 1024}) {
+    auto built = FingerprintStore::Build(d, Config(bits));
+    ASSERT_TRUE(built.ok());
+    const auto address = [](const FingerprintStore& store) {
+      return reinterpret_cast<std::uintptr_t>(store.WordsArena().data());
+    };
+    EXPECT_EQ(address(*built) % 64, 0u) << bits << " bits";
+    const FingerprintStore copy = *built;
+    EXPECT_EQ(address(copy) % 64, 0u) << bits << " bits";
+    EXPECT_NE(address(copy), address(*built));
+
+    const auto arena = built->WordsArena();
+    const auto cards = built->Cardinalities();
+    std::vector<uint64_t> words(arena.begin(), arena.end());
+    const uint64_t* adopted = words.data();
+    auto raw = FingerprintStore::FromRaw(
+        Config(bits), d.NumUsers(), std::move(words),
+        std::vector<uint32_t>(cards.begin(), cards.end()));
+    ASSERT_TRUE(raw.ok());
+    EXPECT_EQ(raw->WordsArena().data(), adopted) << bits << " bits";
+    const FingerprintStore raw_copy = *raw;
+    EXPECT_EQ(address(raw_copy) % 64, 0u) << bits << " bits";
+    for (UserId u = 0; u < d.NumUsers(); ++u) {
+      EXPECT_EQ(raw_copy.Extract(u), built->Extract(u));
+    }
+  }
 }
 
 }  // namespace

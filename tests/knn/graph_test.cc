@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -44,6 +45,26 @@ TEST(NeighborListsTest, EqualToWorstRejected) {
   NeighborLists lists(2, 1);
   lists.Insert(0, 1, 0.5);
   EXPECT_FALSE(lists.Insert(0, 2, 0.5));  // ties keep the incumbent
+}
+
+// Floor is what Insert tests a full row's offers against: -infinity
+// while the row has room, then the row's worst similarity as float.
+TEST(NeighborListsTest, FloorIsTheFullRowsWorstSimilarity) {
+  NeighborLists lists(5, 2);
+  EXPECT_EQ(lists.Floor(0), -std::numeric_limits<float>::infinity());
+  lists.Insert(0, 1, 0.7);
+  EXPECT_EQ(lists.Floor(0), -std::numeric_limits<float>::infinity());
+  lists.Insert(0, 2, 0.3);
+  EXPECT_EQ(lists.Floor(0), 0.3f);
+  EXPECT_FALSE(lists.Insert(0, 3, 0.3));  // float(sim) <= Floor
+  EXPECT_EQ(lists.Floor(0), 0.3f);
+  EXPECT_TRUE(lists.Insert(0, 4, 0.5));
+  EXPECT_EQ(lists.Floor(0), 0.5f);
+  lists.ClearRow(0);
+  EXPECT_EQ(lists.Floor(0), -std::numeric_limits<float>::infinity());
+  const NeighborLists::Entry restored[] = {{1, 0.25f, true}, {2, 0.75f, true}};
+  lists.RestoreRow(0, restored);
+  EXPECT_EQ(lists.Floor(0), 0.25f);
 }
 
 TEST(NeighborListsTest, ConcurrentInsertLockedKeepsExactTopK) {
