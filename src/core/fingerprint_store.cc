@@ -144,9 +144,12 @@ Result<FingerprintStore> FingerprintStore::FromRaw(
   if (cardinalities.size() != num_users) {
     return Status::InvalidArgument("cardinalities size mismatch");
   }
+  // popcount(row AND row) on the dispatched per-pair kernel: on the
+  // baseline x86-64 the tree is built for, bits::PopCount is a libgcc
+  // call per word, and every publish of a mutable store runs this loop.
   for (std::size_t u = 0; u < num_users; ++u) {
-    const uint32_t popcount = bits::PopCount(
-        {words.data() + u * words_per_shf, words_per_shf});
+    const uint64_t* row = words.data() + u * words_per_shf;
+    const uint32_t popcount = bits::AndPopCount(row, row, words_per_shf);
     if (popcount != cardinalities[u]) {
       return Status::Corruption(
           "cardinality of user " + std::to_string(u) +

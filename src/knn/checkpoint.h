@@ -4,11 +4,12 @@
 // similarity budget. A BuildCheckpoint captures the complete mutable
 // state of a construction at a deterministic boundary (a brute-force
 // row chunk or a greedy iteration): the partial neighbor lists
-// (including NNDescent's is_new flags), the sampling RNG, and the
-// progress counters. Because the algorithms are deterministic given
-// that state, a resumed build replays the remaining work and provably
-// converges to the same graph — edge-for-edge, tie-break-for-tie-break
-// — as an uninterrupted run (test-enforced in tests/integration).
+// (including the is_new flags NNDescent's joins and Hyrec's steps
+// read), the sampling RNG, and the progress counters. Because the
+// algorithms are deterministic given that state, a resumed build
+// replays the remaining work and provably converges to the same graph
+// — edge-for-edge, tie-break-for-tie-break — as an uninterrupted run
+// (test-enforced in tests/integration).
 //
 // Checkpoints travel in the GFSZ container (io/container.h, payload
 // kind 4 = Checkpoint), CRC-validated like every other artifact, and

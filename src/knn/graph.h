@@ -84,8 +84,9 @@ class NeighborLists {
   struct Entry {
     UserId id = kInvalidUser;
     float similarity = -1.0f;
-    /// NNDescent's "new" flag: set when the entry has not yet taken
-    /// part in a local join.
+    /// Set by every Insert. NNDescent clears it once the entry has
+    /// taken part in a local join; Hyrec's snapshot copy clears it, so
+    /// a flagged entry is one inserted since the last step's snapshot.
     bool is_new = true;
   };
 
@@ -98,9 +99,10 @@ class NeighborLists {
     return {entries_.data() + static_cast<std::size_t>(u) * k_, sizes_[u]};
   }
   /// Mutable view of u's entries. Callers may flip the is_new flags
-  /// (NNDescent's join bookkeeping) but must NOT rewrite ids or
-  /// similarities — Insert's worst-similarity floor is cached per row
-  /// and would go stale. Row rewrites go through ClearRow/RestoreRow.
+  /// (NNDescent's join bookkeeping, Hyrec's snapshot copy) but must NOT
+  /// rewrite ids or similarities — Insert's worst-similarity floor is
+  /// cached per row and would go stale. Row rewrites go through
+  /// ClearRow/RestoreRow.
   std::span<Entry> MutableOf(UserId u) {
     return {entries_.data() + static_cast<std::size_t>(u) * k_, sizes_[u]};
   }

@@ -22,6 +22,35 @@
 // batch and offers them to u's row in that order. The init draws the
 // random graph in Rng order and scores it row by row on the pool
 // (NeighborLists::InitRandom).
+//
+// Incremental steps. The paper's Hyrec rescans every neighbor-of-
+// neighbor on every iteration; a step here marks w for u only when
+// some snapshot path u→v→w has a new edge: v entered u's row, or w
+// entered v's row, since the previous step's snapshot (the new/old
+// split of NNDescent's incremental search). Every Insert sets
+// NeighborLists::Entry::is_new; the snapshot copy clears the flags in
+// the live rows and writes each snapshot row new entries first, with
+// a per-row count of them. Marking walks all of v's snapshot row when
+// v is new in u's row, and only v's new prefix when v is old. The
+// skip is exact: rows, updates per step and iteration counts equal
+// the full rescan's, and only the similarity count falls.
+//  - At step t's snapshot an entry is old iff it was in the row at
+//    step t-1's snapshot and no Insert has placed it since. Step 1
+//    after the init sees only new entries, so it scores everything.
+//  - Suppose only old-old paths reach w. The same path existed at step
+//    t-1, so at that step w was u itself, one of u's snapshot
+//    neighbors, a pair scored and offered to u's row, or a pair
+//    skipped. By induction on t, at some earlier point (u, w) was
+//    offered to u's row or was held by it.
+//  - From then on, offering (u, w) again with the same score changes
+//    nothing. While w is in u's row, it is a snapshot neighbor and is
+//    erased. Once w left or was refused, u's row is full with a floor
+//    >= its score: Hyrec rows never shrink, a full row's floor never
+//    falls, and Insert rejects float(sim) <= floor.
+//  - So every skipped pair is one Insert would have rejected with no
+//    side effect, on any pool, since a step reads only the snapshot.
+//  - A checkpoint with every flag set (one written before steps read
+//    the flags) only makes the next step score everything.
 
 #ifndef GF_KNN_HYREC_H_
 #define GF_KNN_HYREC_H_
@@ -45,20 +74,23 @@ namespace gf {
 /// Complete mutable state of a Hyrec build between iterations. The
 /// snap_* members are per-iteration scratch (rebuilt at the top of
 /// every step; kept here only to reuse their allocations) — the
-/// resumable state is lists + the counters.
+/// resumable state is lists, with their is_new flags (the entries
+/// inserted since the last step's snapshot), + the counters.
 struct HyrecState {
   NeighborLists lists;
   std::size_t iterations = 0;
   uint64_t computations = 0;
   std::vector<uint64_t> updates_per_iteration;
-  // scratch
+  // scratch: snapshot rows, new entries first
   std::vector<UserId> snap_ids;
   std::vector<uint32_t> snap_sizes;
+  std::vector<uint32_t> snap_new;  // new entries at the front of each row
 
   HyrecState(std::size_t num_users, std::size_t k)
       : lists(num_users, k),
         snap_ids(num_users * k),
-        snap_sizes(num_users) {}
+        snap_sizes(num_users),
+        snap_new(num_users) {}
 };
 
 /// Users a HyrecStep task claims at a time: small enough that the
@@ -73,9 +105,10 @@ void HyrecInit(const Provider& provider, const GreedyConfig& config,
   state.computations += state.lists.InitRandom(rng, provider, pool);
 }
 
-/// One Hyrec iteration: snapshot the lists, compare every user with its
-/// snapshot's neighbors-of-neighbors, keep improvements. Returns true
-/// when the iteration converged (updates below the δ·k·n threshold).
+/// One Hyrec iteration: snapshot the lists, compare every user with the
+/// snapshot's neighbors-of-neighbors that a new edge reaches, keep
+/// improvements. Returns true when the iteration converged (updates
+/// below the δ·k·n threshold).
 template <typename Provider>
 bool HyrecStep(const Provider& provider, const GreedyConfig& config,
                HyrecState& state, ThreadPool* pool = nullptr,
@@ -91,33 +124,51 @@ bool HyrecStep(const Provider& provider, const GreedyConfig& config,
   NeighborLists& lists = state.lists;
   std::vector<UserId>& snap_ids = state.snap_ids;
   std::vector<uint32_t>& snap_sizes = state.snap_sizes;
+  std::vector<uint32_t>& snap_new = state.snap_new;
 
   ++state.iterations;
   // Snapshot of neighbor ids read during the iteration while live
-  // lists are updated (each thread writes only its own rows).
+  // lists are updated (each thread writes only its own rows). New
+  // entries go to the front of the snapshot row, old ones to the back;
+  // the live flags are cleared, so the next step's new entries are the
+  // ones this step inserts.
   ParallelFor(pool, n, [&](std::size_t begin, std::size_t end) {
     for (std::size_t u = begin; u < end; ++u) {
-      const auto row = lists.Of(static_cast<UserId>(u));
-      snap_sizes[u] = static_cast<uint32_t>(row.size());
-      for (std::size_t i = 0; i < row.size(); ++i) {
-        snap_ids[u * k + i] = row[i].id;
+      const auto row = lists.MutableOf(static_cast<UserId>(u));
+      UserId* snap = snap_ids.data() + u * k;
+      uint32_t fresh = 0;
+      std::size_t old_at = row.size();
+      for (NeighborLists::Entry& entry : row) {
+        snap[entry.is_new ? fresh++ : --old_at] = entry.id;
+        entry.is_new = false;
       }
+      snap_sizes[u] = static_cast<uint32_t>(row.size());
+      snap_new[u] = fresh;
     }
   });
+
+  // How much of v's snapshot row u marks from: all of it when v is new
+  // in u's row (the i-th entry of u's snapshot row), else v's new
+  // prefix.
+  const auto reach = [&](std::size_t u, std::size_t i, UserId v) {
+    return i < snap_new[u] ? snap_sizes[v] : snap_new[v];
+  };
 
   // The snapshot rows user w marks from: random rows of k ids that no
   // hardware prefetcher predicts. Hinting them one user ahead hides
   // their misses behind the current user's work.
   const auto prefetch_marking = [&](std::size_t w) {
     constexpr std::size_t kLine = 64;
-    const std::size_t row_bytes = k * sizeof(UserId);
     for (std::size_t i = 0; i < snap_sizes[w]; ++i) {
+      const UserId v = snap_ids[w * k + i];
+      const std::size_t bytes = reach(w, i, v) * sizeof(UserId);
+      if (bytes == 0) continue;
       const auto* row = reinterpret_cast<const char*>(
-          snap_ids.data() + static_cast<std::size_t>(snap_ids[w * k + i]) * k);
-      for (std::size_t offset = 0; offset < row_bytes; offset += kLine) {
+          snap_ids.data() + static_cast<std::size_t>(v) * k);
+      for (std::size_t offset = 0; offset < bytes; offset += kLine) {
         __builtin_prefetch(row + offset);
       }
-      __builtin_prefetch(row + row_bytes - 1);
+      __builtin_prefetch(row + bytes - 1);
     }
   };
 
@@ -145,7 +196,8 @@ bool HyrecStep(const Provider& provider, const GreedyConfig& config,
         for (std::size_t i = 0; i < snap_sizes[uu]; ++i) {
           const UserId v = snap_ids[base + i];
           const std::size_t vbase = static_cast<std::size_t>(v) * k;
-          for (std::size_t j = 0; j < snap_sizes[v]; ++j) {
+          const std::size_t marks = reach(uu, i, v);
+          for (std::size_t j = 0; j < marks; ++j) {
             marked.Insert(snap_ids[vbase + j]);
           }
         }

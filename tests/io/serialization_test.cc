@@ -131,21 +131,34 @@ TEST(SerializationTest, FingerprintCardinalityTamperCaught) {
   // Even with a recomputed CRC, FromRaw cross-checks cardinalities
   // against the bit arrays. Build a payload whose CRC is valid but whose
   // cardinality array lies: easiest is to serialize, flip a cardinality
-  // byte AND fix the CRC — simulated here through FromRaw directly.
-  const Dataset d = testing::TinyDataset();
-  FingerprintConfig config;
-  config.num_bits = 64;
-  const auto store = FingerprintStore::Build(d, config).value();
-  std::vector<uint64_t> words;
-  std::vector<uint32_t> cards;
-  for (UserId u = 0; u < store.num_users(); ++u) {
-    for (uint64_t w : store.WordsOf(u)) words.push_back(w);
-    cards.push_back(store.CardinalityOf(u) + 1);  // lie
+  // byte AND fix the CRC — simulated here through FromRaw directly. One
+  // lying row (the first, a middle one or the last) is enough, at one-
+  // word, odd multi-word and the default widths.
+  const Dataset d = testing::SmallSynthetic(9);
+  for (const std::size_t bits : {64u, 192u, 1024u}) {
+    FingerprintConfig config;
+    config.num_bits = bits;
+    const auto store = FingerprintStore::Build(d, config).value();
+    std::vector<uint64_t> words;
+    std::vector<uint32_t> cards;
+    for (UserId u = 0; u < store.num_users(); ++u) {
+      for (uint64_t w : store.WordsOf(u)) words.push_back(w);
+      cards.push_back(store.CardinalityOf(u));
+    }
+    ASSERT_TRUE(FingerprintStore::FromRaw(config, store.num_users(), words,
+                                          cards)
+                    .ok())
+        << bits << " bits";
+    const std::size_t n = store.num_users();
+    for (const std::size_t liar : {std::size_t{0}, n / 2, n - 1}) {
+      std::vector<uint32_t> lying = cards;
+      lying[liar] += 1;
+      auto r = FingerprintStore::FromRaw(config, n, words, std::move(lying));
+      EXPECT_FALSE(r.ok()) << bits << " bits, row " << liar;
+      EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+          << bits << " bits, row " << liar;
+    }
   }
-  auto r = FingerprintStore::FromRaw(config, store.num_users(),
-                                     std::move(words), std::move(cards));
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
 }
 
 TEST(SerializationTest, UnsupportedVersionRejected) {

@@ -74,11 +74,11 @@ TEST(BuildDigestTest, BruteForce) {
 }
 
 TEST(BuildDigestTest, Hyrec) {
-  ExpectPinned(Base(KnnAlgorithm::kHyrec), {0x6debf5f5edf1cc9eULL, 38571, 6},
+  ExpectPinned(Base(KnnAlgorithm::kHyrec), {0x6debf5f5edf1cc9eULL, 29378, 6},
                "hyrec");
   KnnPipelineConfig golfi = Base(KnnAlgorithm::kHyrec);
   golfi.mode = SimilarityMode::kGoldFinger;
-  ExpectPinned(golfi, {0x1adbe0b518ee1937ULL, 39628, 6}, "hyrec golfi");
+  ExpectPinned(golfi, {0x1adbe0b518ee1937ULL, 30283, 6}, "hyrec golfi");
 }
 
 // Hyrec writes only its own rows against a per-iteration snapshot, so a
@@ -88,10 +88,10 @@ TEST(BuildDigestTest, HyrecOnPools) {
     ThreadPool pool(threads);
     const std::string label = " on " + std::to_string(threads) + " threads";
     ExpectPinned(Base(KnnAlgorithm::kHyrec),
-                 {0x6debf5f5edf1cc9eULL, 38571, 6}, "hyrec" + label, &pool);
+                 {0x6debf5f5edf1cc9eULL, 29378, 6}, "hyrec" + label, &pool);
     KnnPipelineConfig golfi = Base(KnnAlgorithm::kHyrec);
     golfi.mode = SimilarityMode::kGoldFinger;
-    ExpectPinned(golfi, {0x1adbe0b518ee1937ULL, 39628, 6},
+    ExpectPinned(golfi, {0x1adbe0b518ee1937ULL, 30283, 6},
                  "hyrec golfi" + label, &pool);
   }
 }
@@ -106,7 +106,7 @@ TEST(BuildDigestTest, ClusterConquer) {
                {0xbb8ce56d37bfebf1ULL, 61940, 1}, "cluster-conquer");
   KnnPipelineConfig hyrec = Base(KnnAlgorithm::kClusterConquer);
   hyrec.cluster_conquer.inner = ClusterConquerInner::kHyrec;
-  ExpectPinned(hyrec, {0xc892c69a697b0a16ULL, 58945, 1},
+  ExpectPinned(hyrec, {0xc892c69a697b0a16ULL, 46421, 1},
                "cluster-conquer hyrec");
 }
 

@@ -148,6 +148,46 @@ TEST(CheckpointedBuildTest, StatsMatchThePlainBuild) {
   EXPECT_EQ(stats.updates_per_iteration, plain_stats.updates_per_iteration);
 }
 
+// Checkpoints written before Hyrec's steps read the is_new flags hold
+// every flag set. Resuming from one scores every neighbor-of-neighbor
+// in the next step, and builds the same graph with the same updates.
+TEST(CheckpointedBuildTest, HyrecResumesFromCheckpointWithEveryFlagSet) {
+  const Dataset d = testing::SmallSynthetic(120);
+  ExactJaccardProvider provider(d);
+  const GreedyConfig config = SmallGreedy();
+  KnnBuildStats plain_stats;
+  const KnnGraph plain =
+      HyrecKnn(provider, config, nullptr, &plain_stats).value();
+  ASSERT_GT(plain_stats.iterations, 3u);
+
+  HyrecState state(d.NumUsers(), config.k);
+  HyrecInit(provider, config, state);
+  ASSERT_FALSE(HyrecStep(provider, config, state));
+  ASSERT_FALSE(HyrecStep(provider, config, state));
+  BuildCheckpoint checkpoint;
+  checkpoint.algorithm = CheckpointAlgorithm::kHyrec;
+  checkpoint.seed = GreedyTag(0, config);
+  CaptureProgress(state, &checkpoint);
+  for (NeighborLists::Entry& entry : checkpoint.rows) entry.is_new = true;
+  const std::string dir = FreshDir("hyrec_all_new");
+  CheckpointStore store(dir);
+  ASSERT_TRUE(store.Init().ok());
+  ASSERT_TRUE(store.Save(checkpoint).ok());
+
+  CheckpointConfig checkpointing;
+  checkpointing.dir = dir;
+  checkpointing.resume = true;
+  KnnBuildStats stats;
+  auto resumed =
+      HyrecKnn(provider, config, nullptr, &stats, nullptr, checkpointing);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ExpectGraphsIdentical(plain, *resumed);
+  EXPECT_EQ(stats.iterations, plain_stats.iterations);
+  EXPECT_EQ(stats.updates_per_iteration, plain_stats.updates_per_iteration);
+  EXPECT_GE(stats.similarity_computations,
+            plain_stats.similarity_computations);
+}
+
 TEST(CheckpointedBuildTest, FreshBuildIgnoresStaleCheckpoints) {
   const Dataset d = testing::SmallSynthetic(80);
   ExactJaccardProvider provider(d);
