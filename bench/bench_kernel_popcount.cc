@@ -3,9 +3,9 @@
 // time: vpopcntq or POPCNT where the CPU has them), batched scalar (the
 // portable loop, a libgcc call per word), and batched SIMD (the
 // runtime-dispatched backend) — at b in {64, 1024, 4096}, for both the
-// contiguous-tile layout (BruteForceKnn's scan) and the gathered-id
-// layout (Hyrec / NNDescent candidate sets), plus the multi-query tile
-// kernel that backs batched query serving. The headline number is the
+// contiguous-tile layout (the serving scan's kernel, with one query and
+// with the 16 of a batch) and the gathered-id layout (every KNN
+// construction's candidate batches). The headline number is the
 // batched-SIMD vs per-pair speedup at b = 1024.
 //
 // A roofline table follows: every backend this machine runs (scalar,
@@ -76,11 +76,9 @@ double MeasureNsPerPair(Fn&& fn) {
   return ns;
 }
 
-// One backend's three kernels, called directly (not through dispatch).
+// One backend's two kernels, called directly (not through dispatch).
 struct Backend {
   const char* name;
-  void (*tile)(const uint64_t*, const uint64_t*, std::size_t, std::size_t,
-               uint32_t*);
   void (*batch)(const uint64_t*, const uint64_t*, std::size_t,
                 const uint32_t*, std::size_t, uint32_t*);
   void (*tile_multi)(const uint64_t*, std::size_t, const uint64_t*,
@@ -89,17 +87,14 @@ struct Backend {
 
 std::vector<Backend> PresentBackends() {
   namespace d = gf::bits::detail;
-  std::vector<Backend> backends = {{"scalar", &d::AndPopCountTileScalar,
-                                    &d::AndPopCountBatchScalar,
-                                    &d::AndPopCountTileMultiScalar}};
+  std::vector<Backend> backends = {
+      {"scalar", &d::AndPopCountBatchScalar, &d::AndPopCountTileMultiScalar}};
   if (gf::bits::Avx2Available()) {
-    backends.push_back({"avx2", &d::AndPopCountTileAvx2,
-                        &d::AndPopCountBatchAvx2,
-                        &d::AndPopCountTileMultiAvx2});
+    backends.push_back(
+        {"avx2", &d::AndPopCountBatchAvx2, &d::AndPopCountTileMultiAvx2});
   }
   if (gf::bits::Avx512Available()) {
-    backends.push_back({"avx512", &d::AndPopCountTileAvx512,
-                        &d::AndPopCountBatchAvx512,
+    backends.push_back({"avx512", &d::AndPopCountBatchAvx512,
                         &d::AndPopCountTileMultiAvx512});
   }
   return backends;
@@ -157,8 +152,8 @@ int main() {
     });
 
     const double tile_simd_ns = MeasureNsPerPair([&] {
-      gf::bits::AndPopCountTile(w.query.data(), w.rows.data(), kRows,
-                                w.words, counts.data());
+      gf::bits::AndPopCountTileMulti(w.query.data(), 1, w.rows.data(), kRows,
+                                     w.words, counts.data());
       return static_cast<uint64_t>(counts[kRows - 1]);
     });
 
@@ -204,8 +199,8 @@ int main() {
     registry.GetGauge("kernel.read_bytes_per_s")->Set(read_bytes_per_s);
     for (const Backend& backend : PresentBackends()) {
       const double tile_ns = MeasureNsPerPair([&] {
-        backend.tile(w.query.data(), w.rows.data(), kRows, w.words,
-                     counts.data());
+        backend.tile_multi(w.query.data(), 1, w.rows.data(), kRows, w.words,
+                           counts.data());
         return static_cast<uint64_t>(counts[kRows - 1]);
       });
       const double gather_ns = MeasureNsPerPair([&] {
@@ -265,8 +260,8 @@ int main() {
   std::printf("report: %s\n", report.path().c_str());
 
   std::printf(
-      "\nspeedup column = per-pair / batched SIMD tile; the same\n"
-      "kernel backs FingerprintStore::EstimateJaccardBatch/Tile and the\n"
-      "ScoreBatch/ScoreTile provider interface the KNN algorithms use.\n");
+      "\nspeedup column = per-pair / batched SIMD tile; the KNN\n"
+      "constructions score through the gather kernel (CountBatch),\n"
+      "the serving scan through the tile kernel.\n");
   return 0;
 }

@@ -392,20 +392,6 @@ GF_TARGET_AVX512 uint32_t AndPopCountAvx512(const uint64_t* a,
 // One-word rows (b = 64) run the AVX2 backend's code, which scores four
 // rows per vector; a 512-bit vector per one-word row would be mostly
 // mask. Every wider row runs the eight-pair block kernel.
-GF_TARGET_AVX512 void AndPopCountTileAvx512(const uint64_t* query,
-                                            const uint64_t* tile,
-                                            std::size_t n_rows,
-                                            std::size_t words_per_row,
-                                            uint32_t* out_counts) {
-  if (words_per_row == 1) {
-    AndPopCountTileAvx2(query, tile, n_rows, words_per_row, out_counts);
-    return;
-  }
-  AndPopCountRowsAvx512(
-      query, [&](std::size_t r) { return tile + r * words_per_row; }, n_rows,
-      words_per_row, out_counts);
-}
-
 GF_TARGET_AVX512 void AndPopCountTileMultiAvx512(
     const uint64_t* queries, std::size_t n_queries, const uint64_t* tile,
     std::size_t n_rows, std::size_t words_per_row, uint32_t* out_counts) {
@@ -487,12 +473,6 @@ void AndPopCountTileMultiAvx2(const uint64_t* queries, std::size_t n_queries,
                              out_counts);
 }
 
-void AndPopCountTileAvx512(const uint64_t* query, const uint64_t* tile,
-                           std::size_t n_rows, std::size_t words_per_row,
-                           uint32_t* out_counts) {
-  AndPopCountTileScalar(query, tile, n_rows, words_per_row, out_counts);
-}
-
 void AndPopCountBatchAvx512(const uint64_t* query, const uint64_t* base,
                             std::size_t words_per_row,
                             const uint32_t* row_ids, std::size_t n_rows,
@@ -541,8 +521,6 @@ bool Avx512Available() {
 namespace {
 
 using PairFn = uint32_t (*)(const uint64_t*, const uint64_t*, std::size_t);
-using TileFn = void (*)(const uint64_t*, const uint64_t*, std::size_t,
-                        std::size_t, uint32_t*);
 using BatchFn = void (*)(const uint64_t*, const uint64_t*, std::size_t,
                          const uint32_t*, std::size_t, uint32_t*);
 using TileMultiFn = void (*)(const uint64_t*, std::size_t, const uint64_t*,
@@ -550,7 +528,6 @@ using TileMultiFn = void (*)(const uint64_t*, std::size_t, const uint64_t*,
 
 struct Dispatch {
   PopcountBackend backend;
-  TileFn tile;
   BatchFn batch;
   TileMultiFn tile_multi;
   // Below AVX-512 the per-pair kernel follows POPCNT alone: every AVX2
@@ -566,18 +543,15 @@ const Dispatch& ActiveDispatch() {
                                           : &detail::AndPopCountScalar;
     if (Avx512Available()) {
       return Dispatch{PopcountBackend::kAvx512,
-                      &detail::AndPopCountTileAvx512,
                       &detail::AndPopCountBatchAvx512,
                       &detail::AndPopCountTileMultiAvx512,
                       &detail::AndPopCountAvx512};
     }
     if (Avx2Available()) {
-      return Dispatch{PopcountBackend::kAvx2, &detail::AndPopCountTileAvx2,
-                      &detail::AndPopCountBatchAvx2,
+      return Dispatch{PopcountBackend::kAvx2, &detail::AndPopCountBatchAvx2,
                       &detail::AndPopCountTileMultiAvx2, pair};
     }
-    return Dispatch{PopcountBackend::kScalar, &detail::AndPopCountTileScalar,
-                    &detail::AndPopCountBatchScalar,
+    return Dispatch{PopcountBackend::kScalar, &detail::AndPopCountBatchScalar,
                     &detail::AndPopCountTileMultiScalar, pair};
   }();
   return dispatch;
@@ -602,12 +576,6 @@ const char* PopcountBackendName(PopcountBackend backend) {
 uint32_t AndPopCount(const uint64_t* a, const uint64_t* b,
                      std::size_t n_words) {
   return ActiveDispatch().pair(a, b, n_words);
-}
-
-void AndPopCountTile(const uint64_t* query, const uint64_t* tile,
-                     std::size_t n_rows, std::size_t words_per_row,
-                     uint32_t* out_counts) {
-  ActiveDispatch().tile(query, tile, n_rows, words_per_row, out_counts);
 }
 
 void AndPopCountBatch(const uint64_t* query, const uint64_t* base,

@@ -17,11 +17,9 @@
 //
 // The entry points cover the candidate layouts the KNN algorithms and
 // the query serving engine produce:
-//   AndPopCountTile      — one query against a contiguous range of rows
-//                          (BruteForceKnn's cache-blocked scan);
 //   AndPopCountBatch     — one query against an arbitrary id list
-//                          gathered from a common base (Hyrec,
-//                          NNDescent and banded-LSH candidate sets);
+//                          gathered from a common base (every KNN
+//                          construction's candidate batches);
 //   AndPopCountTileMulti — a batch of queries against one contiguous
 //                          tile (the serving engine's batched scan):
 //                          the tile is streamed once per PAIR of
@@ -56,13 +54,6 @@ bool Avx2Available();
 /// AVX512F plus the VPOPCNTDQ vector popcount.
 bool Avx512Available();
 
-/// out_counts[i] = popcount(query AND row_i) for the `n_rows` contiguous
-/// rows starting at `tile` (row i at tile + i * words_per_row). `query`
-/// holds words_per_row words.
-void AndPopCountTile(const uint64_t* query, const uint64_t* tile,
-                     std::size_t n_rows, std::size_t words_per_row,
-                     uint32_t* out_counts);
-
 /// out_counts[i] = popcount(query AND row_{ids[i]}) where row r lives at
 /// base + r * words_per_row. Ids may repeat and appear in any order.
 void AndPopCountBatch(const uint64_t* query, const uint64_t* base,
@@ -71,9 +62,10 @@ void AndPopCountBatch(const uint64_t* query, const uint64_t* base,
 
 /// out_counts[q * n_rows + r] = popcount(query_q AND row_r) for the
 /// `n_queries` queries packed at queries + q * words_per_row and the
-/// `n_rows` contiguous rows starting at `tile`. Bit-exact with calling
-/// AndPopCountTile once per query; faster because each tile row is
-/// loaded from memory once for several query fingerprints.
+/// `n_rows` contiguous rows starting at `tile` (row r at tile + r *
+/// words_per_row). Bit-exact with one call per query; faster because
+/// each tile row is loaded from memory once for several query
+/// fingerprints.
 void AndPopCountTileMulti(const uint64_t* queries, std::size_t n_queries,
                           const uint64_t* tile, std::size_t n_rows,
                           std::size_t words_per_row, uint32_t* out_counts);
@@ -119,9 +111,6 @@ void AndPopCountTileMultiAvx2(const uint64_t* queries, std::size_t n_queries,
                               const uint64_t* tile, std::size_t n_rows,
                               std::size_t words_per_row, uint32_t* out_counts);
 
-void AndPopCountTileAvx512(const uint64_t* query, const uint64_t* tile,
-                           std::size_t n_rows, std::size_t words_per_row,
-                           uint32_t* out_counts);
 void AndPopCountBatchAvx512(const uint64_t* query, const uint64_t* base,
                             std::size_t words_per_row,
                             const uint32_t* row_ids, std::size_t n_rows,

@@ -16,7 +16,7 @@ static_assert(std::is_same_v<UserId, uint32_t>,
 
 // Batch scoring runs through a fixed stack scratch of AND-popcounts so
 // arbitrarily large candidate lists allocate nothing. 256 counts = 1 KiB,
-// and at b=1024 a 256-row tile of fingerprints is 32 KiB — L1/L2 sized.
+// and at b=1024 256 fingerprints are 32 KiB — L1/L2 sized.
 constexpr std::size_t kScoreChunk = 256;
 
 }  // namespace
@@ -40,26 +40,6 @@ void FingerprintStore::ScoreBatchImpl(const uint64_t* query,
   CountLoads(candidates.size() * (2 * words_per_shf_ + 2));
 }
 
-template <typename CountsToSim>
-void FingerprintStore::ScoreTileImpl(const uint64_t* query,
-                                     uint32_t query_card, UserId first,
-                                     std::size_t count, std::span<double> out,
-                                     CountsToSim&& to_sim) const {
-  uint32_t counts[kScoreChunk];
-  for (std::size_t done = 0; done < count; done += kScoreChunk) {
-    const std::size_t m = std::min(kScoreChunk, count - done);
-    const uint64_t* tile =
-        words_data_ +
-        (static_cast<std::size_t>(first) + done) * words_per_shf_;
-    bits::AndPopCountTile(query, tile, m, words_per_shf_, counts);
-    for (std::size_t i = 0; i < m; ++i) {
-      out[done + i] =
-          to_sim(query_card, cards_data_[first + done + i], counts[i]);
-    }
-  }
-  CountLoads(count * (2 * words_per_shf_ + 2));
-}
-
 void FingerprintStore::EstimateJaccardBatch(UserId u,
                                             std::span<const UserId> candidates,
                                             std::span<double> out) const {
@@ -81,20 +61,6 @@ void FingerprintStore::EstimateCosineBatch(UserId u,
                                            std::span<double> out) const {
   ScoreBatchImpl(words_data_ + static_cast<std::size_t>(u) * words_per_shf_,
                  cards_data_[u], candidates, out, &CosineFromCounts);
-}
-
-void FingerprintStore::EstimateJaccardTile(UserId u, UserId first,
-                                           std::size_t count,
-                                           std::span<double> out) const {
-  ScoreTileImpl(words_data_ + static_cast<std::size_t>(u) * words_per_shf_,
-                cards_data_[u], first, count, out, &JaccardFromCounts);
-}
-
-void FingerprintStore::EstimateCosineTile(UserId u, UserId first,
-                                          std::size_t count,
-                                          std::span<double> out) const {
-  ScoreTileImpl(words_data_ + static_cast<std::size_t>(u) * words_per_shf_,
-                cards_data_[u], first, count, out, &CosineFromCounts);
 }
 
 Result<FingerprintStore> FingerprintStore::Build(

@@ -134,17 +134,6 @@ class FingerprintStore {
   void EstimateCosineBatch(UserId u, std::span<const UserId> candidates,
                            std::span<double> out) const;
 
-  /// Tile variant: scores `u` against the contiguous user range
-  /// [first, first + count). Candidate rows are adjacent in the flat
-  /// array, so this is the fastest path — BruteForceKnn's cache-blocked
-  /// scan runs entirely on it. out must hold `count`.
-  void EstimateJaccardTile(UserId u, UserId first, std::size_t count,
-                           std::span<double> out) const;
-
-  /// Cosine analogue of EstimateJaccardTile.
-  void EstimateCosineTile(UserId u, UserId first, std::size_t count,
-                          std::span<double> out) const;
-
   /// Cosine analogue of EstimateJaccard (same kernel, CosineFromCounts).
   double EstimateCosine(UserId a, UserId b) const {
     const uint64_t* wa = WordsOf(a).data();
@@ -165,17 +154,13 @@ class FingerprintStore {
   }
 
  private:
-  // Shared bodies of the batch entry points (defined in the .cc,
+  // Shared body of the batch entry points (defined in the .cc,
   // instantiated there for JaccardFromCounts / CosineFromCounts). The
   // query is a stored user's raw (words, cardinality) pair.
   template <typename CountsToSim>
   void ScoreBatchImpl(const uint64_t* query, uint32_t query_card,
                       std::span<const UserId> candidates,
                       std::span<double> out, CountsToSim&& to_sim) const;
-  template <typename CountsToSim>
-  void ScoreTileImpl(const uint64_t* query, uint32_t query_card,
-                     UserId first, std::size_t count, std::span<double> out,
-                     CountsToSim&& to_sim) const;
 
   FingerprintStore(const FingerprintConfig& config, std::size_t num_users)
       : config_(config),

@@ -5,9 +5,9 @@
 // users become candidates when ANY band collides. The collision
 // probability is the S-curve 1 - (1 - J^rows)^bands, so rows sharpens
 // precision and bands boosts recall. A user's candidates are merged in
-// a CandidateSet (knn/candidate_set.h), scored in ascending id order
-// with one ScoreBatch call when the provider has one, and each user
-// keeps its best k.
+// a CandidateSet (knn/candidate_set.h) and offered to the user's row in
+// ascending id order through OfferCandidates (knn/graph.h), which keeps
+// its best k.
 //
 // The paper's single-value LSH (Indyk & Motwani; §3.2.5) is the
 // rows = 1 case: one bucket table per min-wise function (LshConfig,
@@ -34,7 +34,6 @@
 #include "hash/murmur3.h"
 #include "knn/candidate_set.h"
 #include "knn/graph.h"
-#include "knn/provider_concepts.h"
 #include "knn/stats.h"
 #include "minhash/permutation.h"
 #include "obs/pipeline_context.h"
@@ -124,7 +123,7 @@ KnnGraph BandedLshKnn(const Dataset& dataset, const Provider& provider,
   ParallelFor(pool, n, [&](std::size_t begin, std::size_t end) {
     CandidateSet marked(n);
     std::vector<UserId> candidates;
-    std::vector<double> sims;
+    OfferScratch scratch;
     for (std::size_t uu = begin; uu < end; ++uu) {
       const auto u = static_cast<UserId>(uu);
       if (dataset.ProfileSize(u) == 0) continue;
@@ -139,11 +138,7 @@ KnnGraph BandedLshKnn(const Dataset& dataset, const Provider& provider,
       if (candidate_sizes != nullptr) {
         candidate_sizes->Observe(static_cast<double>(candidates.size()));
       }
-      sims.resize(candidates.size());
-      ScoreCandidates(provider, u, candidates, sims);
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        lists.Insert(u, candidates[i], sims[i]);
-      }
+      OfferCandidates(provider, u, candidates, lists, scratch);
       computations.fetch_add(candidates.size(), std::memory_order_relaxed);
     }
   });

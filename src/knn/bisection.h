@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -44,18 +45,17 @@ void Solve(const Provider& provider, const BisectionConfig& config,
            std::vector<UserId>& members, NeighborLists& lists,
            std::atomic<uint64_t>& computations, Rng& rng, int depth) {
   const std::size_t m = members.size();
-  // Exhaustive leaf (also the fallback when a split fails to shrink).
+  // Exhaustive leaf (also the fallback when a split fails to shrink):
+  // each pair i < j is scored once and offered to both rows, (i, j)
+  // then (j, i).
   if (m <= config.leaf_size || depth > 48) {
-    uint64_t local = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = i + 1; j < m; ++j) {
-        ++local;
-        const double sim = provider(members[i], members[j]);
-        lists.Insert(members[i], members[j], sim);
-        lists.Insert(members[j], members[i], sim);
-      }
+    OfferScratch scratch;
+    const std::span<const UserId> all(members);
+    for (std::size_t i = 0; i + 1 < m; ++i) {
+      OfferCandidates(provider, members[i], all.subspan(i + 1), lists,
+                      scratch, OfferRows::kBoth);
     }
-    computations.fetch_add(local, std::memory_order_relaxed);
+    computations.fetch_add(m * (m - 1) / 2, std::memory_order_relaxed);
     return;
   }
 

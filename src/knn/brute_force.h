@@ -9,16 +9,12 @@
 // reported similarity_computations reflect it, and native/GoldFinger
 // comparisons are unaffected since both pay the same factor.
 //
-// When the provider exposes ScoreTile (knn/provider_concepts.h) the
-// scan is cache-blocked: each row is scored one contiguous candidate
-// tile at a time through the batched SIMD kernels, instead of one
-// provider call per pair. Candidates are still visited in the same
-// ascending order and the scores are bit-exact with the per-pair path,
-// so both paths produce the identical graph (same edges, same
-// tie-breaks) — only the throughput differs. The tile also scores the
-// (u, u) self pair (discarded below) since skipping it would split the
-// tile; reported similarity_computations keeps the n(n-1) ordered-pair
-// convention either way.
+// Each row offers the other users to OfferCandidates (knn/graph.h) in
+// ascending id order, a chunk of ids at a time: a provider with counts
+// (GoldFinger) skips the division and the insert of every pair that
+// cannot beat the row's floor, and any other provider scores the chunk
+// then inserts it. Both yield the graph of one score-then-insert loop
+// over the candidates (same edges, same tie-breaks).
 //
 // The scan is exposed as BruteForceScoreRows over a row range. With a
 // checkpoint directory (knn/checkpoint.h) BruteForceKnn runs it one
@@ -32,6 +28,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -39,15 +37,14 @@
 #include "common/timer.h"
 #include "knn/checkpoint.h"
 #include "knn/graph.h"
-#include "knn/provider_concepts.h"
 #include "knn/stats.h"
 #include "obs/pipeline_context.h"
 
 namespace gf {
 
-/// Users scored per ScoreTile call. At b = 1024 a tile of fingerprints
-/// is 32 KiB — sized so the tile streams through L1/L2 while the query
-/// row stays resident.
+/// Candidates per OfferCandidates call. At b = 1024 a chunk of
+/// fingerprints is 32 KiB — sized so the chunk streams through L1/L2
+/// while the query row stays resident.
 inline constexpr std::size_t kBruteForceTileUsers = 256;
 
 /// Fills rows [begin_user, end_user) of `lists` with the exact top-k
@@ -58,36 +55,25 @@ template <typename Provider>
 void BruteForceScoreRows(const Provider& provider, NeighborLists& lists,
                          std::size_t begin_user, std::size_t end_user,
                          ThreadPool* pool = nullptr) {
-  const std::size_t n = provider.num_users();
+  std::vector<UserId> ids(provider.num_users());
+  std::iota(ids.begin(), ids.end(), UserId{0});
+  const std::span<const UserId> all(ids);
   ParallelFor(pool, end_user - begin_user, [&](std::size_t begin,
                                                std::size_t end) {
-    if constexpr (TiledSimilarityProvider<Provider>) {
-      std::vector<double> sims(kBruteForceTileUsers);
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t u = begin_user + i;
-        for (std::size_t v0 = 0; v0 < n; v0 += kBruteForceTileUsers) {
-          const std::size_t count = std::min(kBruteForceTileUsers, n - v0);
-          provider.ScoreTile(static_cast<UserId>(u),
-                             static_cast<UserId>(v0), count,
-                             {sims.data(), count});
-          for (std::size_t j = 0; j < count; ++j) {
-            const std::size_t v = v0 + j;
-            if (v == u) continue;
-            lists.Insert(static_cast<UserId>(u), static_cast<UserId>(v),
-                         sims[j]);
-          }
+    OfferScratch scratch;
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto u = static_cast<UserId>(begin_user + i);
+      const auto offer = [&](std::span<const UserId> others) {
+        for (std::size_t v0 = 0; v0 < others.size();
+             v0 += kBruteForceTileUsers) {
+          OfferCandidates(provider, u,
+                          others.subspan(v0, std::min(kBruteForceTileUsers,
+                                                      others.size() - v0)),
+                          lists, scratch);
         }
-      }
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t u = begin_user + i;
-        for (std::size_t v = 0; v < n; ++v) {
-          if (v == u) continue;
-          lists.Insert(static_cast<UserId>(u), static_cast<UserId>(v),
-                       provider(static_cast<UserId>(u),
-                                static_cast<UserId>(v)));
-        }
-      }
+      };
+      offer(all.first(u));
+      offer(all.subspan(u + 1));
     }
   });
 }

@@ -155,11 +155,10 @@ namespace internal {
 
 /// Presents one cluster's members as a dense provider over local ids
 /// [0, |cluster|): the inner algorithms run unchanged. Forwards the
-/// outer provider's batched kernel and counts when it has them — a
-/// local contiguous tile maps to a (gather-)batch over the member ids,
-/// so the per-cluster brute force stays cache-blocked. Used by a
-/// single cluster task at a time (the scratch buffer is not
-/// thread-safe).
+/// outer provider's batched kernel and counts when it has them, over
+/// the member ids of the local candidates, so a cluster's build takes
+/// the path a global build would. Used by a single cluster task at a
+/// time (the scratch buffer is not thread-safe).
 template <typename Provider>
 class ClusterProviderView {
  public:
@@ -191,13 +190,6 @@ class ClusterProviderView {
     requires IntersectionCountProvider<Provider>
   {
     return provider_.Cardinality(members_[u]);
-  }
-
-  void ScoreTile(UserId u, UserId first, std::size_t count,
-                 std::span<double> out) const
-    requires BatchSimilarityProvider<Provider>
-  {
-    provider_.ScoreBatch(members_[u], members_.subspan(first, count), out);
   }
 
  private:

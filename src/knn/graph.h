@@ -102,7 +102,7 @@ class NeighborLists {
   /// (NNDescent's join bookkeeping, Hyrec's snapshot copy) but must NOT
   /// rewrite ids or similarities — Insert's worst-similarity floor is
   /// cached per row and would go stale. Row rewrites go through
-  /// ClearRow/RestoreRow.
+  /// RestoreRow.
   std::span<Entry> MutableOf(UserId u) {
     return {entries_.data() + static_cast<std::size_t>(u) * k_, sizes_[u]};
   }
@@ -127,13 +127,6 @@ class NeighborLists {
                            : -std::numeric_limits<float>::infinity();
   }
 
-  /// Empties u's list (incremental maintenance: a user whose profile
-  /// changed re-scores its neighborhood from scratch).
-  void ClearRow(UserId u) {
-    sizes_[u] = 0;
-    worst_sims_[u] = kNoFloor;
-  }
-
   /// Overwrites u's list with `entries` verbatim (at most k), including
   /// the is_new flags. Checkpoint/resume support: restoring every row
   /// from a snapshot reproduces the exact mutable state of the build.
@@ -143,45 +136,12 @@ class NeighborLists {
   /// neighbors != u, the standard random initialization of the greedy
   /// algorithms; returns the similarities computed. The draws run first,
   /// in one Rng sequence: row u takes ids until it holds the quota of
-  /// distinct ones or 100k+100 draws ran out. Then each row scores all
-  /// its draws, repeats included, through ScoreCandidates on `pool`, and
-  /// offers them in draw order, so the lists and the count do not depend
-  /// on the pool.
+  /// distinct ones or 100k+100 draws ran out. Then each row offers all
+  /// its draws, repeats included, through OfferCandidates on `pool`, in
+  /// draw order, so the lists and the count do not depend on the pool.
   template <typename Provider>
   uint64_t InitRandom(Rng& rng, const Provider& provider,
-                      ThreadPool* pool = nullptr) {
-    const std::size_t want = std::min(k_, num_users_ - 1);
-    std::vector<UserId> draws;
-    std::vector<std::size_t> row_start(num_users_ + 1, 0);
-    CandidateSet distinct(num_users_);
-    std::vector<UserId> drained;
-    for (UserId u = 0; u < num_users_; ++u) {
-      std::size_t have = 0;
-      std::size_t guard = 0;
-      while (have < want && guard++ < 100 * k_ + 100) {
-        const auto v = static_cast<UserId>(rng.Below(num_users_));
-        if (v == u) continue;
-        draws.push_back(v);
-        have += distinct.Insert(v);
-      }
-      drained.clear();
-      distinct.Drain(drained);
-      row_start[u + 1] = draws.size();
-    }
-    ParallelFor(pool, num_users_, [&](std::size_t begin, std::size_t end) {
-      std::vector<double> sims;
-      for (std::size_t u = begin; u < end; ++u) {
-        const std::span<const UserId> row(draws.data() + row_start[u],
-                                          row_start[u + 1] - row_start[u]);
-        sims.resize(row.size());
-        ScoreCandidates(provider, static_cast<UserId>(u), row, sims);
-        for (std::size_t i = 0; i < row.size(); ++i) {
-          Insert(static_cast<UserId>(u), row[i], sims[i]);
-        }
-      }
-    });
-    return draws.size();
-  }
+                      ThreadPool* pool = nullptr);
 
   /// Sorts each list by decreasing similarity and freezes the result.
   /// Rows are sorted independently, on `pool` when non-null.
@@ -203,8 +163,8 @@ class NeighborLists {
 
 /// Which rows OfferCandidates offers a pair (u, v) to.
 enum class OfferRows {
-  kOwn,   // u's row only (Hyrec, C&C's inner Hyrec)
-  kBoth,  // u's row, then v's (the incremental repair)
+  kOwn,   // u's row only (brute force, the random init, banded LSH, Hyrec)
+  kBoth,  // u's row, then v's (bisection leaves, the incremental repair)
 };
 
 /// Per-thread scratch of OfferCandidates, reused across calls.
@@ -284,6 +244,39 @@ uint64_t OfferCandidates(const Provider& provider, UserId u,
     }
   }
   return updates;
+}
+
+template <typename Provider>
+uint64_t NeighborLists::InitRandom(Rng& rng, const Provider& provider,
+                                   ThreadPool* pool) {
+  const std::size_t want = std::min(k_, num_users_ - 1);
+  std::vector<UserId> draws;
+  std::vector<std::size_t> row_start(num_users_ + 1, 0);
+  CandidateSet distinct(num_users_);
+  std::vector<UserId> drained;
+  for (UserId u = 0; u < num_users_; ++u) {
+    std::size_t have = 0;
+    std::size_t guard = 0;
+    while (have < want && guard++ < 100 * k_ + 100) {
+      const auto v = static_cast<UserId>(rng.Below(num_users_));
+      if (v == u) continue;
+      draws.push_back(v);
+      have += distinct.Insert(v);
+    }
+    drained.clear();
+    distinct.Drain(drained);
+    row_start[u + 1] = draws.size();
+  }
+  ParallelFor(pool, num_users_, [&](std::size_t begin, std::size_t end) {
+    OfferScratch scratch;
+    for (std::size_t u = begin; u < end; ++u) {
+      OfferCandidates(provider, static_cast<UserId>(u),
+                      {draws.data() + row_start[u],
+                       row_start[u + 1] - row_start[u]},
+                      *this, scratch);
+    }
+  });
+  return draws.size();
 }
 
 }  // namespace gf

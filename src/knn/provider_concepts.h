@@ -3,13 +3,7 @@
 //
 //   void ScoreBatch(UserId u, std::span<const UserId> candidates,
 //                   std::span<double> out) const;
-//       out[i] = sim(u, candidates[i]) — arbitrary candidate lists
-//       (Hyrec / NNDescent candidate sets).
-//
-//   void ScoreTile(UserId u, UserId first, std::size_t count,
-//                  std::span<double> out) const;
-//       out[i] = sim(u, first + i) — contiguous ranges (BruteForceKnn's
-//       cache-blocked scan).
+//       out[i] = sim(u, candidates[i]) for any candidate list.
 //
 //   void CountBatch(UserId u, std::span<const UserId> candidates,
 //                   std::span<uint32_t> counts) const;
@@ -20,11 +14,12 @@
 //       skips the division for pairs that cannot enter a row.
 //
 // All must be bit-exact with the per-pair operator: the KNN algorithms
-// pick the batch path purely by `if constexpr` on these concepts
-// (ScoreCandidates below, OfferCandidates), and the produced graphs
-// must not depend on which path ran. Kept in this small header (not similarity_provider.h)
-// so the algorithm headers can test for the interface without pulling
-// in every provider's dependencies.
+// pick the path purely by `if constexpr` on these concepts —
+// OfferCandidates on IntersectionCountProvider, ScoreCandidates below
+// on BatchSimilarityProvider — and the produced graphs must not depend
+// on which path ran. Kept in this small header (not
+// similarity_provider.h) so the algorithm headers can test for the
+// interface without pulling in every provider's dependencies.
 
 #ifndef GF_KNN_PROVIDER_CONCEPTS_H_
 #define GF_KNN_PROVIDER_CONCEPTS_H_
@@ -44,14 +39,6 @@ concept BatchSimilarityProvider =
     requires(const P& p, UserId u, std::span<const UserId> candidates,
              std::span<double> out) {
       p.ScoreBatch(u, candidates, out);
-    };
-
-/// Provider with batched scoring of a contiguous candidate range.
-template <typename P>
-concept TiledSimilarityProvider =
-    requires(const P& p, UserId u, UserId first, std::size_t count,
-             std::span<double> out) {
-      p.ScoreTile(u, first, count, out);
     };
 
 /// Provider exposing Eq. 4's integer parts (see the file comment).

@@ -9,10 +9,10 @@
 //   std::size_t num_users() const;
 //   double operator()(UserId a, UserId b) const;
 // and may additionally expose the batch interface of
-// knn/provider_concepts.h (ScoreBatch / ScoreTile); the fingerprint
-// providers do, routing through FingerprintStore's SIMD-dispatched
-// kernels, and the KNN algorithms then score candidate batches in one
-// call instead of one pair at a time. The Jaccard one also exposes the
+// knn/provider_concepts.h (ScoreBatch); the fingerprint providers do,
+// routing through FingerprintStore's SIMD-dispatched gather kernel,
+// and the KNN algorithms then score candidate batches in one call
+// instead of one pair at a time. The Jaccard one also exposes the
 // integer counts behind its scores (CountBatch / Cardinality).
 
 #ifndef GF_KNN_SIMILARITY_PROVIDER_H_
@@ -74,10 +74,6 @@ class GoldFingerProvider {
                   std::span<double> out) const {
     store_->EstimateJaccardBatch(u, candidates, out);
   }
-  void ScoreTile(UserId u, UserId first, std::size_t count,
-                 std::span<double> out) const {
-    store_->EstimateJaccardTile(u, first, count, out);
-  }
   void CountBatch(UserId u, std::span<const UserId> candidates,
                   std::span<uint32_t> counts) const {
     store_->CountBatch(u, candidates, counts);
@@ -101,10 +97,6 @@ class GoldFingerCosineProvider {
   void ScoreBatch(UserId u, std::span<const UserId> candidates,
                   std::span<double> out) const {
     store_->EstimateCosineBatch(u, candidates, out);
-  }
-  void ScoreTile(UserId u, UserId first, std::size_t count,
-                 std::span<double> out) const {
-    store_->EstimateCosineTile(u, first, count, out);
   }
 
  private:
@@ -156,13 +148,6 @@ class CountingProvider {
   {
     count_->Add(candidates.size());
     inner_->ScoreBatch(u, candidates, out);
-  }
-  void ScoreTile(UserId u, UserId first, std::size_t count,
-                 std::span<double> out) const
-    requires TiledSimilarityProvider<Provider>
-  {
-    count_->Add(count);
-    inner_->ScoreTile(u, first, count, out);
   }
   void CountBatch(UserId u, std::span<const UserId> candidates,
                   std::span<uint32_t> counts) const

@@ -125,8 +125,8 @@ TEST(SimdPopcountTest, DispatchedEntryPointsMatchScalar) {
 
   detail::AndPopCountTileScalar(in.query.data(), in.rows.data(), in.n_rows,
                                 words, want_tile.data());
-  AndPopCountTile(in.query.data(), in.rows.data(), in.n_rows, words,
-                  got_tile.data());
+  AndPopCountTileMulti(in.query.data(), 1, in.rows.data(), in.n_rows, words,
+                       got_tile.data());
   EXPECT_EQ(want_tile, got_tile);
 
   detail::AndPopCountBatchScalar(in.query.data(), in.rows.data(), words,
@@ -247,8 +247,8 @@ TEST(SimdPopcountTest, Avx512TileAgreesWithScalarBitExactly) {
       std::vector<uint32_t> got = GuardedOutput(n_rows);
       detail::AndPopCountTileScalar(in.query.data(), in.rows.data(), n_rows,
                                     words, want.data());
-      detail::AndPopCountTileAvx512(in.query.data(), in.rows.data(), n_rows,
-                                    words, got.data());
+      detail::AndPopCountTileMultiAvx512(in.query.data(), 1, in.rows.data(),
+                                         n_rows, words, got.data());
       ASSERT_EQ(got, want) << "words=" << words << " n_rows=" << n_rows;
     }
   }
@@ -311,7 +311,7 @@ TEST(SimdPopcountTest, AllOnesAndDisjointPatterns) {
     rows[words + i] = 0;              // row 1: empty
   }
   uint32_t out[2] = {123, 456};
-  AndPopCountTile(ones.data(), rows.data(), 2, words, out);
+  AndPopCountTileMulti(ones.data(), 1, rows.data(), 2, words, out);
   EXPECT_EQ(out[0], 64u * words);
   EXPECT_EQ(out[1], 0u);
 }

@@ -128,27 +128,6 @@ TEST(FingerprintStoreTest, BatchEstimatesEqualPerPairForAllPairs) {
   }
 }
 
-TEST(FingerprintStoreTest, TileEstimatesEqualPerPair) {
-  const Dataset d = testing::SmallSynthetic(300);
-  auto store = FingerprintStore::Build(d, Config(1024));
-  ASSERT_TRUE(store.ok());
-  const std::size_t n = store->num_users();
-  // A range that is neither aligned to nor a multiple of the kernel
-  // chunk: [17, 17 + 271).
-  const UserId first = 17;
-  const std::size_t count = 271;
-  std::vector<double> jac(count), cos(count);
-  for (UserId u : {UserId{0}, UserId{150}, static_cast<UserId>(n - 1)}) {
-    store->EstimateJaccardTile(u, first, count, jac);
-    store->EstimateCosineTile(u, first, count, cos);
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto v = static_cast<UserId>(first + i);
-      ASSERT_EQ(jac[i], store->EstimateJaccard(u, v)) << "pair " << u << "," << v;
-      ASSERT_EQ(cos[i], store->EstimateCosine(u, v)) << "pair " << u << "," << v;
-    }
-  }
-}
-
 TEST(FingerprintStoreTest, BatchCountsSameModelledTrafficAsPerPair) {
   const Dataset d = testing::TinyDataset();
   auto store = FingerprintStore::Build(d, Config(1024));

@@ -49,8 +49,8 @@ TEST(BruteForceTest, MatchesReferenceArgTopK) {
   }
 }
 
-// GoldFingerProvider stripped of its batch interface, to force the
-// per-pair scan for comparison against the tiled one.
+// GoldFingerProvider stripped of its batch and count interfaces, to
+// force the per-pair scan for comparison against the fused offer.
 class PerPairGoldFingerProvider {
  public:
   explicit PerPairGoldFingerProvider(const FingerprintStore& store)
@@ -64,22 +64,22 @@ class PerPairGoldFingerProvider {
   const FingerprintStore* store_;
 };
 
-TEST(BruteForceTest, TiledScanProducesIdenticalGraphToPerPair) {
-  static_assert(TiledSimilarityProvider<GoldFingerProvider>);
-  static_assert(!TiledSimilarityProvider<PerPairGoldFingerProvider>);
-  static_assert(!TiledSimilarityProvider<ExactJaccardProvider>);
+TEST(BruteForceTest, FusedOfferProducesIdenticalGraphToPerPair) {
+  static_assert(IntersectionCountProvider<GoldFingerProvider>);
+  static_assert(!IntersectionCountProvider<PerPairGoldFingerProvider>);
+  static_assert(!IntersectionCountProvider<ExactJaccardProvider>);
 
-  // 400 users spans multiple 256-user tiles with a partial tail tile.
+  // 400 users spans multiple 256-id chunks with a partial tail chunk.
   const Dataset d = testing::SmallSynthetic(400);
   FingerprintConfig config;
   config.num_bits = 256;
   auto store = FingerprintStore::Build(d, config);
   ASSERT_TRUE(store.ok());
 
-  GoldFingerProvider tiled(*store);
+  GoldFingerProvider fused(*store);
   PerPairGoldFingerProvider per_pair(*store);
   const std::size_t k = 7;
-  const KnnGraph gt = BruteForceKnn(tiled, k).value();
+  const KnnGraph gt = BruteForceKnn(fused, k).value();
   const KnnGraph gp = BruteForceKnn(per_pair, k).value();
 
   // Identical graphs: same edges in the same order, same similarities,
@@ -96,10 +96,10 @@ TEST(BruteForceTest, TiledScanProducesIdenticalGraphToPerPair) {
     }
   }
 
-  // The parallel tiled scan agrees too (rows are thread-partitioned, so
+  // The parallel fused scan agrees too (rows are thread-partitioned, so
   // the result is deterministic).
   ThreadPool pool(4);
-  const KnnGraph gt_par = BruteForceKnn(tiled, k, &pool).value();
+  const KnnGraph gt_par = BruteForceKnn(fused, k, &pool).value();
   for (UserId u = 0; u < gt.NumUsers(); ++u) {
     const auto a = gt.NeighborsOf(u);
     const auto b = gt_par.NeighborsOf(u);
@@ -128,6 +128,15 @@ TEST(BruteForceTest, CountingProviderAgreesWithStats) {
   KnnBuildStats stats;
   BruteForceKnn(provider, 3, nullptr, &stats);
   EXPECT_EQ(provider.count(), stats.similarity_computations);
+
+  // GoldFinger counts through CountBatch; no (u, u) pair is scored.
+  const FingerprintStore store =
+      FingerprintStore::Build(d, FingerprintConfig{}).value();
+  GoldFingerProvider golfi(store);
+  CountingProvider counted(golfi);
+  KnnBuildStats golfi_stats;
+  BruteForceKnn(counted, 3, nullptr, &golfi_stats);
+  EXPECT_EQ(counted.count(), golfi_stats.similarity_computations);
 }
 
 TEST(BruteForceTest, ParallelEqualsSequential) {

@@ -138,6 +138,79 @@ TEST(BuildDigestTest, BandedLsh) {
                {0xa92338314c75a471ULL, 4838, 1}, "banded lsh");
 }
 
+KnnPipelineConfig GoldFinger(KnnPipelineConfig config) {
+  config.mode = SimilarityMode::kGoldFinger;
+  return config;
+}
+
+KnnPipelineConfig HyrecInner(KnnPipelineConfig config) {
+  config.cluster_conquer.inner = ClusterConquerInner::kHyrec;
+  return config;
+}
+
+// 240 users under the default leaf size of 500 would be one leaf.
+KnnPipelineConfig SmallLeaves(KnnPipelineConfig config) {
+  config.bisection.leaf_size = 64;
+  return config;
+}
+
+TEST(BuildDigestTest, GoldFingerOfferingBuilds) {
+  ExpectPinned(GoldFinger(Base(KnnAlgorithm::kBruteForce)),
+               {0x793f064d3d255565ULL, 57360, 1}, "bruteforce golfi");
+  ExpectPinned(GoldFinger(Base(KnnAlgorithm::kBandedLsh)),
+               {0x61cb62c57339a8d5ULL, 4838, 1}, "banded lsh golfi");
+  // serve_churn's graph: GoldFinger C&C, brute-force or Hyrec inside.
+  ExpectPinned(GoldFinger(Base(KnnAlgorithm::kClusterConquer)),
+               {0xe5f5ba73b2564595ULL, 61940, 1}, "cluster-conquer golfi");
+  ExpectPinned(GoldFinger(HyrecInner(Base(KnnAlgorithm::kClusterConquer))),
+               {0xf923d09164f91be1ULL, 48308, 1},
+               "cluster-conquer hyrec golfi");
+}
+
+TEST(BuildDigestTest, Bisection) {
+  ExpectPinned(SmallLeaves(Base(KnnAlgorithm::kBisection)),
+               {0x764ac067d1bae329ULL, 9850, 1}, "bisection");
+  ExpectPinned(GoldFinger(SmallLeaves(Base(KnnAlgorithm::kBisection))),
+               {0x4028f43747bb04baULL, 9853, 1}, "bisection golfi");
+}
+
+// Brute force and banded LSH write each row from one worker, and C&C
+// merges its per-cluster builds in any order to the same rows, so a
+// pool of any size reproduces the sequential pins above.
+TEST(BuildDigestTest, OfferingBuildsOnPools) {
+  const KnnPipelineConfig cc = Base(KnnAlgorithm::kClusterConquer);
+  const struct {
+    std::string label;
+    KnnPipelineConfig config;
+    Pinned want;
+  } builds[] = {
+      {"bruteforce", Base(KnnAlgorithm::kBruteForce),
+       {0x1999c93935b5489fULL, 57360, 1}},
+      {"bruteforce golfi", GoldFinger(Base(KnnAlgorithm::kBruteForce)),
+       {0x793f064d3d255565ULL, 57360, 1}},
+      {"banded lsh", Base(KnnAlgorithm::kBandedLsh),
+       {0xa92338314c75a471ULL, 4838, 1}},
+      {"banded lsh golfi", GoldFinger(Base(KnnAlgorithm::kBandedLsh)),
+       {0x61cb62c57339a8d5ULL, 4838, 1}},
+      {"cluster-conquer", cc, {0xbb8ce56d37bfebf1ULL, 61940, 1}},
+      {"cluster-conquer hyrec", HyrecInner(cc),
+       {0xc892c69a697b0a16ULL, 46421, 1}},
+      {"cluster-conquer golfi", GoldFinger(cc),
+       {0xe5f5ba73b2564595ULL, 61940, 1}},
+      {"cluster-conquer hyrec golfi", GoldFinger(HyrecInner(cc)),
+       {0xf923d09164f91be1ULL, 48308, 1}},
+  };
+  for (const std::size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    for (const auto& build : builds) {
+      ExpectPinned(build.config, build.want,
+                   build.label + " on " + std::to_string(threads) +
+                       " threads",
+                   &pool);
+    }
+  }
+}
+
 // Pins RefreshKnnGraph: a native brute-force graph repaired after three
 // users took other users' profiles. The changed list is unsorted, holds
 // a duplicate and the last user. The batched GoldFinger provider and a

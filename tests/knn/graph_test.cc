@@ -60,7 +60,7 @@ TEST(NeighborListsTest, FloorIsTheFullRowsWorstSimilarity) {
   EXPECT_EQ(lists.Floor(0), 0.3f);
   EXPECT_TRUE(lists.Insert(0, 4, 0.5));
   EXPECT_EQ(lists.Floor(0), 0.5f);
-  lists.ClearRow(0);
+  lists.RestoreRow(0, {});
   EXPECT_EQ(lists.Floor(0), -std::numeric_limits<float>::infinity());
   const NeighborLists::Entry restored[] = {{1, 0.25f, true}, {2, 0.75f, true}};
   lists.RestoreRow(0, restored);
@@ -246,11 +246,11 @@ TEST(NeighborListsTest, ConcurrentLockedInsertsOnSameRow) {
   }
 }
 
-TEST(NeighborListsTest, ClearRowEmptiesOnlyThatRow) {
+TEST(NeighborListsTest, EmptyRestoreRowEmptiesOnlyThatRow) {
   NeighborLists lists(3, 2);
   lists.Insert(0, 1, 0.5);
   lists.Insert(1, 2, 0.7);
-  lists.ClearRow(0);
+  lists.RestoreRow(0, {});
   EXPECT_EQ(lists.Of(0).size(), 0u);
   EXPECT_EQ(lists.Of(1).size(), 1u);
   // The row is reusable after clearing.
@@ -333,8 +333,9 @@ TEST(NeighborListsTest, FloorCacheSurvivesClearAndRestore) {
   EXPECT_FALSE(lists.Insert(0, 3, 0.5));
   EXPECT_FALSE(lists.Insert(0, 3, 0.6));
 
-  // After ClearRow the floor must reset — low offers fill again.
-  lists.ClearRow(0);
+  // After an empty RestoreRow the floor must reset — low offers fill
+  // again.
+  lists.RestoreRow(0, {});
   EXPECT_TRUE(lists.Insert(0, 3, 0.1));
   EXPECT_TRUE(lists.Insert(0, 4, 0.2));
   EXPECT_FALSE(lists.Insert(0, 5, 0.05));  // new floor is 0.1
