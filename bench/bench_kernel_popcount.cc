@@ -2,7 +2,7 @@
 // in its three shapes — per-pair (bits::AndPopCount, dispatched at run
 // time: vpopcntq or POPCNT where the CPU has them), batched scalar (the
 // portable loop, a libgcc call per word), and batched SIMD (the
-// runtime-dispatched backend) — at b in {64, 1024, 4096}, for both the
+// runtime-dispatched backend) — at b in {64, 128, 1024, 4096}, for both the
 // contiguous-tile layout (the serving scan's kernel, with one query and
 // with the 16 of a batch) and the gathered-id layout (every KNN
 // construction's candidate batches). The headline number is the
@@ -131,7 +131,7 @@ int main() {
   std::vector<uint32_t> counts(kRows);
   std::vector<uint32_t> multi_counts(kMultiQueries * kRows);
   std::vector<std::string> roofline;
-  for (const std::size_t bits : {64ul, 1024ul, 4096ul}) {
+  for (const std::size_t bits : {64ul, 128ul, 1024ul, 4096ul}) {
     const Workload w = MakeWorkload(bits, rng);
     std::vector<uint64_t> queries(kMultiQueries * w.words);
     for (auto& word : queries) word = rng.Next();

@@ -68,6 +68,19 @@ void AndPopCountTileMultiScalar(const uint64_t* queries,
   }
 }
 
+std::size_t RowsPassingFloorScalar(const uint32_t* inter,
+                                   const uint32_t* cards, std::size_t n_rows,
+                                   uint32_t card_q, double floor,
+                                   uint32_t* out_rows) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    if (PassesFloor(inter[i], cards[i], card_q, floor)) {
+      out_rows[n++] = static_cast<uint32_t>(i);
+    }
+  }
+  return n;
+}
+
 #if GF_SIMD_X86
 
 // The scalar loop, inlined where std::popcount becomes one POPCNT per
@@ -389,13 +402,15 @@ GF_TARGET_AVX512 uint32_t AndPopCountAvx512(const uint64_t* a,
   return static_cast<uint32_t>(total);
 }
 
-// One-word rows (b = 64) run the AVX2 backend's code, which scores four
-// rows per vector; a 512-bit vector per one-word row would be mostly
-// mask. Every wider row runs the eight-pair block kernel.
+// Rows of one to three words (b <= 192) run the AVX2 backend's code: a
+// 512-bit vector per row would be mostly mask. At b = 128 the block
+// kernel took 1.7-2.2 ns per pair of a 16-query pass, the AVX2 code
+// 1.1-1.3 (bench_kernel_popcount). Every wider row runs the eight-pair
+// block kernel.
 GF_TARGET_AVX512 void AndPopCountTileMultiAvx512(
     const uint64_t* queries, std::size_t n_queries, const uint64_t* tile,
     std::size_t n_rows, std::size_t words_per_row, uint32_t* out_counts) {
-  if (words_per_row == 1) {
+  if (words_per_row < 4) {
     AndPopCountTileMultiAvx2(queries, n_queries, tile, n_rows, words_per_row,
                              out_counts);
     return;
@@ -435,6 +450,44 @@ GF_TARGET_AVX512 void AndPopCountBatchAvx512(
         query, [&](std::size_t j) { return row_at(r + j); },
         std::min<std::size_t>(8, n_rows - r), words_per_row, out_counts + r);
   }
+}
+
+// Eight rows per compare: vcvtudq2pd converts the counts and unions
+// exactly, vmulpd rounds floor * union as mulsd does, and the compare is
+// the scalar test's negation (not-less-than, true on NaN), so the rows
+// that pass are the scalar loop's. Almost no row passes, so a block
+// costs one mask test; the < 8-row tail runs the scalar loop. The
+// conversions are the zero-masked forms under a full mask: GCC 12's
+// unmasked _mm512_cvtepu32_pd passes an undefined vector, like the forms
+// SumLanes8 avoids, and trips -Wuninitialized.
+GF_TARGET_AVX512 std::size_t RowsPassingFloorAvx512(
+    const uint32_t* inter, const uint32_t* cards, std::size_t n_rows,
+    uint32_t card_q, double floor, uint32_t* out_rows) {
+  constexpr __mmask8 kAll = 0xff;
+  const __m256i q = _mm256_set1_epi32(static_cast<int>(card_q));
+  const __m512d f = _mm512_set1_pd(floor);
+  std::size_t n = 0;
+  std::size_t r = 0;
+  for (; r + 8 <= n_rows; r += 8) {
+    const __m256i i32 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(inter + r));
+    const __m256i c32 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cards + r));
+    const __m256i u32 = _mm256_sub_epi32(_mm256_add_epi32(q, c32), i32);
+    unsigned pass = _mm512_cmp_pd_mask(
+        _mm512_maskz_cvtepu32_pd(kAll, i32),
+        _mm512_mul_pd(f, _mm512_maskz_cvtepu32_pd(kAll, u32)), _CMP_NLT_UQ);
+    while (pass != 0) {
+      out_rows[n++] = static_cast<uint32_t>(r + std::countr_zero(pass));
+      pass &= pass - 1;
+    }
+  }
+  for (; r < n_rows; ++r) {
+    if (PassesFloor(inter[r], cards[r], card_q, floor)) {
+      out_rows[n++] = static_cast<uint32_t>(r);
+    }
+  }
+  return n;
 }
 
 #undef GF_INLINE_AVX512
@@ -489,6 +542,14 @@ void AndPopCountTileMultiAvx512(const uint64_t* queries,
                              out_counts);
 }
 
+std::size_t RowsPassingFloorAvx512(const uint32_t* inter,
+                                   const uint32_t* cards, std::size_t n_rows,
+                                   uint32_t card_q, double floor,
+                                   uint32_t* out_rows) {
+  return RowsPassingFloorScalar(inter, cards, n_rows, card_q, floor,
+                                out_rows);
+}
+
 #endif  // GF_SIMD_X86
 
 }  // namespace detail
@@ -525,11 +586,14 @@ using BatchFn = void (*)(const uint64_t*, const uint64_t*, std::size_t,
                          const uint32_t*, std::size_t, uint32_t*);
 using TileMultiFn = void (*)(const uint64_t*, std::size_t, const uint64_t*,
                              std::size_t, std::size_t, uint32_t*);
+using FloorFn = std::size_t (*)(const uint32_t*, const uint32_t*, std::size_t,
+                                uint32_t, double, uint32_t*);
 
 struct Dispatch {
   PopcountBackend backend;
   BatchFn batch;
   TileMultiFn tile_multi;
+  FloorFn floor;
   // Below AVX-512 the per-pair kernel follows POPCNT alone: every AVX2
   // CPU has it, and a scalar-backend CPU may.
   PairFn pair;
@@ -545,14 +609,17 @@ const Dispatch& ActiveDispatch() {
       return Dispatch{PopcountBackend::kAvx512,
                       &detail::AndPopCountBatchAvx512,
                       &detail::AndPopCountTileMultiAvx512,
+                      &detail::RowsPassingFloorAvx512,
                       &detail::AndPopCountAvx512};
     }
     if (Avx2Available()) {
       return Dispatch{PopcountBackend::kAvx2, &detail::AndPopCountBatchAvx2,
-                      &detail::AndPopCountTileMultiAvx2, pair};
+                      &detail::AndPopCountTileMultiAvx2,
+                      &detail::RowsPassingFloorScalar, pair};
     }
     return Dispatch{PopcountBackend::kScalar, &detail::AndPopCountBatchScalar,
-                    &detail::AndPopCountTileMultiScalar, pair};
+                    &detail::AndPopCountTileMultiScalar,
+                    &detail::RowsPassingFloorScalar, pair};
   }();
   return dispatch;
 }
@@ -590,6 +657,13 @@ void AndPopCountTileMulti(const uint64_t* queries, std::size_t n_queries,
                           std::size_t words_per_row, uint32_t* out_counts) {
   ActiveDispatch().tile_multi(queries, n_queries, tile, n_rows, words_per_row,
                               out_counts);
+}
+
+std::size_t RowsPassingFloor(const uint32_t* inter, const uint32_t* cards,
+                             std::size_t n_rows, uint32_t card_q, double floor,
+                             uint32_t* out_rows) {
+  return ActiveDispatch().floor(inter, cards, n_rows, card_q, floor,
+                                out_rows);
 }
 
 }  // namespace gf::bits

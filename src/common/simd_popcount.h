@@ -27,7 +27,11 @@
 //                          against two query vectors) and once per
 //                          call on AVX-512 (every query is scored
 //                          against a block of rows while it sits in
-//                          L1), instead of once per query.
+//                          L1), instead of once per query;
+//   RowsPassingFloor     — the scan's prune over one query's counts
+//                          from that kernel: eight rows per compare on
+//                          AVX-512, so only the few rows that can enter
+//                          a top-k leave the vector unit.
 
 #ifndef GF_COMMON_SIMD_POPCOUNT_H_
 #define GF_COMMON_SIMD_POPCOUNT_H_
@@ -69,6 +73,26 @@ void AndPopCountBatch(const uint64_t* query, const uint64_t* base,
 void AndPopCountTileMulti(const uint64_t* queries, std::size_t n_queries,
                           const uint64_t* tile, std::size_t n_rows,
                           std::size_t words_per_row, uint32_t* out_counts);
+
+/// The serving scan's prune test for one row: false when inter < floor *
+/// union, the union being card_q + card_r - inter in uint32_t as in
+/// Eq. 4. Such a row cannot enter a top-k whose k-th best score is
+/// `floor` (knn/query.cc has the argument).
+inline bool PassesFloor(uint32_t inter, uint32_t card_r, uint32_t card_q,
+                        double floor) {
+  const uint32_t union_estimate = card_q + card_r - inter;
+  return !(static_cast<double>(inter) <
+           floor * static_cast<double>(union_estimate));
+}
+
+/// PassesFloor over one query's counts against `n_rows` rows (inter[i],
+/// cards[i]): writes the passing rows to out_rows in ascending order
+/// and returns how many it wrote. Every backend returns the same rows:
+/// the integers convert to doubles exactly, and the one multiply and
+/// compare are IEEE operations on either side.
+std::size_t RowsPassingFloor(const uint32_t* inter, const uint32_t* cards,
+                             std::size_t n_rows, uint32_t card_q, double floor,
+                             uint32_t* out_rows);
 
 /// True when the CPU (and compiler) have the POPCNT instruction. The
 /// per-pair bits::AndPopCount runs on it, or, on the AVX-512 backend,
@@ -119,6 +143,16 @@ void AndPopCountTileMultiAvx512(const uint64_t* queries,
                                 std::size_t n_queries, const uint64_t* tile,
                                 std::size_t n_rows, std::size_t words_per_row,
                                 uint32_t* out_counts);
+
+// The scalar loop serves the scalar and AVX2 backends.
+std::size_t RowsPassingFloorScalar(const uint32_t* inter,
+                                   const uint32_t* cards, std::size_t n_rows,
+                                   uint32_t card_q, double floor,
+                                   uint32_t* out_rows);
+std::size_t RowsPassingFloorAvx512(const uint32_t* inter,
+                                   const uint32_t* cards, std::size_t n_rows,
+                                   uint32_t card_q, double floor,
+                                   uint32_t* out_rows);
 
 }  // namespace detail
 

@@ -161,32 +161,24 @@ Result<ScoredLists> ScanQueryEngine::QueryBatchPacked(
   if (nb == 0) return ScoredLists{};
   const uint64_t t0 = latency_ != nullptr ? clock_->NowMicros() : 0;
 
-  // One partial answer per scanned partition; MergeTopK does not care
-  // in which order they land.
+  // Row chunks over the whole store, whatever its shard count: one
+  // partial answer per chunk, which ScanRows cuts at shard ends.
+  // MergeTopK does not care how the rows were cut or in which order the
+  // partials land.
   std::vector<ScoredLists> partials;
   std::mutex partials_mu;
-  const auto scan = [&](std::size_t s, std::size_t begin, std::size_t end) {
-    if (begin == end) return;
-    std::vector<TopKSelector> selectors(nb, TopKSelector(k, end - begin));
-    ScanRows(s, begin, end, query_words, query_cards, selectors);
-    ScoredLists part(nb);
-    for (std::size_t q = 0; q < nb; ++q) part[q] = selectors[q].TakeScored();
-    const std::lock_guard<std::mutex> lock(partials_mu);
-    partials.push_back(std::move(part));
-  };
-  if (store_->num_shards() == 1) {
-    ParallelFor(pool_, store_->num_users(),
-                [&](std::size_t begin, std::size_t end) {
-                  scan(0, begin, end);
-                });
-  } else {
-    ParallelFor(pool_, store_->num_shards(),
-                [&](std::size_t begin, std::size_t end) {
-                  for (std::size_t s = begin; s < end; ++s) {
-                    scan(s, 0, store_->shard(s).num_users());
-                  }
-                });
-  }
+  ParallelFor(pool_, store_->num_users(),
+              [&](std::size_t begin, std::size_t end) {
+                std::vector<TopKSelector> selectors(
+                    nb, TopKSelector(k, end - begin));
+                ScanRows(begin, end, query_words, query_cards, selectors);
+                ScoredLists part(nb);
+                for (std::size_t q = 0; q < nb; ++q) {
+                  part[q] = selectors[q].TakeScored();
+                }
+                const std::lock_guard<std::mutex> lock(partials_mu);
+                partials.push_back(std::move(part));
+              });
   ScoredLists results = MergeTopK(partials, nb, k);
 
   if (batches_ != nullptr) {
@@ -202,8 +194,7 @@ Result<ScoredLists> ScanQueryEngine::QueryBatchPacked(
   return results;
 }
 
-void ScanQueryEngine::ScanRows(std::size_t s, std::size_t begin,
-                               std::size_t end,
+void ScanQueryEngine::ScanRows(std::size_t begin, std::size_t end,
                                std::span<const uint64_t> query_words,
                                std::span<const uint32_t> query_cards,
                                std::span<TopKSelector> selectors) const {
@@ -212,12 +203,8 @@ void ScanQueryEngine::ScanRows(std::size_t s, std::size_t begin,
   // single-threaded by contract.
   const uint64_t t0 =
       partition_scan_ != nullptr ? Clock::System()->NowMicros() : 0;
-  const FingerprintStore& rows = store_->shard(s);
-  const UserId base = store_->ShardBegin(s);
   const std::size_t nb = query_cards.size();
-  const std::size_t words = rows.words_per_shf();
-  const uint64_t* arena = rows.WordsArena().data();
-  const uint32_t* cards = rows.Cardinalities().data();
+  const std::size_t words = bits::WordsForBits(store_->num_bits());
   // Each 16-query x 256-row block is counted into a 16 KiB integer
   // scratch; a tile stays cache-hot across the whole batch.
   //
@@ -225,34 +212,50 @@ void ScanQueryEngine::ScanRows(std::size_t s, std::size_t begin,
   // offered only when i >= floor * u, floor being the selector's k-th
   // best score (-1 until it holds k). The skip is exact. A row enters
   // only by scoring above the floor: one scoring equal to it has a
-  // larger id than every survivor (the selector is fresh and sees
-  // ascending ids), so it loses the tie. And fl(i/u) > floor implies
-  // i/u > floor, so i > floor * u, and by monotone rounding
-  // i >= fl(floor * u). Offered rows are scored by JaccardFromCounts
-  // as without the prune, so answers are bit-identical.
+  // larger id than every survivor (the selector sees ascending ids), so
+  // it loses the tie. And fl(i/u) > floor implies i/u > floor, so
+  // i > floor * u, and by monotone rounding i >= fl(floor * u). Offered
+  // rows are scored by JaccardFromCounts as without the prune, so
+  // answers are bit-identical.
+  //
+  // RowsPassingFloor tests a whole tile against the floor as it stood
+  // at the tile's start, and only its survivors take the test against
+  // the current floor. That is exact too: a selector's floor never
+  // falls, so a row the current floor admits passed the older one.
   constexpr std::size_t kQueryGroup = 16;
   uint32_t counts[kQueryGroup * kTileRows];
-  for (std::size_t first = begin; first < end; first += kTileRows) {
-    const std::size_t m = std::min(kTileRows, end - first);
-    for (std::size_t q0 = 0; q0 < nb; q0 += kQueryGroup) {
-      const std::size_t nq = std::min(kQueryGroup, nb - q0);
-      bits::AndPopCountTileMulti(query_words.data() + q0 * words, nq,
-                                 arena + first * words, m, words, counts);
-      for (std::size_t q = 0; q < nq; ++q) {
-        TopKSelector& sel = selectors[q0 + q];
-        const uint32_t card_q = query_cards[q0 + q];
-        const uint32_t* inter = counts + q * m;
-        double floor = sel.Floor();
-        for (std::size_t i = 0; i < m; ++i) {
-          const uint32_t card_r = cards[first + i];
-          const uint32_t union_estimate = card_q + card_r - inter[i];
-          if (static_cast<double>(inter[i]) <
-              floor * static_cast<double>(union_estimate)) {
-            continue;
+  uint32_t passing[kTileRows];
+  for (std::size_t s = 0; s < store_->num_shards(); ++s) {
+    // The chunk's part of shard s, in the shard's local rows.
+    const FingerprintStore& rows = store_->shard(s);
+    const std::size_t base = store_->ShardBegin(s);
+    const std::size_t lo = std::max(begin, base);
+    const std::size_t hi = std::min(end, base + rows.num_users());
+    if (lo >= hi) continue;
+    const uint64_t* arena = rows.WordsArena().data();
+    const uint32_t* cards = rows.Cardinalities().data();
+    for (std::size_t first = lo - base; first < hi - base;
+         first += kTileRows) {
+      const std::size_t m = std::min(kTileRows, hi - base - first);
+      for (std::size_t q0 = 0; q0 < nb; q0 += kQueryGroup) {
+        const std::size_t nq = std::min(kQueryGroup, nb - q0);
+        bits::AndPopCountTileMulti(query_words.data() + q0 * words, nq,
+                                   arena + first * words, m, words, counts);
+        for (std::size_t q = 0; q < nq; ++q) {
+          TopKSelector& sel = selectors[q0 + q];
+          const uint32_t card_q = query_cards[q0 + q];
+          const uint32_t* inter = counts + q * m;
+          double floor = sel.Floor();
+          const std::size_t n_passing = bits::RowsPassingFloor(
+              inter, cards + first, m, card_q, floor, passing);
+          for (std::size_t j = 0; j < n_passing; ++j) {
+            const std::size_t i = passing[j];
+            const uint32_t card_r = cards[first + i];
+            if (!bits::PassesFloor(inter[i], card_r, card_q, floor)) continue;
+            sel.Offer(static_cast<UserId>(base + first + i),
+                      JaccardFromCounts(card_q, card_r, inter[i]));
+            floor = sel.Floor();
           }
-          sel.Offer(base + static_cast<UserId>(first + i),
-                    JaccardFromCounts(card_q, card_r, inter[i]));
-          floor = sel.Floor();
         }
       }
     }

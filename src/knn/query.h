@@ -11,14 +11,15 @@
 //  * ScanQueryEngine — the one engine, over a plain store, an epoch
 //    snapshot or a sharded store. QueryBatch scores a batch of B query
 //    SHFs tile by tile through the multi-query SIMD kernel (each
-//    256-row tile streams through cache once per batch), one task per
-//    partition — row chunks of a one-shard store (a plain store or
-//    snapshot is one), shards of a store with several — and joins the
-//    partitions' top-k lists with MergeTopK. Query() is the sequential
-//    per-pair reference scan the exactness tests compare against.
-//  * MergeTopK — the one merge of partial top-k lists. The scan's
-//    partitions, the sharded store's shards and the distributed tier's
-//    replicas (net/coordinator.h) all meet here.
+//    256-row tile streams through cache once per batch), prunes each
+//    tile's counts against the top-k floors eight rows per vector, runs
+//    one task per row chunk of the whole store whatever its shard count,
+//    and joins the chunks' top-k lists with MergeTopK. Query() is the
+//    sequential per-pair reference scan, with no prune, that the
+//    exactness tests compare against.
+//  * MergeTopK — the one merge of partial top-k lists. The scan's row
+//    chunks and the distributed tier's replicas (net/coordinator.h)
+//    both meet here.
 //
 // Serving is exact-only: no approximate index measured so far was both
 // faster than this scan and at recall@10 >= 0.9 (DESIGN.md §11).
@@ -33,7 +34,7 @@
 // Observability: the engine accepts an obs::PipelineContext and exports
 // a `query.latency` histogram (microseconds), the `query.candidates`,
 // `query.batches` and `query.sharded.queries` counters and the
-// per-partition `query.shard.scan_micros` histogram. The context must
+// per-row-chunk `query.shard.scan_micros` histogram. The context must
 // outlive the engine (instrument pointers are cached at construction).
 
 #ifndef GF_KNN_QUERY_H_
@@ -164,12 +165,11 @@ Status CheckQueries(std::size_t num_bits, std::span<const Shf> queries,
                     std::size_t k);
 
 /// The exhaustive engine: answers queries by scoring every stored
-/// fingerprint. The shard count picks how a batch is split:
-///   * one shard — ParallelFor row chunks on `pool`; a plain store or
-///     snapshot is a one-shard view;
-///   * several shards — one task per shard on `pool`.
-/// `pool == nullptr` scans sequentially. Every split is bit-exact with
-/// every other and with per-pair Query.
+/// fingerprint. A batch runs as ParallelFor row chunks over all rows on
+/// `pool`, each chunk cut at shard ends, whatever the shard count; a
+/// plain store or snapshot is a one-shard view. `pool == nullptr` scans
+/// sequentially. Every pool and shard count is bit-exact with per-pair
+/// Query.
 class ScanQueryEngine {
  public:
   /// Store rows per cache tile: 256 rows at b = 1024 is 32 KiB, so the
@@ -188,9 +188,9 @@ class ScanQueryEngine {
   explicit ScanQueryEngine(SnapshotPtr snapshot, ThreadPool* pool = nullptr,
                            const obs::PipelineContext* obs = nullptr);
 
-  /// Scatter/merge over contiguous shards (DESIGN.md §12). The engine
-  /// co-owns `store` — typically a ShardedFingerprintStore::ViewOf(
-  /// SnapshotPtr, ...) whose shards borrow one epoch's arena — so
+  /// Over contiguous shards (DESIGN.md §12), split like any other store.
+  /// The engine co-owns `store` — typically a ShardedFingerprintStore::
+  /// ViewOf(SnapshotPtr, ...) whose shards borrow one epoch's arena — so
   /// engine, view and epoch retire together.
   explicit ScanQueryEngine(std::shared_ptr<const ShardedFingerprintStore> store,
                            ThreadPool* pool = nullptr,
@@ -220,11 +220,11 @@ class ScanQueryEngine {
                                        std::size_t k) const;
 
  private:
-  // The one tile loop: scores rows [begin, end) of shard `s` against
-  // the packed batch, offering query q's scores to selectors[q]. The
-  // selectors must be fresh: the prune relies on each seeing its rows
-  // in ascending id.
-  void ScanRows(std::size_t s, std::size_t begin, std::size_t end,
+  // The one tile loop: scores global rows [begin, end) against the
+  // packed batch, shard by shard, offering query q's scores to
+  // selectors[q]. The selectors must be fresh: the prune relies on each
+  // seeing its rows in ascending id.
+  void ScanRows(std::size_t begin, std::size_t end,
                 std::span<const uint64_t> query_words,
                 std::span<const uint32_t> query_cards,
                 std::span<TopKSelector> selectors) const;

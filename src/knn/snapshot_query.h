@@ -53,9 +53,9 @@ namespace gf {
 class SnapshotQueryEngine {
  public:
   struct Options {
-    /// Contiguous zero-copy shards per epoch view (>= 1). On the pool,
-    /// one shard is split into row chunks; several shards run one task
-    /// each.
+    /// Contiguous zero-copy shards per epoch view (>= 1). It decides
+    /// only how an epoch is viewed: the scan runs the same row chunks
+    /// on the pool whatever the count.
     std::size_t num_shards = 1;
     /// L1 exact-result cache entries (0 = no cache). Entries are keyed
     /// to the pinned epoch, so a snapshot publish invalidates every

@@ -1,5 +1,6 @@
 #include "common/simd_popcount.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -296,6 +297,69 @@ TEST(SimdPopcountTest, Avx512TileMultiAgreesWithScalarBitExactly) {
                                            got.data());
         ASSERT_EQ(got, want) << "words=" << words << " n_rows=" << n_rows
                              << " queries=" << n_queries;
+      }
+    }
+  }
+}
+
+// The floor test keeps a row exactly when !(i < floor * u): rows that
+// tie the floor pass, and every row passes floors of -1 and 0.
+TEST(SimdPopcountTest, ScalarFloorKernelKeepsRowsThatCanEnter) {
+  const uint32_t card_q = 10;
+  // (i, u) = (5, 15), (2, 18), (10, 10), (0, 10).
+  const std::vector<uint32_t> inter = {5, 2, 10, 0};
+  const std::vector<uint32_t> cards = {10, 10, 10, 0};
+  std::vector<uint32_t> rows(inter.size());
+  const auto passing = [&](double floor) {
+    const std::size_t n = detail::RowsPassingFloorScalar(
+        inter.data(), cards.data(), inter.size(), card_q, floor, rows.data());
+    return std::vector<uint32_t>(rows.begin(), rows.begin() + n);
+  };
+  EXPECT_EQ(passing(1.0 / 3.0), (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(passing(0.5), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(passing(-1.0), (std::vector<uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(passing(0.0), (std::vector<uint32_t>{0, 1, 2, 3}));
+}
+
+// The AVX-512 floor test (and the dispatched one) against the scalar
+// loop: row counts around its eight-row blocks and the 256-row tile,
+// empty queries and rows (unions of 0), floors of -1 and 0, and floors
+// equal to a row's exact i/u, where the test is decided by the last bit
+// of floor * u.
+TEST(SimdPopcountTest, Avx512FloorKernelAgreesWithScalar) {
+  if (!Avx512Available()) GTEST_SKIP() << "no AVX-512 VPOPCNTDQ here";
+  Rng rng(21);
+  for (const std::size_t n_rows : {0, 1, 7, 8, 9, 255, 256}) {
+    for (const uint32_t card_q : {0u, 200u}) {
+      std::vector<uint32_t> inter(n_rows);
+      std::vector<uint32_t> cards(n_rows);
+      for (std::size_t i = 0; i < n_rows; ++i) {
+        if (i % 5 == 4) continue;  // an empty row
+        cards[i] = static_cast<uint32_t>(rng.Below(1025));
+        inter[i] =
+            static_cast<uint32_t>(rng.Below(std::min(card_q, cards[i]) + 1));
+      }
+      std::vector<double> floors = {-1.0, 0.0, 0.25, 1.0};
+      for (std::size_t i = 0; i < std::min<std::size_t>(n_rows, 12); ++i) {
+        const uint32_t u = card_q + cards[i] - inter[i];
+        if (u != 0) floors.push_back(double(inter[i]) / double(u));
+      }
+      for (const double floor : floors) {
+        std::vector<uint32_t> want = GuardedOutput(n_rows);
+        std::vector<uint32_t> got = GuardedOutput(n_rows);
+        std::vector<uint32_t> dispatched = GuardedOutput(n_rows);
+        const std::size_t n_want = detail::RowsPassingFloorScalar(
+            inter.data(), cards.data(), n_rows, card_q, floor, want.data());
+        EXPECT_EQ(detail::RowsPassingFloorAvx512(inter.data(), cards.data(),
+                                                 n_rows, card_q, floor,
+                                                 got.data()),
+                  n_want);
+        EXPECT_EQ(RowsPassingFloor(inter.data(), cards.data(), n_rows, card_q,
+                                   floor, dispatched.data()),
+                  n_want);
+        ASSERT_EQ(got, want) << "n_rows=" << n_rows << " card_q=" << card_q
+                             << " floor=" << floor;
+        ASSERT_EQ(dispatched, want);
       }
     }
   }

@@ -1,7 +1,6 @@
-// ScanQueryEngine over sharded stores (DESIGN.md §12): the scatter over
-// zero-copy shards — sequential, or one task per shard on a shared pool
-// (row chunks for a one-shard store) — merges to the answer of the
-// unsharded scan, bit for bit.
+// ScanQueryEngine over sharded stores (DESIGN.md §12): the scan over
+// zero-copy shards — sequential, or row chunks on a shared pool whatever
+// the shard count — merges to the answer of per-pair Query, bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +14,9 @@
 #include "common/thread_pool.h"
 #include "core/sharded_store.h"
 #include "knn/query.h"
+#include "obs/metrics.h"
+#include "obs/pipeline_context.h"
+#include "testing/test_util.h"
 
 namespace gf {
 namespace {
@@ -85,9 +87,7 @@ TEST(ShardedQueryTest, SharedOwnershipViewOverSnapshotOutlivesItsHandles) {
   for (std::size_t q = 0; q < 5; ++q) {
     queries.push_back(owned.Extract(static_cast<UserId>(rng.Below(50))));
   }
-  const ScanQueryEngine scan(owned);
-  auto want = scan.QueryBatch(queries, 4);
-  ASSERT_TRUE(want.ok());
+  const auto want = testing::PerPairScan(owned, queries, 4);
 
   SnapshotPtr snapshot = StoreSnapshot::Own(std::move(owned), 5);
   const auto begins = ShardedFingerprintStore::BalancedBegins(50, 3);
@@ -101,7 +101,7 @@ TEST(ShardedQueryTest, SharedOwnershipViewOverSnapshotOutlivesItsHandles) {
 
   auto got = engine.QueryBatch(queries, 4);
   ASSERT_TRUE(got.ok());
-  ExpectIdentical(*got, *want);
+  ExpectIdentical(*got, want);
 }
 
 TEST(ShardedQueryTest, ValidatesArguments) {
@@ -118,7 +118,7 @@ TEST(ShardedQueryTest, ValidatesArguments) {
 // The scatter property: across shard counts x k — including one user
 // per shard, shards exceeding the user count (empty shards), and
 // k > n up to SIZE_MAX — and in every scatter mode, the merged result is
-// bit-identical to the single-store exhaustive scan.
+// bit-identical to the per-pair scan.
 TEST(ShardedQueryTest, BitExactWithScanAcrossShardCountsAndK) {
   Rng rng(2);
   const std::size_t users = 67;  // prime: every split is uneven
@@ -127,13 +127,12 @@ TEST(ShardedQueryTest, BitExactWithScanAcrossShardCountsAndK) {
   for (std::size_t q = 0; q < 9; ++q) {
     queries.push_back(store.Extract(static_cast<UserId>(rng.Below(users))));
   }
-  const ScanQueryEngine scan(store);
-
   for (const std::size_t shards : {1u, 2u, 3u, 5u, 8u, 67u, 80u}) {
     const ScatterModes modes(store, shards);
     // Any k above n (1000, SIZE_MAX) answers exactly what k = n does.
     for (const std::size_t k : {1ul, 5ul, 1000ul, SIZE_MAX}) {
-      const auto want = scan.QueryBatch(queries, std::min(k, users)).value();
+      const auto want =
+          testing::PerPairScan(store, queries, std::min(k, users));
       for (std::size_t m = 0; m < modes.engines.size(); ++m) {
         SCOPED_TRACE("shards=" + std::to_string(shards) +
                      " k=" + std::to_string(k) +
@@ -153,8 +152,7 @@ TEST(ShardedQueryTest, BitExactOnSharedPoolAndConcurrentCallers) {
   for (std::size_t q = 0; q < 17; ++q) {
     queries.push_back(store.Extract(static_cast<UserId>(rng.Below(users))));
   }
-  const ScanQueryEngine scan(store);
-  const auto want = scan.QueryBatch(queries, 10).value();
+  const auto want = testing::PerPairScan(store, queries, 10);
 
   ThreadPool pool(3);
   const ScanQueryEngine engine(Shard(store, 4), &pool);
@@ -180,8 +178,7 @@ TEST(ShardedQueryTest, MultiTileShardsAndQueryGroupsMatchScan) {
   for (std::size_t q = 0; q < 37; ++q) {
     queries.push_back(store.Extract(static_cast<UserId>(rng.Below(users))));
   }
-  const ScanQueryEngine scan(store);
-  const auto want = scan.QueryBatch(queries, 10).value();
+  const auto want = testing::PerPairScan(store, queries, 10);
 
   ThreadPool pool(3);
   const ScanQueryEngine shared(Shard(store, 4), &pool);
@@ -239,7 +236,6 @@ TEST(ShardedQueryTest, TiesAtTheFloorMatchScan) {
   }
   queries.push_back(*Shf::Create(bits));
 
-  const ScanQueryEngine scan(store);
   ThreadPool pool(4);
   std::vector<std::unique_ptr<ScanQueryEngine>> engines;
   engines.push_back(std::make_unique<ScanQueryEngine>(store));
@@ -250,8 +246,7 @@ TEST(ShardedQueryTest, TiesAtTheFloorMatchScan) {
         std::make_unique<ScanQueryEngine>(Shard(store, shards), &pool));
   }
   for (const std::size_t k : {1ul, 5ul, 24ul, 25ul, 26ul, users}) {
-    std::vector<std::vector<Neighbor>> want;
-    for (const Shf& query : queries) want.push_back(scan.Query(query, k).value());
+    const auto want = testing::PerPairScan(store, queries, k);
     for (std::size_t e = 0; e < engines.size(); ++e) {
       SCOPED_TRACE("k=" + std::to_string(k) + " engine=" + std::to_string(e));
       ExpectIdentical(engines[e]->QueryBatch(queries, k).value(), want);
@@ -287,8 +282,7 @@ TEST(ShardedQueryTest, ZeroCardinalityQueriesAndRowsMatchScan) {
   queries.push_back(store.Extract(users - 1));   // zero-cardinality query
   queries.push_back(*Shf::Create(bits));         // external empty query
 
-  const ScanQueryEngine scan(store);
-  const auto want = scan.QueryBatch(queries, 7).value();
+  const auto want = testing::PerPairScan(store, queries, 7);
   for (const std::size_t shards : {2u, 5u, 30u}) {
     const ScatterModes modes(store, shards);
     for (std::size_t m = 0; m < modes.engines.size(); ++m) {
@@ -297,6 +291,32 @@ TEST(ShardedQueryTest, ZeroCardinalityQueriesAndRowsMatchScan) {
       ExpectIdentical(modes.engines[m]->QueryBatch(queries, 7).value(), want);
     }
   }
+}
+
+// A sharded store splits like any other: a 4-shard engine on a 3-thread
+// pool scans the pool's row chunks (ParallelFor makes 3 per thread),
+// each one timed as a partition, not one task per shard.
+TEST(ShardedQueryTest, FourShardEngineScansRowChunksOnThePool) {
+  Rng rng(9);
+  const std::size_t users = 1000;
+  const auto store = RandomStore(users, 1024, rng);
+  std::vector<Shf> queries;
+  for (std::size_t q = 0; q < 20; ++q) {
+    queries.push_back(store.Extract(static_cast<UserId>(rng.Below(users))));
+  }
+
+  ThreadPool pool(3);
+  obs::MetricRegistry registry;
+  obs::PipelineContext obs{.metrics = &registry};
+  constexpr std::size_t kShards = 4;
+  const ScanQueryEngine engine(Shard(store, kShards), &pool, &obs);
+  const auto got = engine.QueryBatch(queries, 10).value();
+
+  const obs::Histogram* scans =
+      registry.FindHistogram("query.shard.scan_micros");
+  ASSERT_NE(scans, nullptr);
+  EXPECT_GT(scans->count(), kShards);
+  ExpectIdentical(got, testing::PerPairScan(store, queries, 10));
 }
 
 TEST(ShardedQueryTest, SingleQueryMatchesBatch) {

@@ -16,6 +16,7 @@
 #include "knn/query.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_context.h"
+#include "testing/test_util.h"
 
 namespace gf {
 namespace {
@@ -73,9 +74,7 @@ TEST(SnapshotQueryTest, MatchesScanAcrossShardCountsOnFixedSource) {
   FixedSnapshotSource source(store);
 
   const std::vector<Shf> queries = RandomQueries(store, 12, rng);
-  const ScanQueryEngine scan(store);
-  auto expected = scan.QueryBatch(queries, 7);
-  ASSERT_TRUE(expected.ok());
+  const auto expected = testing::PerPairScan(store, queries, 7);
 
   for (std::size_t shards : {1u, 2u, 5u, 8u}) {
     SnapshotQueryEngine::Options options;
@@ -83,7 +82,7 @@ TEST(SnapshotQueryTest, MatchesScanAcrossShardCountsOnFixedSource) {
     SnapshotQueryEngine engine(&source, options);
     auto got = engine.QueryBatch(queries, 7);
     ASSERT_TRUE(got.ok()) << "shards=" << shards;
-    ExpectResultsIdentical(*expected, *got);
+    ExpectResultsIdentical(expected, *got);
   }
 }
 
@@ -110,10 +109,7 @@ TEST(SnapshotQueryTest, OneShardEngineSplitsRowsOnThePool) {
   ASSERT_NE(scans, nullptr);
   EXPECT_GT(scans->count(), 1u);
 
-  const ScanQueryEngine scan(store);
-  auto want = scan.QueryBatch(queries, 10);
-  ASSERT_TRUE(want.ok());
-  ExpectResultsIdentical(*want, *got);
+  ExpectResultsIdentical(testing::PerPairScan(store, queries, 10), *got);
 }
 
 TEST(SnapshotQueryTest, PinnedBatchNamesItsEpochAndStaysOnIt) {

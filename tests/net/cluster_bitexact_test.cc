@@ -1,6 +1,6 @@
 // The distributed-serving correctness property: the coordinator's
-// merged top-k is BIT-IDENTICAL to ScanQueryEngine::QueryBatch over the
-// union of the answering shards' rows — across store sizes, replica
+// merged top-k is BIT-IDENTICAL to per-pair ScanQueryEngine::Query over
+// the union of the answering shards' rows — across store sizes, replica
 // counts, k (including k > n), and injected failures. Doubles cross the
 // wire, floats appear only in the final Take, and the id tie-break
 // survives because shard carving preserves global id order.
@@ -17,6 +17,7 @@
 #include "net/net_test_util.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_context.h"
+#include "testing/test_util.h"
 
 namespace gf::net {
 namespace {
@@ -46,8 +47,7 @@ std::vector<std::vector<Neighbor>> UnionReference(
       FingerprintStore::FromRaw(full.config(), union_users, std::move(words),
                                 std::move(cards))
           .value();
-  ScanQueryEngine engine(store);
-  auto results = engine.QueryBatch(queries, k).value();
+  auto results = testing::PerPairScan(store, queries, k);
   for (auto& neighbors : results) {
     for (Neighbor& neighbor : neighbors) neighbor.id = to_global[neighbor.id];
   }
@@ -63,7 +63,6 @@ TEST(ClusterBitExactTest, FullQuorumMatrixMatchesSingleBoxScan) {
     const auto foreign = RandomStore(3, 128, rng);
     for (UserId u = 0; u < 3; ++u) queries.push_back(foreign.Extract(u));
 
-    ScanQueryEngine engine(store);
     for (const std::size_t shards : {1u, 2u, 3u, 4u}) {
       for (const std::size_t replicas : {1u, 2u, 3u, 5u}) {
         for (const std::size_t k :
@@ -74,9 +73,8 @@ TEST(ClusterBitExactTest, FullQuorumMatrixMatchesSingleBoxScan) {
           auto answer = coordinator.QueryBatch(queries, k);
           ASSERT_TRUE(answer.ok()) << answer.status().message();
           EXPECT_TRUE(answer->complete());
-          auto reference = engine.QueryBatch(queries, k);
-          ASSERT_TRUE(reference.ok());
-          EXPECT_TRUE(BitIdentical(answer->results, *reference))
+          EXPECT_TRUE(BitIdentical(answer->results,
+                                   testing::PerPairScan(store, queries, k)))
               << "users=" << users << " shards=" << shards
               << " replicas=" << replicas << " k=" << k;
         }
@@ -89,7 +87,6 @@ TEST(ClusterBitExactTest, SurvivingQuorumAfterPrimaryDeathsIsStillExact) {
   Rng rng(0x5EED);
   const auto store = RandomStore(48, 128, rng);
   const auto queries = FirstQueries(store, 5);
-  ScanQueryEngine engine(store);
 
   for (const std::size_t replicas : {2u, 3u, 5u}) {
     FakeClock clock;
@@ -109,9 +106,8 @@ TEST(ClusterBitExactTest, SurvivingQuorumAfterPrimaryDeathsIsStillExact) {
     ASSERT_TRUE(answer.ok());
     EXPECT_TRUE(answer->complete());
     EXPECT_EQ(registry.GetCounter("net.failovers")->value(), kShards);
-    auto reference = engine.QueryBatch(queries, 7);
-    ASSERT_TRUE(reference.ok());
-    EXPECT_TRUE(BitIdentical(answer->results, *reference))
+    EXPECT_TRUE(BitIdentical(answer->results,
+                             testing::PerPairScan(store, queries, 7)))
         << "replicas=" << replicas;
   }
 }

@@ -1,13 +1,21 @@
 // Shared helpers for the test suite: tiny hand-built datasets with
-// known similarity structure.
+// known similarity structure, and the reference answers of the serving
+// exactness tests.
 
 #ifndef GF_TESTS_TESTING_TEST_UTIL_H_
 #define GF_TESTS_TESTING_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "core/fingerprint_store.h"
+#include "core/shf.h"
 #include "dataset/dataset.h"
 #include "dataset/synthetic.h"
+#include "knn/query.h"
 
 namespace gf::testing {
 
@@ -30,6 +38,24 @@ inline Dataset SmallSynthetic(std::size_t users = 300, uint64_t seed = 7) {
   spec.num_communities = 8;
   spec.seed = seed;
   return GenerateZipfDataset(spec).value();
+}
+
+/// The reference answers of the serving exactness tests: per-pair
+/// ScanQueryEngine::Query over `store`, one query at a time. It runs
+/// neither the tile kernel nor the prune of the batched scan, so it
+/// shares only Eq. 4 and the top-k selector with the code under test.
+inline std::vector<std::vector<Neighbor>> PerPairScan(
+    const FingerprintStore& store, std::span<const Shf> queries,
+    std::size_t k) {
+  const ScanQueryEngine scan(store);
+  std::vector<std::vector<Neighbor>> answers;
+  for (const Shf& query : queries) {
+    auto answer = scan.Query(query, k);
+    EXPECT_TRUE(answer.ok()) << answer.status().message();
+    answers.push_back(answer.ok() ? std::move(answer).value()
+                                  : std::vector<Neighbor>{});
+  }
+  return answers;
 }
 
 }  // namespace gf::testing

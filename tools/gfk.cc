@@ -535,10 +535,16 @@ int CmdServe(const Flags& flags) {
         mapped->store().Extract(static_cast<UserId>(rng.Below(users))));
   }
   // The mapped file is an immutable epoch; the scan pins it through the
-  // snapshot seam like every other reader in the stack.
+  // snapshot seam like every other reader in the stack. Per-pair Query
+  // runs neither the tile kernel nor the prune that served batches run.
   const ScanQueryEngine scan(StoreSnapshot::Borrow(mapped->store()));
-  auto truth = scan.QueryBatch(queries, k);
-  if (!truth.ok()) return Fail(truth.status());
+  std::vector<std::vector<Neighbor>> truth;
+  truth.reserve(queries.size());
+  for (const Shf& query : queries) {
+    auto answer = scan.Query(query, k);
+    if (!answer.ok()) return Fail(answer.status());
+    truth.push_back(std::move(answer).value());
+  }
 
   QueryService::Options service_options;
   service_options.max_queue =
@@ -576,7 +582,7 @@ int CmdServe(const Flags& flags) {
           continue;
         }
         served.fetch_add(1, std::memory_order_relaxed);
-        const std::vector<Neighbor>& expected = (*truth)[q];
+        const std::vector<Neighbor>& expected = truth[q];
         bool exact = result->size() == expected.size();
         for (std::size_t i = 0; exact && i < expected.size(); ++i) {
           exact = (*result)[i].id == expected[i].id &&
