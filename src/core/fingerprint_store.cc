@@ -75,18 +75,10 @@ Result<FingerprintStore> FingerprintStore::Build(
   ParallelFor(pool, dataset.NumUsers(), [&](std::size_t begin,
                                             std::size_t end) {
     for (std::size_t u = begin; u < end; ++u) {
-      uint64_t* words = store.words_.data() + u * store.words_per_shf_;
-      uint32_t card = 0;
-      for (ItemId item : dataset.Profile(static_cast<UserId>(u))) {
-        for (std::size_t k = 0; k < config.hashes_per_item; ++k) {
-          const std::size_t pos = fingerprinter.BitFor(item, k);
-          if (!bits::TestBit(words, pos)) {
-            bits::SetBit(words, pos);
-            ++card;
-          }
-        }
-      }
-      store.cardinalities_[u] = card;
+      store.cardinalities_[u] = fingerprinter.FillRow(
+          dataset.Profile(static_cast<UserId>(u)),
+          {store.words_.data() + u * store.words_per_shf_,
+           store.words_per_shf_});
     }
   });
   if (obs != nullptr) {

@@ -1,5 +1,7 @@
 #include "core/fingerprinter.h"
 
+#include <algorithm>
+
 namespace gf {
 
 Result<Fingerprinter> Fingerprinter::Create(const FingerprintConfig& config) {
@@ -22,6 +24,22 @@ Shf Fingerprinter::Fingerprint(std::span<const ItemId> profile) const {
     }
   }
   return shf;
+}
+
+uint32_t Fingerprinter::FillRow(std::span<const ItemId> profile,
+                                std::span<uint64_t> row) const {
+  std::fill(row.begin(), row.end(), 0);
+  uint32_t card = 0;
+  for (ItemId item : profile) {
+    for (std::size_t k = 0; k < config_.hashes_per_item; ++k) {
+      const std::size_t pos = BitFor(item, k);
+      if (!bits::TestBit(row.data(), pos)) {
+        bits::SetBit(row.data(), pos);
+        ++card;
+      }
+    }
+  }
+  return card;
 }
 
 }  // namespace gf

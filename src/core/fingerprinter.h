@@ -46,6 +46,12 @@ class Fingerprinter {
   /// Fingerprints one profile.
   Shf Fingerprint(std::span<const ItemId> profile) const;
 
+  /// Overwrites `row` (WordsForBits(num_bits) words) with the bit array
+  /// of `profile` and returns its cardinality: the row fill of every
+  /// store arena, batch-built or stitched after ingest.
+  uint32_t FillRow(std::span<const ItemId> profile,
+                   std::span<uint64_t> row) const;
+
  private:
   explicit Fingerprinter(const FingerprintConfig& config) : config_(config) {}
 

@@ -3,24 +3,49 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <ranges>
 #include <utility>
 
 namespace gf {
 
-MutableFingerprintStore::MutableFingerprintStore(
-    const FingerprintConfig& config, std::size_t num_users,
-    CountingShf prototype)
-    : config_(config),
-      fingerprints_(num_users, prototype),
+namespace {
+
+// Re-fingerprints the rows of `users` over `words` / `cards` from
+// their profiles and adopts the arenas as a store: the one row fill
+// behind Materialize and Stitch.
+template <typename Users>
+FingerprintStore FillRows(const Fingerprinter& fingerprinter,
+                          const std::vector<std::vector<ItemId>>& profiles,
+                          std::vector<uint64_t> words,
+                          std::vector<uint32_t> cards, const Users& users) {
+  const FingerprintConfig& config = fingerprinter.config();
+  const std::size_t words_per_shf = bits::WordsForBits(config.num_bits);
+  for (const UserId u : users) {
+    cards[u] = fingerprinter.FillRow(
+        profiles[u], {words.data() + u * words_per_shf, words_per_shf});
+  }
+  auto store = FingerprintStore::FromRaw(config, profiles.size(),
+                                         std::move(words), std::move(cards));
+  // FillRow returns each row's popcount and the other rows come from a
+  // checked store, so FromRaw's integrity check cannot trip.
+  assert(store.ok());
+  if (!store.ok()) std::abort();
+  return std::move(store).value();
+}
+
+}  // namespace
+
+MutableFingerprintStore::MutableFingerprintStore(Fingerprinter fingerprinter,
+                                                 std::size_t num_users)
+    : fingerprinter_(std::move(fingerprinter)),
       profiles_(num_users),
       dirty_flags_(num_users, 0) {}
 
 Result<MutableFingerprintStore> MutableFingerprintStore::Create(
     const FingerprintConfig& config, std::size_t num_users) {
-  auto prototype = CountingShf::Create(config);
-  if (!prototype.ok()) return prototype.status();
-  return MutableFingerprintStore(config, num_users,
-                                 std::move(prototype).value());
+  auto fingerprinter = Fingerprinter::Create(config);
+  if (!fingerprinter.ok()) return fingerprinter.status();
+  return MutableFingerprintStore(std::move(fingerprinter).value(), num_users);
 }
 
 Result<MutableFingerprintStore> MutableFingerprintStore::FromDataset(
@@ -28,12 +53,9 @@ Result<MutableFingerprintStore> MutableFingerprintStore::FromDataset(
   auto store = Create(config, dataset.NumUsers());
   if (!store.ok()) return store.status();
   for (UserId u = 0; u < dataset.NumUsers(); ++u) {
-    for (ItemId item : dataset.Profile(u)) store->Add(u, item);
+    const std::span<const ItemId> profile = dataset.Profile(u);
+    store->profiles_[u].assign(profile.begin(), profile.end());
   }
-  // Seeding is the epoch-0 baseline, not pending churn: repair has
-  // nothing to do and applied_events() counts live traffic only.
-  store->TakeDirty();
-  store->applied_ = 0;
   return store;
 }
 
@@ -43,7 +65,6 @@ bool MutableFingerprintStore::Add(UserId user, ItemId item) {
   const auto it = std::lower_bound(profile.begin(), profile.end(), item);
   if (it != profile.end() && *it == item) return false;  // set discipline
   profile.insert(it, item);
-  fingerprints_[user].Add(item);
   if (!dirty_flags_[user]) {
     dirty_flags_[user] = 1;
     dirty_.push_back(user);
@@ -58,7 +79,6 @@ bool MutableFingerprintStore::Remove(UserId user, ItemId item) {
   const auto it = std::lower_bound(profile.begin(), profile.end(), item);
   if (it == profile.end() || *it != item) return false;
   profile.erase(it);
-  fingerprints_[user].Remove(item);
   if (!dirty_flags_[user]) {
     dirty_flags_[user] = 1;
     dirty_.push_back(user);
@@ -81,22 +101,22 @@ std::vector<UserId> MutableFingerprintStore::TakeDirty() {
 }
 
 FingerprintStore MutableFingerprintStore::Materialize() const {
-  const std::size_t words_per_shf = bits::WordsForBits(config_.num_bits);
-  std::vector<uint64_t> words(num_users() * words_per_shf);
-  std::vector<uint32_t> cards(num_users());
-  for (std::size_t u = 0; u < num_users(); ++u) {
-    const std::span<const uint64_t> live = fingerprints_[u].words();
-    std::copy(live.begin(), live.end(), words.begin() + u * words_per_shf);
-    cards[u] = fingerprints_[u].cardinality();
-  }
-  auto store =
-      FingerprintStore::FromRaw(config_, num_users(), std::move(words),
-                                std::move(cards));
-  // CountingShf maintains cardinality == popcount(words) by
-  // construction, so FromRaw's integrity check cannot trip.
-  assert(store.ok());
-  if (!store.ok()) std::abort();
-  return std::move(store).value();
+  return FillRows(fingerprinter_, profiles_,
+                  std::vector<uint64_t>(num_users() *
+                                        bits::WordsForBits(num_bits())),
+                  std::vector<uint32_t>(num_users()),
+                  std::views::iota(UserId{0},
+                                   static_cast<UserId>(num_users())));
+}
+
+FingerprintStore MutableFingerprintStore::Stitch(
+    const FingerprintStore& base, std::span<const UserId> users) const {
+  assert(base.num_users() == num_users() && base.num_bits() == num_bits());
+  const std::span<const uint64_t> words = base.WordsArena();
+  const std::span<const uint32_t> cards = base.Cardinalities();
+  return FillRows(fingerprinter_, profiles_,
+                  std::vector<uint64_t>(words.begin(), words.end()),
+                  std::vector<uint32_t>(cards.begin(), cards.end()), users);
 }
 
 VersionedStore::VersionedStore(MutableFingerprintStore write_side,
@@ -121,12 +141,17 @@ SnapshotPtr VersionedStore::MakeTracked(
 }
 
 VersionedStore::Staged VersionedStore::Stage() {
-  return Staged{epoch_.load(std::memory_order_relaxed) + 1,
-                write_side_.Materialize(), write_side_.TakeDirty()};
+  assert(!stage_open_ && "commit each Stage before the next");
+  stage_open_ = true;
+  std::vector<UserId> dirty = write_side_.TakeDirty();
+  FingerprintStore store = write_side_.Stitch(Acquire()->store(), dirty);
+  return Staged{epoch_.load(std::memory_order_relaxed) + 1, std::move(store),
+                std::move(dirty)};
 }
 
 SnapshotPtr VersionedStore::Commit(Staged staged,
                                    std::shared_ptr<const KnnGraph> graph) {
+  stage_open_ = false;
   SnapshotPtr snap =
       MakeTracked(std::move(staged.store), staged.epoch, std::move(graph));
   epoch_.store(staged.epoch, std::memory_order_release);

@@ -1,24 +1,31 @@
 // The write side of online ingestion (DESIGN.md §15).
 //
 // MutableFingerprintStore is the mutable mirror of FingerprintStore:
-// one CountingShf per user patched in place by rating add/remove
-// events, plus the exact item profile per user so the store enforces
-// set discipline (a duplicate add and a remove of an absent item are
-// rejected, not double-counted). Under that discipline the live bit
-// view of every user is bit-identical to fingerprinting their current
-// profile from scratch — the property the versioned_store property
-// test asserts over randomized event streams.
+// the exact sorted item profile of every user, edited by rating
+// add/remove events under set discipline (a duplicate add and a remove
+// of an absent item are rejected), plus the set of users touched since
+// the last publish. It keeps no bits: an SHF is a pure function of its
+// profile, so every epoch fingerprints its changed rows from scratch
+// and is bit-identical to FingerprintStore::Build over the same
+// ratings — the property the versioned_store property test asserts
+// over randomized event streams.
 //
 // VersionedStore pairs that write side with the snapshot seam: a
 // single-writer Apply stream mutates the write side, and Stage/Commit
 // publish immutable StoreSnapshot epochs that readers acquire without
 // waiting on the writer's work (a shared_ptr copy or swap under a
 // mutex held for nothing else — RCU by reference count). Publication
-// is copy-on-write at epoch granularity: each commit gathers the
-// touched users' live words into a fresh contiguous arena
-// (FingerprintStore kernels require row-major adjacency), the previous
-// epoch keeps serving until its last reader drops, and LiveSnapshots()
-// exposes how many epochs are still pinned.
+// is copy-on-write at epoch granularity: Stage copies the current
+// epoch's word and cardinality arenas into a fresh contiguous arena
+// (FingerprintStore kernels require row-major adjacency) and
+// re-fingerprints only the dirty users from their profiles. The
+// previous epoch keeps serving until its last reader drops, and
+// LiveSnapshots() exposes how many epochs are still pinned.
+//
+// Because a stage builds on the last committed epoch and drains the
+// dirty set, each Stage must be committed before the next one: a
+// staged epoch that is dropped, or staged over, loses its rows from
+// every later epoch. A debug assert checks the pairing.
 //
 // Threading contract: Apply/Stage/Commit/Publish are single-writer
 // (the IngestService worker); Acquire and LiveSnapshots are safe from
@@ -36,8 +43,8 @@
 
 #include "common/clock.h"
 #include "common/result.h"
-#include "core/counting_shf.h"
 #include "core/fingerprint_store.h"
+#include "core/fingerprinter.h"
 #include "core/store_snapshot.h"
 #include "dataset/dataset.h"
 
@@ -70,19 +77,19 @@ class MutableFingerprintStore {
   static Result<MutableFingerprintStore> Create(const FingerprintConfig& config,
                                                 std::size_t num_users);
 
-  /// Seeds the write side from a batch dataset: every profile is
-  /// replayed as adds, so the initial state equals the batch
-  /// fingerprinting of `dataset` bit for bit.
+  /// Seeds the write side with a copy of `dataset`'s profiles (sorted
+  /// and deduplicated by Dataset::FromProfiles), so Materialize()
+  /// equals the batch fingerprinting of `dataset` bit for bit. Seeding
+  /// is the epoch-0 baseline: no user is dirty and no event counts.
   static Result<MutableFingerprintStore> FromDataset(
       const Dataset& dataset, const FingerprintConfig& config);
 
-  std::size_t num_users() const { return fingerprints_.size(); }
-  std::size_t num_bits() const { return config_.num_bits; }
-  const FingerprintConfig& config() const { return config_; }
+  std::size_t num_users() const { return profiles_.size(); }
+  std::size_t num_bits() const { return config().num_bits; }
+  const FingerprintConfig& config() const { return fingerprinter_.config(); }
 
   /// Adds `item` to `user`'s profile. Returns false — and changes
-  /// nothing — when the user is out of range or already rates the item
-  /// (set discipline keeps the counters rebuild-identical).
+  /// nothing — when the user is out of range or already rates the item.
   bool Add(UserId user, ItemId item);
 
   /// Removes `item` from `user`'s profile; false when out of range or
@@ -96,12 +103,6 @@ class MutableFingerprintStore {
   std::span<const ItemId> ProfileOf(UserId user) const {
     return profiles_[user];
   }
-  uint32_t CardinalityOf(UserId user) const {
-    return fingerprints_[user].cardinality();
-  }
-  const CountingShf& FingerprintOf(UserId user) const {
-    return fingerprints_[user];
-  }
 
   /// Events that changed state (rejected no-ops excluded).
   uint64_t applied_events() const { return applied_; }
@@ -110,16 +111,21 @@ class MutableFingerprintStore {
   /// This is the changed_users input to incremental graph repair.
   std::vector<UserId> TakeDirty();
 
-  /// Gathers every user's live words + cardinality into a fresh
-  /// owning FingerprintStore — the publish-path copy.
+  /// Fingerprints every current profile into a fresh owning
+  /// FingerprintStore: epoch 0, and the from-scratch reference.
   FingerprintStore Materialize() const;
 
- private:
-  MutableFingerprintStore(const FingerprintConfig& config,
-                          std::size_t num_users, CountingShf prototype);
+  /// Copies `base`'s arenas and re-fingerprints the rows of `users`
+  /// from their current profiles: the publish-path stitch. Equals
+  /// Materialize() when every other row of `base` already matches its
+  /// profile. `base` must have num_users() rows under config().
+  FingerprintStore Stitch(const FingerprintStore& base,
+                          std::span<const UserId> users) const;
 
-  FingerprintConfig config_;
-  std::vector<CountingShf> fingerprints_;
+ private:
+  MutableFingerprintStore(Fingerprinter fingerprinter, std::size_t num_users);
+
+  Fingerprinter fingerprinter_;
   std::vector<std::vector<ItemId>> profiles_;  // sorted, the truth set
   std::vector<uint8_t> dirty_flags_;
   std::vector<UserId> dirty_;
@@ -150,8 +156,8 @@ class VersionedStore final : public SnapshotSource {
   const MutableFingerprintStore& write_side() const { return write_side_; }
   bool Apply(const RatingEvent& event) { return write_side_.Apply(event); }
 
-  /// An epoch under construction: the materialized store plus the
-  /// users whose neighborhoods need graph repair. Splitting staging
+  /// An epoch under construction: the stitched store plus the users
+  /// whose rows and neighborhoods changed. Splitting staging
   /// from commit lets the caller run RefreshKnnGraph against the
   /// staged store and publish store + repaired graph as one epoch.
   struct Staged {
@@ -160,8 +166,10 @@ class VersionedStore final : public SnapshotSource {
     std::vector<UserId> dirty;
   };
 
-  /// Materializes the write side as epoch `epoch()+1` and drains the
-  /// dirty set. Readers are unaffected until Commit.
+  /// Builds epoch `epoch()+1` from the current epoch by re-
+  /// fingerprinting the dirty users, and drains the dirty set. Readers
+  /// are unaffected until Commit, which must follow before the next
+  /// Stage (asserted in debug builds).
   Staged Stage();
 
   /// Publishes the staged epoch (with `graph` attached, possibly
@@ -188,6 +196,7 @@ class VersionedStore final : public SnapshotSource {
                           std::shared_ptr<const KnnGraph> graph);
 
   MutableFingerprintStore write_side_;
+  bool stage_open_ = false;  // a Stage awaits its Commit
   Clock* clock_;
   std::shared_ptr<std::atomic<int64_t>> live_;
   std::atomic<uint64_t> epoch_{0};

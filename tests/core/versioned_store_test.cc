@@ -1,6 +1,6 @@
 // The write path of online ingestion (DESIGN.md §15): set-disciplined
-// event application, rebuild-identity of materialized snapshots, and
-// the epoch/RCU lifecycle of VersionedStore.
+// event application, rebuild-identity of materialized and stitched
+// epochs, and the epoch/RCU lifecycle of VersionedStore.
 
 #include "core/versioned_store.h"
 
@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/random.h"
 #include "core/sharded_store.h"
+#include "core/shf.h"
 #include "core/store_snapshot.h"
 #include "knn/graph.h"
 
@@ -46,6 +48,15 @@ void ExpectStoresIdentical(const FingerprintStore& a,
   const auto cb = b.Cardinalities();
   ASSERT_EQ(ca.size(), cb.size());
   EXPECT_TRUE(std::equal(ca.begin(), ca.end(), cb.begin()));
+}
+
+TEST(MutableStoreTest, CreateValidatesConfig) {
+  EXPECT_FALSE(MutableFingerprintStore::Create(SmallConfig(0), 1).ok());
+  EXPECT_FALSE(MutableFingerprintStore::Create(SmallConfig(100), 1).ok());
+  EXPECT_TRUE(MutableFingerprintStore::Create(SmallConfig(64), 1).ok());
+  FingerprintConfig no_hash = SmallConfig();
+  no_hash.hashes_per_item = 0;
+  EXPECT_FALSE(MutableFingerprintStore::Create(no_hash, 1).ok());
 }
 
 TEST(MutableStoreTest, SetDisciplineRejectsDuplicatesAndAbsentRemoves) {
@@ -84,47 +95,57 @@ TEST(MutableStoreTest, FromDatasetMatchesBatchBuild) {
 }
 
 // The satellite property test: a randomized add/remove event stream
-// must leave the materialized snapshot bit-identical to a
-// FingerprintStore rebuilt from scratch over the same final ratings —
-// cardinalities included, zero-cardinality users included.
+// must leave every published epoch, and the materialized write side,
+// bit-identical to a FingerprintStore rebuilt from scratch over the
+// same ratings — cardinalities included, zero-cardinality users
+// included. Each checkpoint publishes through a VersionedStore, so
+// stitched epochs build on stitched epochs; checkpoints 13 events
+// apart leave most rows clean, carried over from the previous epoch.
+// The last seed hashes every item to three bits.
 TEST(MutableStoreTest, RandomEventStreamMatchesRebuildFromScratch) {
   constexpr std::size_t kUsers = 48;
   constexpr std::size_t kItems = 600;
   constexpr std::size_t kEvents = 3000;
-  for (uint64_t seed : {0x11AAu, 0x22BBu, 0x33CCu}) {
+  const std::pair<uint64_t, std::size_t> runs[] = {
+      {0x11AAu, 1}, {0x22BBu, 1}, {0x33CCu, 1}, {0x44DDu, 3}};
+  for (const auto& [seed, hashes_per_item] : runs) {
     Rng rng(seed);
-    const FingerprintConfig config = SmallConfig();
-    auto store = MutableFingerprintStore::Create(config, kUsers);
-    ASSERT_TRUE(store.ok());
+    FingerprintConfig config = SmallConfig();
+    config.hashes_per_item = hashes_per_item;
+    auto write = MutableFingerprintStore::Create(config, kUsers);
+    ASSERT_TRUE(write.ok());
+    VersionedStore versioned(std::move(write).value());
+    MutableFingerprintStore& store = versioned.write_side();
     std::vector<std::set<ItemId>> reference(kUsers);
 
     for (std::size_t e = 0; e < kEvents; ++e) {
       const auto user = static_cast<UserId>(rng.Below(kUsers));
       const auto item = static_cast<ItemId>(rng.Below(kItems));
       // Biased toward adds so profiles grow, with enough removes to
-      // exercise bit-clearing and collision counting.
+      // exercise bit-clearing and colliding items.
       if (rng.Bernoulli(0.65)) {
-        const bool accepted = store->Add(user, item);
+        const bool accepted = store.Add(user, item);
         EXPECT_EQ(accepted, reference[user].insert(item).second);
       } else {
-        const bool accepted = store->Remove(user, item);
+        const bool accepted = store.Remove(user, item);
         EXPECT_EQ(accepted, reference[user].erase(item) == 1);
       }
 
       // Check mid-stream too: every prefix state must be rebuildable,
       // not just the final one.
-      if (e % 977 == 0 || e + 1 == kEvents) {
+      if (e % 13 == 0 || e + 1 == kEvents) {
         auto dataset = DatasetFrom(reference, kItems);
         ASSERT_TRUE(dataset.ok());
         auto rebuilt = FingerprintStore::Build(*dataset, config);
         ASSERT_TRUE(rebuilt.ok());
-        ExpectStoresIdentical(store->Materialize(), *rebuilt);
+        ExpectStoresIdentical(versioned.Publish()->store(), *rebuilt);
+        ExpectStoresIdentical(store.Materialize(), *rebuilt);
       }
     }
 
     // Per-user profile agreement (the truth set behind the bits).
     for (UserId u = 0; u < kUsers; ++u) {
-      const auto profile = store->ProfileOf(u);
+      const auto profile = store.ProfileOf(u);
       ASSERT_EQ(profile.size(), reference[u].size());
       EXPECT_TRUE(std::equal(profile.begin(), profile.end(),
                              reference[u].begin()));
@@ -137,10 +158,10 @@ TEST(MutableStoreTest, DrainedUsersReachZeroCardinality) {
   ASSERT_TRUE(store.ok());
   const std::vector<ItemId> items = {3, 99, 250, 511};
   for (ItemId item : items) ASSERT_TRUE(store->Add(1, item));
-  EXPECT_GT(store->CardinalityOf(1), 0u);
+  EXPECT_GT(store->Materialize().CardinalityOf(1), 0u);
   for (ItemId item : items) ASSERT_TRUE(store->Remove(1, item));
-  EXPECT_EQ(store->CardinalityOf(1), 0u);
   const FingerprintStore materialized = store->Materialize();
+  EXPECT_EQ(materialized.CardinalityOf(1), 0u);
   for (uint64_t word : materialized.WordsOf(1)) EXPECT_EQ(word, 0u);
   // And the rebuilt store agrees: user 1 is empty there too.
   auto dataset = Dataset::FromProfiles(
@@ -152,6 +173,63 @@ TEST(MutableStoreTest, DrainedUsersReachZeroCardinality) {
   auto rebuilt = FingerprintStore::Build(*dataset, SmallConfig());
   ASSERT_TRUE(rebuilt.ok());
   ExpectStoresIdentical(store->Materialize(), *rebuilt);
+}
+
+// More than 255 of a user's items on one bit: the bit stays while any
+// of them is left and clears with the last, as a rebuild has it.
+// (Per-bit 8-bit counters saturated at 255 and left it set for good.)
+TEST(MutableStoreTest, BitSharedByManyItemsClearsWithThem) {
+  const FingerprintConfig config = SmallConfig(64);
+  auto fp = Fingerprinter::Create(config);
+  ASSERT_TRUE(fp.ok());
+  const std::size_t bit = fp->BitFor(0);
+  std::vector<ItemId> colliding;
+  std::vector<ItemId> others;
+  for (ItemId item = 0; item < 100000 && colliding.size() < 300; ++item) {
+    (fp->BitFor(item) == bit ? colliding : others).push_back(item);
+  }
+  ASSERT_EQ(colliding.size(), 300u);
+  const ItemId other = others.front();
+
+  auto write = MutableFingerprintStore::Create(config, 1);
+  ASSERT_TRUE(write.ok());
+  VersionedStore store(std::move(write).value());
+  for (ItemId item : colliding) {
+    ASSERT_TRUE(store.Apply(RatingEvent::Add(0, item)));
+  }
+  ASSERT_TRUE(store.Apply(RatingEvent::Add(0, other)));
+  EXPECT_EQ(store.Publish()->store().CardinalityOf(0), 2u);
+  for (std::size_t i = 1; i < colliding.size(); ++i) {
+    ASSERT_TRUE(store.Apply(RatingEvent::Remove(0, colliding[i])));
+  }
+  EXPECT_EQ(store.Publish()->store().CardinalityOf(0), 2u)
+      << "the bit must survive: colliding[0] still maps there";
+  ASSERT_TRUE(store.Apply(RatingEvent::Remove(0, colliding[0])));
+  const SnapshotPtr epoch = store.Publish();
+
+  auto dataset = Dataset::FromProfiles({{other}}, other + 1);
+  ASSERT_TRUE(dataset.ok());
+  auto rebuilt = FingerprintStore::Build(*dataset, config);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(epoch->store().CardinalityOf(0), 1u) << "a rebuild reads 1";
+  ExpectStoresIdentical(epoch->store(), *rebuilt);
+}
+
+TEST(MutableStoreTest, MultiHashAddRemoveConsistent) {
+  FingerprintConfig config = SmallConfig();
+  config.hashes_per_item = 3;
+  auto fp = Fingerprinter::Create(config);
+  ASSERT_TRUE(fp.ok());
+  auto write = MutableFingerprintStore::Create(config, 2);
+  ASSERT_TRUE(write.ok());
+  VersionedStore store(std::move(write).value());
+  ASSERT_TRUE(store.Apply(RatingEvent::Add(1, 11)));
+  const uint32_t card_one = store.Publish()->store().CardinalityOf(1);
+  EXPECT_GE(card_one, 1u);
+  EXPECT_LE(card_one, 3u);
+  EXPECT_EQ(card_one, fp->Fingerprint(std::vector<ItemId>{11}).cardinality());
+  ASSERT_TRUE(store.Apply(RatingEvent::Remove(1, 11)));
+  EXPECT_EQ(store.Publish()->store().CardinalityOf(1), 0u);
 }
 
 TEST(MutableStoreTest, TakeDirtyIsSortedDedupedAndClears) {
@@ -167,6 +245,87 @@ TEST(MutableStoreTest, TakeDirtyIsSortedDedupedAndClears) {
   EXPECT_TRUE(store->TakeDirty().empty());
   ASSERT_TRUE(store->Add(3, 4));
   EXPECT_EQ(store->TakeDirty(), (std::vector<UserId>{3}));
+}
+
+// One user's fingerprint under add and remove, read back as an Shf and
+// held against Fingerprinter::Fingerprint of the profile. The suite
+// keeps the name it had while a per-bit counting fingerprint
+// (CountingShf) held this state; the write side now refills the row
+// from the profile.
+TEST(CountingShfTest, AddSetsBitsLikeFingerprinter) {
+  const FingerprintConfig config = SmallConfig(512);
+  auto fp = Fingerprinter::Create(config);
+  ASSERT_TRUE(fp.ok());
+  auto write = MutableFingerprintStore::Create(config, 1);
+  ASSERT_TRUE(write.ok());
+  VersionedStore store(std::move(write).value());
+
+  const std::vector<ItemId> profile = {3, 17, 99, 1234, 777};
+  for (ItemId item : profile) {
+    ASSERT_TRUE(store.Apply(RatingEvent::Add(0, item)));
+  }
+  const Shf expected = fp->Fingerprint(profile);
+  const SnapshotPtr epoch = store.Publish();
+  EXPECT_EQ(epoch->store().Extract(0), expected);
+  EXPECT_EQ(epoch->store().CardinalityOf(0), expected.cardinality());
+  EXPECT_EQ(store.write_side().Materialize().Extract(0), expected);
+}
+
+TEST(CountingShfTest, AddRemoveRoundTrip) {
+  auto write = MutableFingerprintStore::Create(SmallConfig(), 1);
+  ASSERT_TRUE(write.ok());
+  VersionedStore store(std::move(write).value());
+  ASSERT_TRUE(store.Apply(RatingEvent::Add(0, 42)));
+  ASSERT_TRUE(store.Apply(RatingEvent::Add(0, 43)));
+  EXPECT_EQ(store.Publish()->store().CardinalityOf(0), 2u);
+  ASSERT_TRUE(store.Apply(RatingEvent::Remove(0, 42)));
+  EXPECT_EQ(store.Publish()->store().CardinalityOf(0), 1u);
+  ASSERT_TRUE(store.Apply(RatingEvent::Remove(0, 43)));
+  const SnapshotPtr epoch = store.Publish();
+  EXPECT_EQ(epoch->store().CardinalityOf(0), 0u);
+  EXPECT_EQ(epoch->store().Extract(0), *Shf::Create(256));
+}
+
+TEST(CountingShfTest, RemoveAbsentItemFailsGently) {
+  auto store = MutableFingerprintStore::Create(SmallConfig(), 1);
+  ASSERT_TRUE(store.ok());
+  EXPECT_FALSE(store->Remove(0, 42));
+  EXPECT_TRUE(store->TakeDirty().empty()) << "a rejected remove is no edit";
+  ASSERT_TRUE(store->Add(0, 42));
+  EXPECT_TRUE(store->Remove(0, 42));
+  EXPECT_FALSE(store->Remove(0, 42));
+  EXPECT_EQ(store->applied_events(), 2u);
+  EXPECT_EQ(store->Materialize().CardinalityOf(0), 0u);
+}
+
+// Random add/remove churn on one user: every published epoch's row must
+// equal a from-scratch fingerprint of the items the user rates then.
+TEST(CountingShfTest, DynamicUpdateTracksRebuiltFingerprint) {
+  const FingerprintConfig config = SmallConfig(256);
+  auto fp = Fingerprinter::Create(config);
+  ASSERT_TRUE(fp.ok());
+  auto write = MutableFingerprintStore::Create(config, 1);
+  ASSERT_TRUE(write.ok());
+  VersionedStore store(std::move(write).value());
+
+  Rng rng(5);
+  std::set<ItemId> reference;
+  for (int step = 0; step < 2000; ++step) {
+    const auto item = static_cast<ItemId>(rng.Below(200));
+    if (rng.Bernoulli(0.55)) {
+      EXPECT_EQ(store.Apply(RatingEvent::Add(0, item)),
+                reference.insert(item).second);
+    } else {
+      EXPECT_EQ(store.Apply(RatingEvent::Remove(0, item)),
+                reference.erase(item) == 1);
+    }
+    if (step % 100 == 99) {
+      const std::vector<ItemId> support(reference.begin(), reference.end());
+      EXPECT_EQ(store.Publish()->store().Extract(0),
+                fp->Fingerprint(support))
+          << "after step " << step;
+    }
+  }
 }
 
 TEST(VersionedStoreTest, PublishesEpochZeroAtConstruction) {
