@@ -14,38 +14,13 @@ namespace {
 static_assert(std::is_same_v<UserId, uint32_t>,
               "AndPopCountBatch consumes UserId spans directly");
 
-// Batch scoring runs through a fixed stack scratch of AND-popcounts so
-// arbitrarily large candidate lists allocate nothing. 256 counts = 1 KiB,
-// and at b=1024 256 fingerprints are 32 KiB — L1/L2 sized.
+// EstimateCosineBatch counts through a fixed stack scratch of
+// AND-popcounts so arbitrarily large candidate lists allocate nothing.
+// 256 counts = 1 KiB, and at b=1024 256 fingerprints are 32 KiB —
+// L1/L2 sized.
 constexpr std::size_t kScoreChunk = 256;
 
 }  // namespace
-
-template <typename CountsToSim>
-void FingerprintStore::ScoreBatchImpl(const uint64_t* query,
-                                      uint32_t query_card,
-                                      std::span<const UserId> candidates,
-                                      std::span<double> out,
-                                      CountsToSim&& to_sim) const {
-  uint32_t counts[kScoreChunk];
-  for (std::size_t done = 0; done < candidates.size(); done += kScoreChunk) {
-    const std::size_t m = std::min(kScoreChunk, candidates.size() - done);
-    bits::AndPopCountBatch(query, words_data_, words_per_shf_,
-                           candidates.data() + done, m, counts);
-    for (std::size_t i = 0; i < m; ++i) {
-      out[done + i] =
-          to_sim(query_card, cards_data_[candidates[done + i]], counts[i]);
-    }
-  }
-  CountLoads(candidates.size() * (2 * words_per_shf_ + 2));
-}
-
-void FingerprintStore::EstimateJaccardBatch(UserId u,
-                                            std::span<const UserId> candidates,
-                                            std::span<double> out) const {
-  ScoreBatchImpl(words_data_ + static_cast<std::size_t>(u) * words_per_shf_,
-                 cards_data_[u], candidates, out, &JaccardFromCounts);
-}
 
 void FingerprintStore::CountBatch(UserId u,
                                   std::span<const UserId> candidates,
@@ -59,8 +34,15 @@ void FingerprintStore::CountBatch(UserId u,
 void FingerprintStore::EstimateCosineBatch(UserId u,
                                            std::span<const UserId> candidates,
                                            std::span<double> out) const {
-  ScoreBatchImpl(words_data_ + static_cast<std::size_t>(u) * words_per_shf_,
-                 cards_data_[u], candidates, out, &CosineFromCounts);
+  uint32_t counts[kScoreChunk];
+  for (std::size_t done = 0; done < candidates.size(); done += kScoreChunk) {
+    const std::size_t m = std::min(kScoreChunk, candidates.size() - done);
+    CountBatch(u, candidates.subspan(done, m), counts);
+    for (std::size_t i = 0; i < m; ++i) {
+      out[done + i] = CosineFromCounts(
+          cards_data_[u], cards_data_[candidates[done + i]], counts[i]);
+    }
+  }
 }
 
 Result<FingerprintStore> FingerprintStore::Build(

@@ -113,24 +113,20 @@ class FingerprintStore {
     return JaccardFromCounts(cards_data_[a], cards_data_[b], inter);
   }
 
-  /// Eq. 4 estimator of `u` against a batch of candidates, through the
-  /// runtime-dispatched kernels of common/simd_popcount.h. Bit-exact
-  /// with calling EstimateJaccard(u, candidates[i]) pair by pair (the
-  /// kernels sum the same integer popcounts; only the throughput
-  /// differs), and counts the same modelled traffic per pair.
-  /// out[i] scores candidates[i]; out must hold candidates.size().
-  void EstimateJaccardBatch(UserId u, std::span<const UserId> candidates,
-                            std::span<double> out) const;
-
-  /// The integer parts of EstimateJaccardBatch: counts[i] =
-  /// popcount(u AND candidates[i]), so the estimate of that pair is
+  /// Eq. 4's integer parts for `u` against a batch of candidates,
+  /// through the runtime-dispatched kernels of common/simd_popcount.h:
+  /// counts[i] = popcount(u AND candidates[i]), so
   /// JaccardFromCounts(CardinalityOf(u), CardinalityOf(candidates[i]),
-  /// counts[i]). Same kernel and same modelled traffic per pair.
+  /// counts[i]) is bit-exact with EstimateJaccard(u, candidates[i]) (the
+  /// kernels sum the same integer popcounts; only the throughput
+  /// differs). Counts the same modelled traffic per pair.
   /// counts must hold candidates.size().
   void CountBatch(UserId u, std::span<const UserId> candidates,
                   std::span<uint32_t> counts) const;
 
-  /// Cosine analogue of EstimateJaccardBatch.
+  /// out[i] = EstimateCosine(u, candidates[i]), bit-exact, through
+  /// CountBatch's kernel and at its modelled traffic. out must hold
+  /// candidates.size().
   void EstimateCosineBatch(UserId u, std::span<const UserId> candidates,
                            std::span<double> out) const;
 
@@ -154,14 +150,6 @@ class FingerprintStore {
   }
 
  private:
-  // Shared body of the batch entry points (defined in the .cc,
-  // instantiated there for JaccardFromCounts / CosineFromCounts). The
-  // query is a stored user's raw (words, cardinality) pair.
-  template <typename CountsToSim>
-  void ScoreBatchImpl(const uint64_t* query, uint32_t query_card,
-                      std::span<const UserId> candidates,
-                      std::span<double> out, CountsToSim&& to_sim) const;
-
   FingerprintStore(const FingerprintConfig& config, std::size_t num_users)
       : config_(config),
         num_bits_(config.num_bits),

@@ -288,10 +288,7 @@ Result<KnnResult> BuildKnnGraph(const Dataset& dataset,
       }));
 
   if (ctx.HasMetrics()) {
-    // Publish, then re-derive: the registry is the source of truth for
-    // what the instrumented pipeline reports.
     PublishBuildStats(ctx.metrics, result.stats);
-    result.stats = BuildStatsFromRegistry(*ctx.metrics);
     if (pool != nullptr) {
       const double threads = static_cast<double>(pool->num_threads());
       const double elapsed_us = total.ElapsedSeconds() * 1e6;

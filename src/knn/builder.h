@@ -7,11 +7,9 @@
 //
 // The instrumented entry point takes an obs::PipelineContext: the
 // builder then runs preparation and construction under "knn.prepare" /
-// "knn.build" spans, publishes the build statistics into the context's
-// registry (knn/stats.h names) and re-derives the returned
-// KnnBuildStats from the registry — the registry is the source of
-// truth. The ThreadPool* overload is the uninstrumented path (a null
-// context; zero observability cost).
+// "knn.build" spans and publishes the build statistics it returns into
+// the context's registry (knn/stats.h names). The ThreadPool* overload
+// is the uninstrumented path (a null context; zero observability cost).
 
 #ifndef GF_KNN_BUILDER_H_
 #define GF_KNN_BUILDER_H_
@@ -117,8 +115,8 @@ struct KnnResult {
 /// Runs the configured pipeline through the observability context: the
 /// build uses ctx.pool, opens spans on ctx.tracer and publishes stats /
 /// gauges into ctx.metrics (all optional; every sink may be null). The
-/// registry is assumed fresh for this build — counters accumulate, so
-/// reuse across builds folds their numbers together.
+/// returned stats are this build's own; the registry's counters
+/// accumulate across the builds that share it.
 Result<KnnResult> BuildKnnGraph(const Dataset& dataset,
                                 const KnnPipelineConfig& config,
                                 const obs::PipelineContext& ctx);

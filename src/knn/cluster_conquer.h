@@ -25,8 +25,8 @@
 //      total-order top-k is associative and commutative: the merged
 //      graph is bit-identical for ANY cluster completion order — and
 //      therefore for any thread count. An optional short NNDescent
-//      refinement pass then polishes the merged graph (it inherits
-//      NNDescent's parallel nondeterminism; the default is off).
+//      refinement pass then polishes the merged graph (the default is
+//      off); it too builds the same graph on any pool.
 //
 // With balanced clusters the join work is ~t^2 n^2 / C similarity
 // evaluations instead of Hyrec's O(n k^2 iters) candidate scoring —
@@ -97,8 +97,7 @@ struct ClusterConquerConfig {
   /// next-densest candidate. 0 = automatic (2 t n / C, at least 64).
   std::size_t max_cluster_size = 0;
   ClusterConquerInner inner = ClusterConquerInner::kBruteForce;
-  /// NNDescent iterations over the merged graph (0 disables; > 0 makes
-  /// the result thread-count dependent, like NNDescent itself).
+  /// NNDescent iterations over the merged graph (0 disables).
   std::size_t refine_iterations = 0;
   /// Seed of the clustering sketch and the band hash functions.
   uint64_t seed = 0xC10C;
@@ -296,7 +295,7 @@ void BuildAndMergeCluster(const Provider& provider,
 
 /// Cluster-and-Conquer construction (see the file comment). The graph
 /// is bit-deterministic for a fixed configuration regardless of the
-/// pool's thread count while refine_iterations == 0. `checkpoint` as
+/// pool's thread count. `checkpoint` as
 /// in BuildCheckpointer::Open, under ClusterConquerTag(tag, config,
 /// greedy); `tag` names the provider's configuration.
 template <typename Provider>

@@ -27,8 +27,7 @@ NeighborLists::NeighborLists(std::size_t num_users, std::size_t k)
       k_(k),
       entries_(num_users * k),
       sizes_(num_users, 0),
-      worst_sims_(num_users, kNoFloor),
-      locks_(num_users) {}
+      worst_sims_(num_users, kNoFloor) {}
 
 bool NeighborLists::Insert(UserId u, UserId v, double sim) {
   const auto fsim = static_cast<float>(sim);
@@ -77,20 +76,6 @@ void NeighborLists::RestoreRow(UserId u, std::span<const Entry> entries) {
     }
   }
   worst_sims_[u] = floor;
-}
-
-bool NeighborLists::InsertLocked(UserId u, UserId v, double sim) {
-  std::atomic_flag& lock = locks_[u];
-  // TTAS: contended waiters spin on a plain read (line stays shared)
-  // and only retry the RMW once the holder clears the flag — a bare
-  // test_and_set loop ping-pongs the cache line between waiters.
-  while (lock.test_and_set(std::memory_order_acquire)) {
-    while (lock.test(std::memory_order_relaxed)) {
-    }
-  }
-  const bool changed = Insert(u, v, sim);
-  lock.clear(std::memory_order_release);
-  return changed;
 }
 
 KnnGraph NeighborLists::Finalize(ThreadPool* pool) const {

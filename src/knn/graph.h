@@ -6,7 +6,6 @@
 #define GF_KNN_GRAPH_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -76,9 +75,7 @@ class KnnGraph {
 /// Mutable bounded neighbor lists used while constructing a graph.
 /// Each user owns a fixed-capacity array of k entries; Insert() keeps
 /// the best k seen so far, rejecting duplicates. Thread-safety: callers
-/// either partition users (each thread writes only its own rows) or use
-/// the spinlocked InsertLocked() (NNDescent's local joins update
-/// arbitrary rows).
+/// partition users, so each row has one writer at a time.
 class NeighborLists {
  public:
   struct Entry {
@@ -114,9 +111,6 @@ class NeighborLists {
   /// the floor — the common case in the late iterations of the greedy
   /// algorithms — without scanning the row for duplicates.
   bool Insert(UserId u, UserId v, double sim);
-
-  /// Insert() under u's spinlock.
-  bool InsertLocked(UserId u, UserId v, double sim);
 
   /// The floor Insert tests offers against: Insert(u, v, sim) returns
   /// false, changing nothing, whenever float(sim) <= Floor(u). That is
@@ -158,13 +152,12 @@ class NeighborLists {
   std::vector<uint32_t> sizes_;                   // valid entries per user
   std::vector<float> worst_sims_;                 // per-row floor, kNoFloor
                                                   // until the row fills
-  std::vector<std::atomic_flag> locks_;           // per-user spinlocks
 };
 
 /// Which rows OfferCandidates offers a pair (u, v) to.
 enum class OfferRows {
   kOwn,   // u's row only (brute force, the random init, banded LSH, Hyrec)
-  kBoth,  // u's row, then v's (bisection leaves, the incremental repair)
+  kBoth,  // u's row, then v's (bisection leaves, the repair, NNDescent)
 };
 
 /// Per-thread scratch of OfferCandidates, reused across calls.
@@ -193,24 +186,27 @@ inline bool BelowFloor(uint32_t inter, uint32_t uni, float floor) {
              static_cast<double>(floor) * static_cast<double>(uni);
 }
 
-/// Scores u against `candidates` and offers the pairs in order:
-/// lists.Insert(u, v, sim) for each candidate v, then, with
-/// OfferRows::kBoth, lists.Insert(v, u, sim). Returns how many of
-/// those inserts changed a row; the rows and the count are those of
-/// that score-then-insert loop.
+/// Scores u against `candidates` and makes the offers in order:
+/// offer(u, v, sim) for each candidate v, then, with OfferRows::kBoth,
+/// offer(v, u, sim). `offer(row, id, sim)` returns whether it changed
+/// the row; the overload below passes lists.Insert. Returns how many
+/// offers changed a row. An offer is left out only when its row's
+/// floor refuses it, so with lists.Insert the rows and the count are
+/// those of the score-then-insert loop.
 ///
 /// A provider with counts (IntersectionCountProvider) takes the fused
 /// path: one CountBatch, then each pair is tested against the floor of
 /// the row it is offered to (BelowFloor) and only the survivors are
-/// divided and inserted. A skipped pair is one Insert would have
-/// rejected without a side effect, and only an Insert that changes u's
+/// divided and offered. A skipped pair is one Insert would have
+/// rejected without a side effect, and only an offer that changes u's
 /// row moves u's floor, so u's floor is re-read only after those. Every
-/// other provider scores all pairs first (ScoreCandidates).
-template <typename Provider>
+/// other provider scores all pairs first (ScoreCandidates) and tests
+/// each offer as Insert first does: float(sim) <= Floor(row).
+template <typename Provider, typename Offer>
 uint64_t OfferCandidates(const Provider& provider, UserId u,
                          std::span<const UserId> candidates,
-                         NeighborLists& lists, OfferScratch& scratch,
-                         OfferRows rows = OfferRows::kOwn) {
+                         const NeighborLists& lists, OfferScratch& scratch,
+                         OfferRows rows, Offer&& offer) {
   uint64_t updates = 0;
   if constexpr (IntersectionCountProvider<Provider>) {
     scratch.counts.resize(candidates.size());
@@ -227,23 +223,38 @@ uint64_t OfferCandidates(const Provider& provider, UserId u,
           rows == OfferRows::kBoth && !BelowFloor(inter, uni, lists.Floor(v));
       if (!to_u && !to_v) continue;
       const double sim = JaccardFromCounts(card_u, card_v, inter);
-      if (to_u && lists.Insert(u, v, sim)) {
+      if (to_u && offer(u, v, sim)) {
         ++updates;
         floor_u = lists.Floor(u);
       }
-      if (to_v) updates += lists.Insert(v, u, sim);
+      if (to_v) updates += offer(v, u, sim);
     }
   } else {
     scratch.sims.resize(candidates.size());
     ScoreCandidates(provider, u, candidates, scratch.sims);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      updates += lists.Insert(u, candidates[i], scratch.sims[i]);
-      if (rows == OfferRows::kBoth) {
-        updates += lists.Insert(candidates[i], u, scratch.sims[i]);
+      const UserId v = candidates[i];
+      const double sim = scratch.sims[i];
+      const auto fsim = static_cast<float>(sim);
+      if (!(fsim <= lists.Floor(u))) updates += offer(u, v, sim);
+      if (rows == OfferRows::kBoth && !(fsim <= lists.Floor(v))) {
+        updates += offer(v, u, sim);
       }
     }
   }
   return updates;
+}
+
+/// OfferCandidates with every offer inserted: lists.Insert(row, id, sim).
+template <typename Provider>
+uint64_t OfferCandidates(const Provider& provider, UserId u,
+                         std::span<const UserId> candidates,
+                         NeighborLists& lists, OfferScratch& scratch,
+                         OfferRows rows = OfferRows::kOwn) {
+  return OfferCandidates(provider, u, candidates, lists, scratch, rows,
+                         [&lists](UserId row, UserId id, double sim) {
+                           return lists.Insert(row, id, sim);
+                         });
 }
 
 template <typename Provider>

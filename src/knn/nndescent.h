@@ -13,9 +13,26 @@
 // on: the lists (including the is_new flags) and the sampling RNG, so
 // restoring it replays the exact remaining iterations.
 //
-// The local joins update arbitrary rows through InsertLocked, so the
-// result is only deterministic single-threaded: pass a nullptr pool
-// when bitwise reproducibility (or resume identity) matters.
+// A join offers a pair to both of its users' rows, which other joins
+// offer to as well. So a step's local joins (phase 3) run one block of
+// kNNDescentBlockUsers users at a time, in two passes on the pool:
+//  1. Score: each join offers its pairs through OfferCandidates
+//     (OfferRows::kBoth) against the rows as they stand at the block's
+//     start, and keeps an offer only if the sequential step could
+//     accept it. No row is written. Within a step a row never shrinks
+//     and a full row's floor never falls, so two kinds of offer are
+//     refused later too, and are dropped:
+//     - one at or below its row's floor (OfferCandidates' own test);
+//     - one whose row holds its id with the same float score. Either
+//       the id is still there (a duplicate), or it left as the row's
+//       worst entry and the floor has been at or above that score
+//       since. Comparing the score keeps this exact for any provider.
+//  2. Apply: each task owns a range of rows and inserts the kept
+//     offers into them in the order the sequential step makes them
+//     (u, then p, then partner, then p's row before the partner's).
+// Phases 1-2 draw from one Rng in user order. So any pool builds the
+// sequential graph, with the same updates per iteration and similarity
+// count, and a resumed build the uninterrupted one.
 
 #ifndef GF_KNN_NNDESCENT_H_
 #define GF_KNN_NNDESCENT_H_
@@ -30,7 +47,6 @@
 #include "knn/checkpoint.h"
 #include "knn/graph.h"
 #include "knn/greedy_config.h"
-#include "knn/provider_concepts.h"
 #include "knn/stats.h"
 #include "obs/pipeline_context.h"
 
@@ -56,6 +72,18 @@ struct NNDescentState {
         new_fwd(num_users),
         old_rev(num_users),
         new_rev(num_users) {}
+};
+
+/// Users whose local joins an NNDescentStep scores between two applies.
+/// The floors its filter reads are at most one block stale, and the
+/// kept offers are one block's.
+inline constexpr std::size_t kNNDescentBlockUsers = 1024;
+
+/// An offer a local join keeps for NeighborLists::Insert(row, id, sim).
+struct JoinOffer {
+  UserId row;
+  UserId id;
+  float sim;
 };
 
 /// Random-graph initialization (iteration 0), scored on `pool`.
@@ -135,63 +163,82 @@ bool NNDescentStep(const Provider& provider, const GreedyConfig& config,
     }
   }
 
-  // Phase 3: local joins (parallel; lists updated under per-user
-  // spinlocks since a join touches arbitrary rows).
+  // Phase 3: local joins, block by block (see the file comment).
+  const std::size_t block_users = std::min(n, kNNDescentBlockUsers);
+  std::vector<std::vector<JoinOffer>> kept(block_users);
+  const std::size_t tasks = pool != nullptr ? pool->num_threads() : 1;
   std::atomic<uint64_t> updates{0};
   std::atomic<uint64_t> computations{0};
-  ParallelFor(pool, n, [&](std::size_t begin, std::size_t end) {
-    std::vector<UserId> join_new, join_old;
-    std::vector<UserId> partners;
-    std::vector<double> sims;
-    for (std::size_t uu = begin; uu < end; ++uu) {
-      const auto u = static_cast<UserId>(uu);
-      join_new = new_fwd[u];
-      join_new.insert(join_new.end(), new_rev[u].begin(),
-                      new_rev[u].end());
-      std::sort(join_new.begin(), join_new.end());
-      join_new.erase(std::unique(join_new.begin(), join_new.end()),
-                     join_new.end());
-      join_old = old_fwd[u];
-      join_old.insert(join_old.end(), old_rev[u].begin(),
-                      old_rev[u].end());
-      std::sort(join_old.begin(), join_old.end());
-      join_old.erase(std::unique(join_old.begin(), join_old.end()),
-                     join_old.end());
-
-      uint64_t local_updates = 0;
+  for (std::size_t block = 0; block < n; block += block_users) {
+    const std::size_t block_end = std::min(n, block + block_users);
+    // One task per pool thread, each claiming the block's users one at
+    // a time: join sizes vary from user to user, and fixed chunks of a
+    // block left threads idle at its end.
+    std::atomic<std::size_t> next_user{block};
+    ParallelFor(pool, tasks, [&](std::size_t, std::size_t) {
+      std::vector<UserId> join_new, join_old, partners;
+      OfferScratch scratch;
       uint64_t local_computations = 0;
-      auto commit = [&](UserId p, UserId q, double sim) {
-        if (lists.InsertLocked(p, q, sim)) ++local_updates;
-        if (lists.InsertLocked(q, p, sim)) ++local_updates;
-      };
-      for (std::size_t i = 0; i < join_new.size(); ++i) {
-        const UserId p = join_new[i];
-        // p's join partners: new x new as each unordered pair once
-        // (ordering on ids), plus new x old.
-        partners.clear();
-        for (std::size_t j = i + 1; j < join_new.size(); ++j) {
-          partners.push_back(join_new[j]);
+      for (std::size_t u;
+           (u = next_user.fetch_add(1, std::memory_order_relaxed)) <
+           block_end;) {
+        const std::size_t i = u - block;
+        join_new = new_fwd[u];
+        join_new.insert(join_new.end(), new_rev[u].begin(),
+                        new_rev[u].end());
+        std::sort(join_new.begin(), join_new.end());
+        join_new.erase(std::unique(join_new.begin(), join_new.end()),
+                       join_new.end());
+        join_old = old_fwd[u];
+        join_old.insert(join_old.end(), old_rev[u].begin(),
+                        old_rev[u].end());
+        std::sort(join_old.begin(), join_old.end());
+        join_old.erase(std::unique(join_old.begin(), join_old.end()),
+                       join_old.end());
+
+        std::vector<JoinOffer>& offers = kept[i];
+        offers.clear();
+        const auto keep = [&](UserId row, UserId id, double sim) {
+          const auto fsim = static_cast<float>(sim);
+          for (const NeighborLists::Entry& held : lists.Of(row)) {
+            if (held.id == id && held.similarity == fsim) return false;
+          }
+          offers.push_back({row, id, fsim});
+          return false;
+        };
+        for (std::size_t j = 0; j < join_new.size(); ++j) {
+          const UserId p = join_new[j];
+          // p's join partners: new x new as each unordered pair once
+          // (ordering on ids), plus new x old.
+          partners.assign(join_new.begin() + static_cast<long>(j) + 1,
+                          join_new.end());
+          for (UserId q : join_old) {
+            if (q != p) partners.push_back(q);
+          }
+          local_computations += partners.size();
+          if (join_sizes != nullptr) {
+            join_sizes->Observe(static_cast<double>(partners.size()));
+          }
+          OfferCandidates(provider, p, partners, lists, scratch,
+                          OfferRows::kBoth, keep);
         }
-        for (UserId q : join_old) {
-          if (q != p) partners.push_back(q);
-        }
-        local_computations += partners.size();
-        if (join_sizes != nullptr) {
-          join_sizes->Observe(static_cast<double>(partners.size()));
-        }
-        // Score every partner (one ScoreBatch call when the provider
-        // has one), then commit the two-sided inserts in partner order.
-        sims.resize(partners.size());
-        ScoreCandidates(provider, p, partners, sims);
-        for (std::size_t j = 0; j < partners.size(); ++j) {
-          commit(p, partners[j], sims[j]);
+      }
+      computations.fetch_add(local_computations, std::memory_order_relaxed);
+    });
+    ParallelFor(pool, tasks, [&](std::size_t first, std::size_t last) {
+      const std::size_t rows_begin = first * n / tasks;
+      const std::size_t rows_end = last * n / tasks;
+      uint64_t local_updates = 0;
+      for (std::size_t i = 0; i < block_end - block; ++i) {
+        for (const JoinOffer& offer : kept[i]) {
+          if (offer.row >= rows_begin && offer.row < rows_end) {
+            local_updates += lists.Insert(offer.row, offer.id, offer.sim);
+          }
         }
       }
       updates.fetch_add(local_updates, std::memory_order_relaxed);
-      computations.fetch_add(local_computations,
-                             std::memory_order_relaxed);
-    }
-  });
+    });
+  }
 
   state.computations += computations.load();
   state.updates_per_iteration.push_back(updates.load());

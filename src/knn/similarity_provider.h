@@ -8,12 +8,12 @@
 // A provider P must expose:
 //   std::size_t num_users() const;
 //   double operator()(UserId a, UserId b) const;
-// and may additionally expose the batch interface of
-// knn/provider_concepts.h (ScoreBatch); the fingerprint providers do,
-// routing through FingerprintStore's SIMD-dispatched gather kernel,
-// and the KNN algorithms then score candidate batches in one call
-// instead of one pair at a time. The Jaccard one also exposes the
-// integer counts behind its scores (CountBatch / Cardinality).
+// and may additionally expose a batch interface of
+// knn/provider_concepts.h; the fingerprint providers do, routing
+// through FingerprintStore's SIMD-dispatched gather kernel, and the KNN
+// algorithms then score candidate batches in one call instead of one
+// pair at a time. The Jaccard one exposes the integer counts behind its
+// scores (CountBatch / Cardinality), the cosine one ScoreBatch.
 
 #ifndef GF_KNN_SIMILARITY_PROVIDER_H_
 #define GF_KNN_SIMILARITY_PROVIDER_H_
@@ -69,10 +69,6 @@ class GoldFingerProvider {
   std::size_t num_users() const { return store_->num_users(); }
   double operator()(UserId a, UserId b) const {
     return store_->EstimateJaccard(a, b);
-  }
-  void ScoreBatch(UserId u, std::span<const UserId> candidates,
-                  std::span<double> out) const {
-    store_->EstimateJaccardBatch(u, candidates, out);
   }
   void CountBatch(UserId u, std::span<const UserId> candidates,
                   std::span<uint32_t> counts) const {

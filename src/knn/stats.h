@@ -2,15 +2,12 @@
 // similarity computations (→ Figure 12's scan rate), iterations and
 // per-iteration updates (→ the δ-termination diagnostics).
 //
-// Since the observability refactor (DESIGN.md §10) the metrics registry
-// is the source of truth: the instrumented pipeline engine
-// (knn/builder.h) publishes every build's numbers into its
-// PipelineContext registry via PublishBuildStats() and re-derives the
-// KnnBuildStats it returns through BuildStatsFromRegistry() — so the
-// struct below is a *view* of the registry, kept because every test,
-// bench and example queries construction results through it. Without a
-// metrics sink the algorithms fill the struct directly from their local
-// tallies (same numbers, no registry round-trip).
+// Every construction fills the struct from its local tallies. The
+// instrumented pipeline engine (knn/builder.h, DESIGN.md §10) returns
+// that struct as it is and also publishes it into its PipelineContext
+// registry through PublishBuildStats(), so a registry that outlives
+// one build accumulates, while each build's returned stats stay its
+// own.
 
 #ifndef GF_KNN_STATS_H_
 #define GF_KNN_STATS_H_
@@ -68,12 +65,10 @@ inline constexpr std::string_view kStatSimilarityComputations =
     "knn.similarity_computations";
 inline constexpr std::string_view kStatIterations = "knn.iterations";
 inline constexpr std::string_view kStatBuildSeconds = "knn.build_seconds";
-inline constexpr std::string_view kStatIterationUpdatesPrefix =
-    "knn.iteration_updates.";
 
 /// Publishes `stats` into `registry` under the names above. Counters
-/// are set by delta (registry counters are monotonic), so publish once
-/// per build into a fresh-or-reset registry slice.
+/// are added to (registry counters are monotonic), so a registry that
+/// several builds publish into holds their sums.
 inline void PublishBuildStats(obs::MetricRegistry* registry,
                               const KnnBuildStats& stats) {
   if (registry == nullptr) return;
@@ -86,29 +81,6 @@ inline void PublishBuildStats(obs::MetricRegistry* registry,
     std::snprintf(name, sizeof(name), "knn.iteration_updates.%03zu", i);
     registry->GetCounter(name)->Add(stats.updates_per_iteration[i]);
   }
-}
-
-/// Reconstructs the stats view from a registry the engine published
-/// into — the numbers the caller sees ARE the registry's.
-inline KnnBuildStats BuildStatsFromRegistry(
-    const obs::MetricRegistry& registry) {
-  KnnBuildStats stats;
-  if (const obs::Counter* c =
-          registry.FindCounter(kStatSimilarityComputations)) {
-    stats.similarity_computations = c->value();
-  }
-  if (const obs::Counter* c = registry.FindCounter(kStatIterations)) {
-    stats.iterations = static_cast<std::size_t>(c->value());
-  }
-  if (const obs::Gauge* g = registry.FindGauge(kStatBuildSeconds)) {
-    stats.seconds = g->value();
-  }
-  for (const auto& [name, value] : registry.CounterEntries()) {
-    if (name.rfind(kStatIterationUpdatesPrefix, 0) == 0) {
-      stats.updates_per_iteration.push_back(value);  // name-sorted order
-    }
-  }
-  return stats;
 }
 
 }  // namespace gf

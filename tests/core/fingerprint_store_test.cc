@@ -105,8 +105,9 @@ TEST(FingerprintStoreTest, ModelledAccessesAreCounted) {
 TEST(FingerprintStoreTest, BatchEstimatesEqualPerPairForAllPairs) {
   // Bit-exact equality (not just closeness) between the batched SIMD
   // path and the per-pair scalar path, over every pair of a synthetic
-  // dataset and at several fingerprint lengths. 300 users also makes
-  // the candidate list longer than the 256-entry kernel chunk.
+  // dataset and at several fingerprint lengths: Eq. 4 from CountBatch's
+  // counts, and the cosine batch. 300 users also makes the candidate
+  // list longer than the cosine batch's 256-entry chunk.
   const Dataset d = testing::SmallSynthetic(300);
   for (std::size_t bits : {64ul, 192ul, 1024ul}) {
     auto store = FingerprintStore::Build(d, Config(bits));
@@ -114,12 +115,15 @@ TEST(FingerprintStoreTest, BatchEstimatesEqualPerPairForAllPairs) {
     const std::size_t n = store->num_users();
     std::vector<UserId> all(n);
     for (UserId v = 0; v < n; ++v) all[v] = v;
-    std::vector<double> jac(n), cos(n);
+    std::vector<uint32_t> counts(n);
+    std::vector<double> cos(n);
     for (UserId u = 0; u < n; ++u) {
-      store->EstimateJaccardBatch(u, all, jac);
+      store->CountBatch(u, all, counts);
       store->EstimateCosineBatch(u, all, cos);
       for (UserId v = 0; v < n; ++v) {
-        ASSERT_EQ(jac[v], store->EstimateJaccard(u, v))
+        ASSERT_EQ(JaccardFromCounts(store->CardinalityOf(u),
+                                    store->CardinalityOf(v), counts[v]),
+                  store->EstimateJaccard(u, v))
             << "b=" << bits << " pair (" << u << "," << v << ")";
         ASSERT_EQ(cos[v], store->EstimateCosine(u, v))
             << "b=" << bits << " pair (" << u << "," << v << ")";
@@ -133,42 +137,48 @@ TEST(FingerprintStoreTest, BatchCountsSameModelledTrafficAsPerPair) {
   auto store = FingerprintStore::Build(d, Config(1024));
   ASSERT_TRUE(store.ok());
   const std::vector<UserId> candidates = {1, 2, 3};
+  std::vector<uint32_t> counts(candidates.size());
   std::vector<double> out(candidates.size());
   AccessCounter::Instance().Reset();
   AccessCounter::Enable(true);
-  store->EstimateJaccardBatch(0, candidates, out);
+  store->CountBatch(0, candidates, counts);
   AccessCounter::Enable(false);
   // Same 2 * words + 2 model per pair as EstimateJaccard.
   EXPECT_EQ(AccessCounter::Instance().loads(), 3u * 34u);
   AccessCounter::Instance().Reset();
+  AccessCounter::Enable(true);
+  store->EstimateCosineBatch(0, candidates, out);
+  AccessCounter::Enable(false);
+  EXPECT_EQ(AccessCounter::Instance().loads(), 3u * 34u);
+  AccessCounter::Instance().Reset();
 }
 
-// CountBatch is the integer half of EstimateJaccardBatch: the counts
-// rebuild its estimates exactly, at the same modelled traffic.
+// CountBatch's counts rebuild the per-pair estimates exactly: Eq. 4
+// through JaccardFromCounts, and the cosine batch through
+// CosineFromCounts.
 TEST(FingerprintStoreTest, CountBatchRebuildsBatchEstimates) {
   const Dataset d = testing::SmallSynthetic(60);
   auto store = FingerprintStore::Build(d, Config(1024));
   ASSERT_TRUE(store.ok());
   std::vector<UserId> candidates;
   for (UserId v = 0; v < d.NumUsers(); v += 3) candidates.push_back(v);
-  std::vector<double> sims(candidates.size());
+  std::vector<double> cos(candidates.size());
   std::vector<uint32_t> counts(candidates.size());
   for (const UserId u : {UserId{0}, UserId{17}, UserId{59}}) {
-    store->EstimateJaccardBatch(u, candidates, sims);
-    AccessCounter::Instance().Reset();
-    AccessCounter::Enable(true);
     store->CountBatch(u, candidates, counts);
-    AccessCounter::Enable(false);
-    EXPECT_EQ(AccessCounter::Instance().loads(), candidates.size() * 34u);
+    store->EstimateCosineBatch(u, candidates, cos);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const UserId v = candidates[i];
       EXPECT_EQ(JaccardFromCounts(store->CardinalityOf(u),
-                                  store->CardinalityOf(candidates[i]),
-                                  counts[i]),
-                sims[i])
-          << "pair " << u << "," << candidates[i];
+                                  store->CardinalityOf(v), counts[i]),
+                store->EstimateJaccard(u, v))
+          << "pair " << u << "," << v;
+      EXPECT_EQ(CosineFromCounts(store->CardinalityOf(u),
+                                 store->CardinalityOf(v), counts[i]),
+                cos[i])
+          << "pair " << u << "," << v;
     }
   }
-  AccessCounter::Instance().Reset();
 }
 
 // Build's arena, and the arena an owning copy makes, start on a cache

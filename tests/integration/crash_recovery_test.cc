@@ -1,16 +1,16 @@
 // Crash-recovery end to end: kill a build with a checkpoint directory
 // at every scripted fault point, resume it, and require the final graph
 // to be edge-for-edge identical — same neighbor ids, same similarities,
-// same tie-breaks — to an uninterrupted build without one. All builds
-// run single-threaded (pool = nullptr): NNDescent's cross-row
-// InsertLocked updates make its result thread-schedule-dependent, and
-// bitwise identity is exactly what this suite asserts.
+// same tie-breaks — to an uninterrupted build without one. NNDescent's
+// crashed and resumed builds run on a pool against a baseline built
+// without one.
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <string>
 
+#include "common/thread_pool.h"
 #include "io/env.h"
 #include "io/fault_env.h"
 #include "knn/brute_force.h"
@@ -45,22 +45,7 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-void ExpectGraphsIdentical(const KnnGraph& a, const KnnGraph& b,
-                           const std::string& context) {
-  ASSERT_EQ(a.NumUsers(), b.NumUsers()) << context;
-  ASSERT_EQ(a.k(), b.k()) << context;
-  for (UserId u = 0; u < a.NumUsers(); ++u) {
-    const auto na = a.NeighborsOf(u);
-    const auto nb = b.NeighborsOf(u);
-    ASSERT_EQ(na.size(), nb.size()) << context << ", user " << u;
-    for (std::size_t i = 0; i < na.size(); ++i) {
-      ASSERT_EQ(na[i].id, nb[i].id)
-          << context << ", user " << u << ", rank " << i;
-      ASSERT_EQ(na[i].similarity, nb[i].similarity)
-          << context << ", user " << u << ", rank " << i;
-    }
-  }
-}
+using testing::ExpectGraphsIdentical;
 
 /// One resumable-build scenario: `run(config)` executes the build
 /// against whatever Env the config carries and returns its result.
@@ -161,8 +146,9 @@ TEST(CrashRecoveryTest, NNDescent) {
   greedy.max_iterations = 6;
   greedy.seed = 17;
   const KnnGraph baseline = NNDescentKnn(provider, greedy).value();
+  ThreadPool pool(4);
   RunCrashMatrix("nndescent", baseline, [&](const CheckpointConfig& config) {
-    return NNDescentKnn(provider, greedy, nullptr, nullptr, nullptr, config);
+    return NNDescentKnn(provider, greedy, &pool, nullptr, nullptr, config);
   });
 }
 

@@ -101,6 +101,39 @@ TEST(BuildDigestTest, NNDescent) {
                {0x50bcf779b2e3e0b9ULL, 47519, 4}, "nndescent");
 }
 
+KnnPipelineConfig GoldFinger(KnnPipelineConfig config) {
+  config.mode = SimilarityMode::kGoldFinger;
+  return config;
+}
+
+TEST(BuildDigestTest, GoldFingerNNDescent) {
+  ExpectPinned(GoldFinger(Base(KnnAlgorithm::kNNDescent)),
+               {0x31e191664ef3c4e1ULL, 48051, 5}, "nndescent golfi");
+}
+
+// NNDescent's joins score against the rows as a block starts and each
+// row is written by one task, in the sequential order, so a pool of any
+// size reproduces the sequential pins above.
+TEST(BuildDigestTest, NNDescentOnPools) {
+  for (const std::size_t threads : {2, 3, 4, 8}) {
+    ThreadPool pool(threads);
+    const std::string label = " on " + std::to_string(threads) + " threads";
+    ExpectPinned(Base(KnnAlgorithm::kNNDescent),
+                 {0x50bcf779b2e3e0b9ULL, 47519, 4}, "nndescent" + label,
+                 &pool);
+    ExpectPinned(GoldFinger(Base(KnnAlgorithm::kNNDescent)),
+                 {0x31e191664ef3c4e1ULL, 48051, 5}, "nndescent golfi" + label,
+                 &pool);
+  }
+}
+
+KnnPipelineConfig Refined(KnnPipelineConfig config) {
+  config.cluster_conquer.refine_iterations = 1;
+  return config;
+}
+
+// With one NNDescent refinement pass (bench_cluster_conquer's default)
+// C&C still builds the sequential graph on any pool.
 TEST(BuildDigestTest, ClusterConquer) {
   ExpectPinned(Base(KnnAlgorithm::kClusterConquer),
                {0xbb8ce56d37bfebf1ULL, 61940, 1}, "cluster-conquer");
@@ -108,6 +141,18 @@ TEST(BuildDigestTest, ClusterConquer) {
   hyrec.cluster_conquer.inner = ClusterConquerInner::kHyrec;
   ExpectPinned(hyrec, {0xc892c69a697b0a16ULL, 46421, 1},
                "cluster-conquer hyrec");
+  const KnnPipelineConfig refined = Refined(Base(KnnAlgorithm::kClusterConquer));
+  const Pinned native = {0xc55e1bb2e58bcfdaULL, 72873, 2};
+  const Pinned golfi = {0x55d655a82bc17beeULL, 73336, 2};
+  ExpectPinned(refined, native, "cluster-conquer refined");
+  ExpectPinned(GoldFinger(refined), golfi, "cluster-conquer golfi refined");
+  for (const std::size_t threads : {2, 3, 4, 8}) {
+    ThreadPool pool(threads);
+    const std::string label = " on " + std::to_string(threads) + " threads";
+    ExpectPinned(refined, native, "cluster-conquer refined" + label, &pool);
+    ExpectPinned(GoldFinger(refined), golfi,
+                 "cluster-conquer golfi refined" + label, &pool);
+  }
 }
 
 TEST(BuildDigestTest, Lsh) {
@@ -136,11 +181,6 @@ TEST(BuildDigestTest, Lsh) {
 TEST(BuildDigestTest, BandedLsh) {
   ExpectPinned(Base(KnnAlgorithm::kBandedLsh),
                {0xa92338314c75a471ULL, 4838, 1}, "banded lsh");
-}
-
-KnnPipelineConfig GoldFinger(KnnPipelineConfig config) {
-  config.mode = SimilarityMode::kGoldFinger;
-  return config;
 }
 
 KnnPipelineConfig HyrecInner(KnnPipelineConfig config) {

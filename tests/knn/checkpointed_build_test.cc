@@ -10,6 +10,7 @@
 
 #include <string>
 
+#include "common/thread_pool.h"
 #include "io/env.h"
 #include "io/fault_env.h"
 #include "knn/brute_force.h"
@@ -39,20 +40,7 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-void ExpectGraphsIdentical(const KnnGraph& a, const KnnGraph& b) {
-  ASSERT_EQ(a.NumUsers(), b.NumUsers());
-  ASSERT_EQ(a.k(), b.k());
-  for (UserId u = 0; u < a.NumUsers(); ++u) {
-    const auto na = a.NeighborsOf(u);
-    const auto nb = b.NeighborsOf(u);
-    ASSERT_EQ(na.size(), nb.size()) << "user " << u;
-    for (std::size_t i = 0; i < na.size(); ++i) {
-      EXPECT_EQ(na[i].id, nb[i].id) << "user " << u << " rank " << i;
-      EXPECT_EQ(na[i].similarity, nb[i].similarity)
-          << "user " << u << " rank " << i;
-    }
-  }
-}
+using testing::ExpectGraphsIdentical;
 
 GreedyConfig SmallGreedy() {
   GreedyConfig config;
@@ -112,17 +100,19 @@ TEST(CheckpointedBuildTest, HyrecMatchesPlainBuild) {
   }
 }
 
+// The checkpointed builds run on a pool, the plain one without.
 TEST(CheckpointedBuildTest, NNDescentMatchesPlainBuild) {
   const Dataset d = testing::SmallSynthetic(120);
   ExactJaccardProvider provider(d);
   const GreedyConfig config = SmallGreedy();
   const KnnGraph plain = NNDescentKnn(provider, config).value();
 
+  ThreadPool pool(4);
   for (std::size_t every : {1u, 3u}) {
     CheckpointConfig checkpointing;
     checkpointing.dir = FreshDir("nndescent_every_" + std::to_string(every));
     checkpointing.every = every;
-    auto checkpointed = NNDescentKnn(provider, config, nullptr, nullptr,
+    auto checkpointed = NNDescentKnn(provider, config, &pool, nullptr,
                                      nullptr, checkpointing);
     ASSERT_TRUE(checkpointed.ok()) << checkpointed.status().ToString();
     ExpectGraphsIdentical(plain, *checkpointed);

@@ -49,20 +49,7 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-void ExpectGraphsIdentical(const KnnGraph& a, const KnnGraph& b) {
-  ASSERT_EQ(a.NumUsers(), b.NumUsers());
-  ASSERT_EQ(a.k(), b.k());
-  for (UserId u = 0; u < a.NumUsers(); ++u) {
-    const auto na = a.NeighborsOf(u);
-    const auto nb = b.NeighborsOf(u);
-    ASSERT_EQ(na.size(), nb.size()) << "user " << u;
-    for (std::size_t i = 0; i < na.size(); ++i) {
-      EXPECT_EQ(na[i].id, nb[i].id) << "user " << u << " rank " << i;
-      EXPECT_EQ(na[i].similarity, nb[i].similarity)
-          << "user " << u << " rank " << i;
-    }
-  }
-}
+using testing::ExpectGraphsIdentical;
 
 GreedyConfig SmallGreedy() {
   GreedyConfig config;
@@ -168,18 +155,25 @@ TEST(ClusterConquerTest, ArbitraryClusteringYieldsValidGraph) {
   }
 }
 
+// Without refinement and with one NNDescent pass over the merged graph.
 TEST(ClusterConquerTest, GraphIsIdenticalAcrossThreadCounts) {
   const Dataset d = testing::SmallSynthetic(220);
   ExactJaccardProvider provider(d);
   const GreedyConfig greedy = SmallGreedy();
-  const ClusterConquerConfig config = SmallCc(12, 2);
-
-  auto sequential = ClusterConquerKnn(d, provider, config, greedy);
-  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-  ThreadPool pool(4);
-  auto parallel = ClusterConquerKnn(d, provider, config, greedy, &pool);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ExpectGraphsIdentical(*sequential, *parallel);
+  for (const std::size_t refine : {0, 1}) {
+    ClusterConquerConfig config = SmallCc(12, 2);
+    config.refine_iterations = refine;
+    auto sequential = ClusterConquerKnn(d, provider, config, greedy);
+    ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+    for (const std::size_t threads : {2, 4}) {
+      ThreadPool pool(threads);
+      auto parallel = ClusterConquerKnn(d, provider, config, greedy, &pool);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      ExpectGraphsIdentical(*sequential, *parallel,
+                            "refine " + std::to_string(refine) + " on " +
+                                std::to_string(threads) + " threads");
+    }
+  }
 }
 
 TEST(ClusterConquerTest, RefinementSmoke) {

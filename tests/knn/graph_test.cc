@@ -4,7 +4,6 @@
 #include <atomic>
 #include <limits>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -65,50 +64,6 @@ TEST(NeighborListsTest, FloorIsTheFullRowsWorstSimilarity) {
   const NeighborLists::Entry restored[] = {{1, 0.25f, true}, {2, 0.75f, true}};
   lists.RestoreRow(0, restored);
   EXPECT_EQ(lists.Floor(0), 0.25f);
-}
-
-TEST(NeighborListsTest, ConcurrentInsertLockedKeepsExactTopK) {
-  // Hammer one row (and a few others) from several threads through the
-  // TTAS spinlock. With all-distinct similarities the bounded list is
-  // order-independent: whatever the interleaving, the surviving entries
-  // must be exactly the k best offered.
-  constexpr std::size_t kK = 8;
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kPerThread = 250;
-  NeighborLists lists(4, kK);
-
-  // Distinct similarities: sim(v) strictly increasing in v.
-  const auto sim_of = [](UserId v) {
-    return 0.001 * static_cast<double>(v + 1);
-  };
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        const auto v = static_cast<UserId>(10 + t * kPerThread + i);
-        lists.InsertLocked(0, v, sim_of(v));
-        lists.InsertLocked(1 + (v % 3), v, sim_of(v));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  const UserId max_v = 10 + kThreads * kPerThread - 1;
-  for (UserId row = 0; row < 2; ++row) {
-    std::vector<UserId> got;
-    for (const auto& e : lists.Of(row)) got.push_back(e.id);
-    std::sort(got.begin(), got.end());
-    ASSERT_EQ(got.size(), kK) << "row " << row;
-    if (row == 0) {
-      // Row 0 saw every v in [10, max_v]; top-k = the k largest ids.
-      for (std::size_t i = 0; i < kK; ++i) {
-        EXPECT_EQ(got[i], max_v - (kK - 1) + i);
-      }
-    }
-    for (const auto& e : lists.Of(row)) {
-      EXPECT_DOUBLE_EQ(e.similarity, static_cast<float>(sim_of(e.id)));
-    }
-  }
 }
 
 TEST(NeighborListsTest, InsertMarksEntryNew) {
@@ -221,29 +176,6 @@ TEST(NeighborListsTest, FinalizeTieBreaksById) {
   const KnnGraph g = lists.Finalize();
   EXPECT_EQ(g.NeighborsOf(0)[0].id, 3u);
   EXPECT_EQ(g.NeighborsOf(0)[1].id, 5u);
-}
-
-TEST(NeighborListsTest, ConcurrentLockedInsertsOnSameRow) {
-  NeighborLists lists(1, 8);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 200;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&lists, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        const auto v = static_cast<UserId>(1 + t * kPerThread + i);
-        lists.InsertLocked(0, v, static_cast<double>(v) / 10000.0);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  // The 8 best are the 8 highest ids inserted.
-  const KnnGraph g = lists.Finalize();
-  const auto nb = g.NeighborsOf(0);
-  ASSERT_EQ(nb.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(nb[i].id, static_cast<UserId>(kThreads * kPerThread - i));
-  }
 }
 
 TEST(NeighborListsTest, EmptyRestoreRowEmptiesOnlyThatRow) {

@@ -133,10 +133,10 @@ TEST(HyrecTest, WorksWithGoldFingerProvider) {
 }
 
 TEST(HyrecTest, BatchScoringMatchesPerPairScoringExactly) {
-  // Same store, same seed: the ScoreBatch path must walk the identical
-  // refinement trajectory as the per-pair path (batch scores are
-  // bit-exact and applied in the same order), so the final graphs are
-  // identical down to tie-breaks.
+  // Same store, same seed: the fused CountBatch path must walk the
+  // identical refinement trajectory as the per-pair path (batch scores
+  // are bit-exact and applied in the same order), so the final graphs
+  // are identical down to tie-breaks.
   const Dataset d = testing::SmallSynthetic(200);
   FingerprintConfig fc;
   fc.num_bits = 256;
@@ -150,7 +150,8 @@ TEST(HyrecTest, BatchScoringMatchesPerPairScoringExactly) {
       return store->EstimateJaccard(a, b);
     }
   };
-  static_assert(BatchSimilarityProvider<GoldFingerProvider>);
+  static_assert(IntersectionCountProvider<GoldFingerProvider>);
+  static_assert(!IntersectionCountProvider<PerPairProvider>);
   static_assert(!BatchSimilarityProvider<PerPairProvider>);
 
   GoldFingerProvider batched(*store);

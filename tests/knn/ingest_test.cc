@@ -20,6 +20,7 @@
 #include "knn/snapshot_query.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_context.h"
+#include "testing/test_util.h"
 
 namespace gf {
 namespace {
@@ -42,20 +43,7 @@ Result<Dataset> RandomDataset(std::size_t users, std::size_t items,
   return Dataset::FromProfiles(std::move(profiles), items);
 }
 
-void ExpectGraphsIdentical(const KnnGraph& a, const KnnGraph& b) {
-  ASSERT_EQ(a.NumUsers(), b.NumUsers());
-  ASSERT_EQ(a.k(), b.k());
-  for (UserId u = 0; u < a.NumUsers(); ++u) {
-    const auto na = a.NeighborsOf(u);
-    const auto nb = b.NeighborsOf(u);
-    ASSERT_EQ(na.size(), nb.size()) << "user " << u;
-    for (std::size_t i = 0; i < na.size(); ++i) {
-      EXPECT_EQ(na[i].id, nb[i].id) << "user " << u << " slot " << i;
-      EXPECT_EQ(na[i].similarity, nb[i].similarity)
-          << "user " << u << " slot " << i;
-    }
-  }
-}
+using testing::ExpectGraphsIdentical;
 
 TEST(IngestServiceTest, SteppingModePublishesOnCadenceWithFreshnessLag) {
   FakeClock clock;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/thread_pool.h"
 #include "knn/brute_force.h"
 #include "knn/quality.h"
 #include "knn/similarity_provider.h"
@@ -92,15 +95,39 @@ TEST(NNDescentTest, NewFlagsAreConsumed) {
             stats.updates_per_iteration.front());
 }
 
+// 2,500 users make three blocks of joins, so later blocks score
+// against floors that earlier blocks' applies raised. Any pool builds
+// the sequential graph: rows, float bits, updates per iteration and
+// similarity count, whatever the provider's scoring path.
 TEST(NNDescentTest, ParallelRunReachesSameQuality) {
-  const Dataset d = testing::SmallSynthetic(250);
-  ExactJaccardProvider provider(d);
-  ThreadPool pool(4);
-  const KnnGraph exact = BruteForceKnn(provider, 10).value();
-  const KnnGraph par = NNDescentKnn(provider, Config(), &pool).value();
-  const double q = GraphQuality(AverageExactSimilarity(par, d),
-                                AverageExactSimilarity(exact, d));
-  EXPECT_GT(q, 0.95);
+  constexpr std::size_t kUsers = 2500;
+  static_assert(kUsers > 2 * kNNDescentBlockUsers);
+  const Dataset d = testing::SmallSynthetic(kUsers);
+  FingerprintConfig fc;
+  fc.num_bits = 512;
+  const FingerprintStore store = FingerprintStore::Build(d, fc).value();
+  const auto expect_pools_match = [&](const auto& provider,
+                                      const std::string& label) {
+    KnnBuildStats want;
+    const KnnGraph sequential =
+        NNDescentKnn(provider, Config(), nullptr, &want).value();
+    for (const std::size_t threads : {2, 3, 4, 8}) {
+      ThreadPool pool(threads);
+      KnnBuildStats got;
+      const KnnGraph pooled =
+          NNDescentKnn(provider, Config(), &pool, &got).value();
+      const std::string context =
+          label + " on " + std::to_string(threads) + " threads";
+      testing::ExpectGraphsIdentical(sequential, pooled, context);
+      EXPECT_EQ(got.updates_per_iteration, want.updates_per_iteration)
+          << context;
+      EXPECT_EQ(got.similarity_computations, want.similarity_computations)
+          << context;
+    }
+  };
+  expect_pools_match(ExactJaccardProvider(d), "native");
+  expect_pools_match(GoldFingerProvider(store), "goldfinger");
+  expect_pools_match(GoldFingerCosineProvider(store), "goldfinger cosine");
 }
 
 TEST(NNDescentTest, WorksWithGoldFingerProvider) {

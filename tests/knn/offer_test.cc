@@ -4,7 +4,9 @@
 // row's floor, so these tests pin what that skip must leave unchanged:
 // every row, slot for slot, and the number of updates, with candidates
 // whose Eq. 4 value ties the row's floor and users with no bit set
-// (a union of 0) among the offers.
+// (a union of 0) among the offers. The callback form, as NNDescent's
+// joins use it, records the offers while no row changes and inserts
+// them afterwards; that must match inserting every offer at once.
 
 #include "knn/graph.h"
 
@@ -20,6 +22,7 @@
 #include "common/random.h"
 #include "core/fingerprint_store.h"
 #include "knn/cluster_conquer.h"
+#include "knn/nndescent.h"
 #include "knn/similarity_provider.h"
 
 namespace gf {
@@ -241,6 +244,76 @@ TEST(OfferCandidatesTest, MatchesScoreThenInsertOverClusterView) {
       const std::string label = Label(k, rows);
       ExpectCovered(ExpectOfferMatches(want, got, k, rows, cards, label),
                     label);
+    }
+  }
+}
+
+// The reference loop with every insert made at once, against
+// OfferCandidates with a callback that records its offers and changes
+// no row; the recorded offers are inserted, in order, after the call.
+// The rows must agree slot for slot after every call, and so must the
+// update counts: an offer left out is at or below its row's floor when
+// the call starts, and floors only rise while the offers are inserted.
+// Returns how many of the reference loop's offers were left out.
+template <typename Provider>
+uint64_t ExpectDeferredOffersMatch(const Provider& provider, std::size_t k,
+                                   OfferRows rows, const std::string& label) {
+  const std::size_t n = provider.num_users();
+  NeighborLists want(n, k);
+  NeighborLists got(n, k);
+  Prefill(provider, 300 + k, want);
+  Prefill(provider, 300 + k, got);
+  Rng rng(400 + k);
+  OfferScratch scratch;
+  std::vector<double> sims;
+  std::vector<JoinOffer> recorded;
+  uint64_t left_out = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (UserId u = 0; u < n; ++u) {
+      const std::vector<UserId> ids = Candidates(rng, n, u);
+      sims.resize(ids.size());
+      ScoreCandidates(provider, u, ids, sims);
+      uint64_t want_updates = 0;
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        want_updates += want.Insert(u, ids[i], sims[i]);
+        if (rows == OfferRows::kBoth) {
+          want_updates += want.Insert(ids[i], u, sims[i]);
+        }
+      }
+
+      recorded.clear();
+      EXPECT_EQ(OfferCandidates(provider, u, ids, got, scratch, rows,
+                                [&](UserId row, UserId id, double sim) {
+                                  recorded.push_back(
+                                      {row, id, static_cast<float>(sim)});
+                                  return false;
+                                }),
+                0u);
+      uint64_t got_updates = 0;
+      for (const JoinOffer& offer : recorded) {
+        got_updates += got.Insert(offer.row, offer.id, offer.sim);
+      }
+      EXPECT_EQ(got_updates, want_updates)
+          << label << " round " << round << " user " << u;
+      left_out += ids.size() * (rows == OfferRows::kBoth ? 2 : 1) -
+                  recorded.size();
+    }
+  }
+  ExpectSameRows(want, got, label);
+  return left_out;
+}
+
+TEST(OfferCandidatesTest, DeferredCallbackMatchesInsertingEveryOffer) {
+  for (const std::size_t k : {1, 5, 30}) {
+    const FingerprintStore store = CoarseStore(k);
+    for (const OfferRows rows : {OfferRows::kOwn, OfferRows::kBoth}) {
+      const std::string label = Label(k, rows);
+      EXPECT_GT(ExpectDeferredOffersMatch(GoldFingerProvider(store), k, rows,
+                                          label + " fused"),
+                0u);
+      EXPECT_GT(ExpectDeferredOffersMatch(GoldFingerCosineProvider(store), k,
+                                          rows, label + " scored"),
+                0u);
     }
   }
 }

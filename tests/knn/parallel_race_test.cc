@@ -1,9 +1,10 @@
 // Exercises every parallel KNN construction path with a real thread
 // pool and concurrent AccessCounter accounting, so that a
 // -DGF_SANITIZE=thread build of this binary proves the batched scoring
-// path, the NeighborLists TTAS spinlocks, and the access counters are
-// race-free (and an address build proves the tile/batch kernels stay in
-// bounds). In plain builds these run as ordinary determinism checks.
+// path, NNDescent's block joins (score every row, then write each row
+// from its owner) and the access counters race-free (and an address
+// build proves the tile/batch kernels stay in bounds). In plain builds
+// these run as ordinary determinism checks.
 
 #include <gtest/gtest.h>
 
@@ -40,20 +41,11 @@ TEST(ParallelRaceTest, BruteForceTiledScanUnderThreads) {
   // Thread-partitioned rows: the parallel graph equals the sequential
   // one exactly.
   const KnnGraph sequential = BruteForceKnn(provider, 10).value();
-  ASSERT_EQ(parallel.NumUsers(), sequential.NumUsers());
-  for (UserId u = 0; u < parallel.NumUsers(); ++u) {
-    const auto a = parallel.NeighborsOf(u);
-    const auto b = sequential.NeighborsOf(u);
-    ASSERT_EQ(a.size(), b.size()) << "user " << u;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i].id, b[i].id) << "user " << u << " slot " << i;
-      ASSERT_EQ(a[i].similarity, b[i].similarity);
-    }
-  }
+  testing::ExpectGraphsIdentical(sequential, parallel);
   AccessCounter::Instance().Reset();
 }
 
-TEST(ParallelRaceTest, NNDescentLockedJoinsUnderThreads) {
+TEST(ParallelRaceTest, NNDescentBlockJoinsUnderThreads) {
   const Dataset d = testing::SmallSynthetic(300);
   const FingerprintStore store = BuildStore(d, 256);
   GoldFingerProvider provider(store);
@@ -67,22 +59,20 @@ TEST(ParallelRaceTest, NNDescentLockedJoinsUnderThreads) {
   AccessCounter::Instance().Reset();
   AccessCounter::Enable(true);
   KnnBuildStats stats;
-  const KnnGraph g = NNDescentKnn(provider, config, &pool, &stats).value();
+  const KnnGraph parallel =
+      NNDescentKnn(provider, config, &pool, &stats).value();
   AccessCounter::Enable(false);
 
-  // The graph is well-formed: full lists, no self loops, no duplicates.
-  ASSERT_EQ(g.NumUsers(), d.NumUsers());
-  for (UserId u = 0; u < g.NumUsers(); ++u) {
-    const auto nb = g.NeighborsOf(u);
-    ASSERT_EQ(nb.size(), config.k) << "user " << u;
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      EXPECT_NE(nb[i].id, u);
-      for (std::size_t j = i + 1; j < nb.size(); ++j) {
-        EXPECT_NE(nb[i].id, nb[j].id) << "duplicate neighbor of " << u;
-      }
-    }
-  }
-  EXPECT_GT(stats.similarity_computations, 0u);
+  // Rows are written only by their owner, in the sequential order: the
+  // pooled graph equals the sequential one bit for bit.
+  KnnBuildStats sequential_stats;
+  const KnnGraph sequential =
+      NNDescentKnn(provider, config, nullptr, &sequential_stats).value();
+  testing::ExpectGraphsIdentical(sequential, parallel);
+  EXPECT_EQ(stats.similarity_computations,
+            sequential_stats.similarity_computations);
+  EXPECT_EQ(stats.updates_per_iteration,
+            sequential_stats.updates_per_iteration);
   AccessCounter::Instance().Reset();
 }
 

@@ -77,7 +77,7 @@ TEST(PipelineContextTest, RegistryMatchesCountingProviderExactly) {
       registry.FindCounter(kStatSimilarityComputations);
   ASSERT_NE(sims, nullptr);
   EXPECT_EQ(sims->value(), counting.count());
-  // The returned stats view IS the registry's numbers.
+  // The registry holds the returned stats.
   EXPECT_EQ(result->stats.similarity_computations, sims->value());
   const obs::Gauge* seconds = registry.FindGauge(kStatBuildSeconds);
   ASSERT_NE(seconds, nullptr);
@@ -108,6 +108,33 @@ TEST(PipelineContextTest, MetricsDoNotChangeTheGraph) {
   }
   EXPECT_EQ(plain->stats.similarity_computations,
             instrumented->stats.similarity_computations);
+}
+
+// A registry that two builds publish into sums their counters, but
+// each build returns its own stats: the second build's equal an
+// uninstrumented build's.
+TEST(PipelineContextTest, ReusedRegistryReturnsEachBuildsOwnStats) {
+  const Dataset d = testing::SmallSynthetic(100);
+  KnnPipelineConfig config;
+  config.algorithm = KnnAlgorithm::kHyrec;
+  config.greedy.k = 6;
+  auto plain = BuildKnnGraph(d, config);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_FALSE(plain->stats.updates_per_iteration.empty());
+
+  obs::MetricRegistry registry;
+  obs::PipelineContext ctx;
+  ctx.metrics = &registry;
+  ASSERT_TRUE(BuildKnnGraph(d, config, ctx).ok());
+  auto second = BuildKnnGraph(d, config, ctx);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->stats.similarity_computations,
+            plain->stats.similarity_computations);
+  EXPECT_EQ(second->stats.iterations, plain->stats.iterations);
+  EXPECT_EQ(second->stats.updates_per_iteration,
+            plain->stats.updates_per_iteration);
+  EXPECT_EQ(registry.FindCounter(kStatSimilarityComputations)->value(),
+            2 * plain->stats.similarity_computations);
 }
 
 TEST(PipelineContextTest, PhasesLeaveSpans) {

@@ -1,13 +1,16 @@
 // Shared helpers for the test suite: tiny hand-built datasets with
-// known similarity structure, and the reference answers of the serving
-// exactness tests.
+// known similarity structure, the reference answers of the serving
+// exactness tests, and the graph comparison of the determinism tests.
 
 #ifndef GF_TESTS_TESTING_TEST_UTIL_H_
 #define GF_TESTS_TESTING_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "core/shf.h"
 #include "dataset/dataset.h"
 #include "dataset/synthetic.h"
+#include "knn/graph.h"
 #include "knn/query.h"
 
 namespace gf::testing {
@@ -56,6 +60,27 @@ inline std::vector<std::vector<Neighbor>> PerPairScan(
                                   : std::vector<Neighbor>{});
   }
   return answers;
+}
+
+/// Expects `a` and `b` to be the same graph: the same users and k, and
+/// row for row the same ids and float bits. Stops at the first
+/// difference.
+inline void ExpectGraphsIdentical(const KnnGraph& a, const KnnGraph& b,
+                                  const std::string& context = "") {
+  ASSERT_EQ(a.NumUsers(), b.NumUsers()) << context;
+  ASSERT_EQ(a.k(), b.k()) << context;
+  for (UserId u = 0; u < a.NumUsers(); ++u) {
+    const auto na = a.NeighborsOf(u);
+    const auto nb = b.NeighborsOf(u);
+    ASSERT_EQ(na.size(), nb.size()) << context << " user " << u;
+    for (std::size_t i = 0; i < na.size(); ++i) {
+      ASSERT_EQ(na[i].id, nb[i].id)
+          << context << " user " << u << " rank " << i;
+      ASSERT_EQ(std::bit_cast<uint32_t>(na[i].similarity),
+                std::bit_cast<uint32_t>(nb[i].similarity))
+          << context << " user " << u << " rank " << i;
+    }
+  }
 }
 
 }  // namespace gf::testing

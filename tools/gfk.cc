@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <future>
 #include <memory>
 #include <optional>
@@ -563,33 +564,42 @@ int CmdServe(const Flags& flags) {
   std::atomic<std::size_t> served{0};
   std::atomic<std::size_t> rejected{0};
   std::atomic<std::size_t> mismatched{0};
+  // Each client keeps at most its share of the queue in flight (one
+  // request when there are more clients than slots), so the clients
+  // alone do not fill the queue and the rejected count is the service's.
+  const std::size_t in_flight =
+      std::max<std::size_t>(1, service_options.max_queue / clients);
   WallTimer timer;
   std::vector<std::thread> client_threads;
   client_threads.reserve(clients);
   for (std::size_t c = 0; c < clients; ++c) {
     client_threads.emplace_back([&, c] {
-      std::vector<std::pair<std::size_t,
-                            std::future<Result<std::vector<Neighbor>>>>>
+      std::deque<std::pair<std::size_t,
+                           std::future<Result<std::vector<Neighbor>>>>>
           pending;
-      for (std::size_t r = c; r < requests; r += clients) {
-        const std::size_t q = r % pool_size;
-        pending.emplace_back(q, service.Submit(queries[q], k));
-      }
-      for (auto& [q, future] : pending) {
+      const auto check_oldest = [&] {
+        auto& [q, future] = pending.front();
         auto result = future.get();
         if (!result.ok()) {
           rejected.fetch_add(1, std::memory_order_relaxed);
-          continue;
+        } else {
+          served.fetch_add(1, std::memory_order_relaxed);
+          const std::vector<Neighbor>& expected = truth[q];
+          bool exact = result->size() == expected.size();
+          for (std::size_t i = 0; exact && i < expected.size(); ++i) {
+            exact = (*result)[i].id == expected[i].id &&
+                    (*result)[i].similarity == expected[i].similarity;
+          }
+          if (!exact) mismatched.fetch_add(1, std::memory_order_relaxed);
         }
-        served.fetch_add(1, std::memory_order_relaxed);
-        const std::vector<Neighbor>& expected = truth[q];
-        bool exact = result->size() == expected.size();
-        for (std::size_t i = 0; exact && i < expected.size(); ++i) {
-          exact = (*result)[i].id == expected[i].id &&
-                  (*result)[i].similarity == expected[i].similarity;
-        }
-        if (!exact) mismatched.fetch_add(1, std::memory_order_relaxed);
+        pending.pop_front();
+      };
+      for (std::size_t r = c; r < requests; r += clients) {
+        if (pending.size() == in_flight) check_oldest();
+        const std::size_t q = r % pool_size;
+        pending.emplace_back(q, service.Submit(queries[q], k));
       }
+      while (!pending.empty()) check_oldest();
     });
   }
   for (auto& t : client_threads) t.join();

@@ -9,6 +9,7 @@ function(run_gfk)
   if(NOT code EQUAL 0)
     message(FATAL_ERROR "gfk ${ARGN} failed (${code}):\n${out}\n${err}")
   endif()
+  set(out "${out}" PARENT_SCOPE)
 endfunction()
 
 file(MAKE_DIRECTORY ${WORK})
@@ -20,6 +21,14 @@ run_gfk(generate --dataset DBLP --scale 0.02 --out ${DS})
 run_gfk(index write --in ${DS} --bits 256 --shards 3 --out ${INDEX})
 run_gfk(index info --in ${INDEX} --full)
 run_gfk(serve --index ${INDEX} --requests 128 --clients 2 --k 5)
+
+# Each client keeps at most max-queue / clients requests in flight, so
+# a queue far smaller than the request count rejects none of them.
+run_gfk(serve --index ${INDEX} --requests 2048 --clients 4 --max-queue 64
+        --k 5)
+if(NOT out MATCHES "rejected 0,")
+  message(FATAL_ERROR "gfk serve rejected requests its clients held back:\n${out}")
+endif()
 
 # The --store path: index a pre-built fingerprint store.
 run_gfk(fingerprint --in ${DS} --bits 256 --out ${FP})
